@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .fock import DensityMatrix, ModeLayout, Operator
+from .fock import ModeLayout, Operator
 from .su11 import CircuitParams
 
 
@@ -133,11 +133,9 @@ def _check_swap(layout: ModeLayout, mode_b: int, mode_c: int) -> None:
 def swap(layout: ModeLayout, mode_b: int, mode_c: int) -> Operator:
     """Permutation exchanging the Fock indices of two equal-dimension modes."""
     _check_swap(layout, mode_b, mode_c)
-    perm = np.empty(layout.total_dim, dtype=int)
-    for flat in range(layout.total_dim):
-        idx = list(layout.multi_index(flat))
-        idx[mode_b], idx[mode_c] = idx[mode_c], idx[mode_b]
-        perm[flat] = layout.flat_index(idx)
+    perm = (
+        np.arange(layout.total_dim).reshape(layout.dims).swapaxes(mode_b, mode_c).ravel()
+    )
     M = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     M[perm, np.arange(layout.total_dim)] = 1.0
     return Operator(layout, M, hermitian=True, unitary=True)
@@ -339,8 +337,3 @@ def conditional_phase(U: Operator, n_b: int = 1) -> float:
 
     z = amp(1, n_b) * np.conj(amp(0, n_b)) * np.conj(amp(1, 0)) * amp(0, 0)
     return float(np.angle(z)) / n_b
-
-
-def apply_plan(rho: DensityMatrix, plan: CircuitPlan) -> DensityMatrix:
-    """Evolve a state through the composed circuit."""
-    return fock.evolve(rho, compose(plan))

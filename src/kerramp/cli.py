@@ -68,9 +68,12 @@ def _write_output(path, fmt, meta, columns, rows):
             fh.write(text)
 
 
-def _read_config_file(path) -> dict:
-    """Flat key=value config, # comments; keys use the flag names."""
-    values = {}
+def _config_flags(path) -> list[str]:
+    """Flat key=value config, # comments; keys are the flag names, with - or _.
+
+    Each line becomes a --key=value token for argparse to convert.
+    """
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -79,34 +82,8 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merge_config(args, parser_defaults):
-    """File values fill in only where the command line kept the default."""
-    if args.config is None:
-        return args
-    file_values = _read_config_file(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) != parser_defaults.get(key):
-            continue  # explicit flag wins
-        current = parser_defaults.get(key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(raw)
-        elif isinstance(current, float) or current is None:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        else:
-            value = raw
-        setattr(args, key, value)
-    return args
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _resolve_delta(args) -> float:
@@ -273,6 +250,8 @@ def figure2_rows(dphi_in_list, theta_max=2.5, points=200):
 
 
 def cmd_figure2(args):
+    if not 0.0 <= args.theta_max < math.inf:
+        raise UsageError(f"--theta-max must be finite and >= 0, got {args.theta_max}")
     if args.dphi_in_list is None:
         dphi_in = [1e-7, math.radians(9.0), math.radians(28.8)]
     else:
@@ -456,25 +435,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify)
 
-    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # file values go ahead of the command line, so a given flag wins
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    defaults = {
-        a.dest: a.default
-        for a in parser.subcommands[args.command]._actions
-        if a.dest != "help"
-    }
-    try:
-        args = _merge_config(args, defaults)
-        return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, ArithmeticError, TypeError, OSError) as exc:
+        # TypeError: argparse stores [] as the value of "--flag=--"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -229,13 +229,6 @@ def annihilation(layout: ModeLayout, mode: int) -> Operator:
     return Operator(layout, embed(layout, mode, lowering_matrix(layout.dims[mode])))
 
 
-def creation(layout: ModeLayout, mode: int) -> Operator:
-    layout.check_mode(mode)
-    return Operator(
-        layout, embed(layout, mode, lowering_matrix(layout.dims[mode]).conj().T)
-    )
-
-
 def number_op(layout: ModeLayout, mode: int) -> Operator:
     """Photon-number operator of the given mode."""
     layout.check_mode(mode)
@@ -264,16 +257,6 @@ def expm(generator: Operator) -> Operator:
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(1j * w)) @ V.conj().T
     return Operator(generator.layout, U, unitary=True, diagonal=generator.diagonal)
-
-
-def exp_i_hermitian(layout: ModeLayout, H: np.ndarray, scale: float = 1.0) -> Operator:
-    """Unitary exp(i * scale * H) for Hermitian H."""
-    Hs = (H + H.conj().T) / 2
-    if np.max(np.abs(H - Hs)) > ANTIHERMITIAN_TOL:
-        raise OperatorError("matrix is not Hermitian")
-    w, V = np.linalg.eigh(Hs)
-    U = (V * np.exp(1j * scale * w)) @ V.conj().T
-    return Operator(layout, U, unitary=True)
 
 
 def diagonal_unitary(layout: ModeLayout, phases: np.ndarray) -> Operator:

@@ -6,18 +6,18 @@ with a fresh vacuum ancilla, which is then traced out.  The stages are
 applied sequentially so at most one ancilla is ever co-resident with the
 signal modes.
 
-Because the beam-splitter generator conserves total photon number and the
-ancilla starts in vacuum, the attach-evolve-trace step is carried out
-exactly by exponentiating the generator block by block in total photon
-number and contracting the ancilla; this is identical to building the full
-extended-space unitary but avoids the dimension blow-up.
+With the ancilla in vacuum, the attach-evolve-trace step is amplitude
+damping, whose Kraus operators have the closed form
+E_k |n> = sqrt(C(n, k) R^k (1 - R)^(n - k)) |n - k>
+(Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  The channel is applied
+as k-shifted, weighted slices of the density matrix reshaped around the
+lost mode, without building the extended space or any Kraus matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,44 +98,45 @@ def beam_splitter(
     return fock.expm(gen)
 
 
-@lru_cache(maxsize=None)
-def _vacuum_bs_kraus(dim: int, reflectance: float) -> tuple[np.ndarray, ...]:
-    """Kraus operators of the vacuum-ancilla beam-splitter channel.
+def _damping_weights(dim: int, reflectance: float):
+    """Rows w_k[m] = sqrt(C(m + k, k) R^k (1 - R)^m), m < dim - k, for k < dim.
 
-    E_k[m, n] = <m, k| B |n, 0>.  The generator conserves n_sig + n_anc, so
-    B|n, 0> is computed from the (n+1)-dimensional block spanned by
-    |n-k, k>; with the ancilla truncated at the signal dimension these
-    amplitudes are exact.
+    Computed in log space, since the binomials overflow a float past n ~ 1030.
     """
-    theta = bs_angle(reflectance)
-    E = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
-    for n in range(dim):
-        G = np.zeros((n + 1, n + 1))
-        for k in range(n):
-            # <n-k-1, k+1| b v† |n-k, k> = sqrt((n-k)(k+1))
-            c = math.sqrt((n - k) * (k + 1))
-            G[k + 1, k] = c
-            G[k, k + 1] = -c
-        # G is real antisymmetric: exponentiate via the Hermitian iG
-        w, V = np.linalg.eigh(1j * G)
-        col = (V * np.exp(-1j * theta * w)) @ (V.conj().T[:, 0])
-        for k in range(n + 1):
-            E[k][n - k, n] = col[k]
-    return tuple(E)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    log_r = math.log(reflectance)
+    with np.errstate(divide="ignore"):
+        log_t = np.log1p(-reflectance)  # -inf at R = 1
+    for k in range(dim):
+        m = np.arange(dim - k)
+        m_log_t = np.multiply(m, log_t, out=np.zeros(dim - k), where=m > 0)  # 0 log 0 = 0
+        log_w2 = log_fact[k:] - log_fact[k] - log_fact[: dim - k] + k * log_r + m_log_t
+        yield np.exp(0.5 * log_w2)
 
 
 def apply_mode_loss(
     rho: DensityMatrix, mode: int, reflectance: float, validate: bool = False
 ) -> DensityMatrix:
-    """Vacuum beam-splitter loss channel on one mode of a multimode state."""
+    """Vacuum beam-splitter loss channel on one mode of a multimode state.
+
+    out[.., m, .., m', ..] = sum_k w_k[m] w_k[m'] rho[.., m + k, .., m' + k, ..]
+    on the lost mode's indices, with w_k from the amplitude-damping Kraus
+    operators E_k |m + k> = w_k[m] |m>.
+    """
     rho.layout.check_mode(mode)
     _check_reflectance(reflectance)
     if reflectance == 0.0:
         return rho
-    out = np.zeros_like(rho.matrix)
-    for E in _vacuum_bs_kraus(rho.layout.dims[mode], reflectance):
-        M = fock.embed(rho.layout, mode, E)
-        out += M @ rho.matrix @ M.conj().T
+    dims = rho.layout.dims
+    d = dims[mode]
+    shape = (math.prod(dims[:mode]), d, math.prod(dims[mode + 1 :]))
+    r = rho.matrix.reshape(shape + shape)
+    out = np.zeros_like(r)
+    for k, w in enumerate(_damping_weights(d, reflectance)):
+        m = d - k
+        ww = np.outer(w, w).reshape(1, m, 1, 1, m, 1)
+        out[:, :m, :, :, :m, :] += ww * r[:, k:, :, :, k:, :]
+    out = out.reshape(rho.matrix.shape)
     out = (out + out.conj().T) / 2
     return DensityMatrix(rho.layout, out, validate=validate)
 
@@ -207,7 +208,9 @@ def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
     ):
         raise fock.LayoutError(f"cannot embed {old.dims} into {new.dims}")
     out = np.zeros((new.total_dim, new.total_dim), dtype=complex)
-    idx = np.array([new.flat_index(old.multi_index(f)) for f in range(old.total_dim)])
+    idx = np.ravel_multi_index(
+        np.unravel_index(np.arange(old.total_dim), old.dims), new.dims
+    )
     out[np.ix_(idx, idx)] = rho.matrix
     return DensityMatrix(new, out, validate=False)
 

@@ -224,15 +224,16 @@ def _exp_factor(gens: Su11Generators, coeff: float, which: str) -> np.ndarray:
     """exp(i coeff G) for G in {g2, g3}.
 
     In the Fock representations these generators are Hermitian, so the
-    exponential is computed by eigendecomposition; the 2x2 representation is
-    non-Hermitian (a boost) and uses the general matrix exponential.
+    exponential is fock.expm of the anti-Hermitian i coeff G; the 2x2
+    representation is non-Hermitian (a boost) and uses the general matrix
+    exponential.
     """
     g = gens.g2 if which == "g2" else gens.g3
     if gens.representation == "matrix-2x2":
         return scipy.linalg.expm(1j * coeff * g)
     if which == "g3":
         return np.diag(np.exp(1j * coeff * np.diag(g)))
-    return fock.exp_i_hermitian(gens.layout, g, coeff).matrix
+    return fock.expm(Operator(gens.layout, 1j * coeff * g)).matrix
 
 
 def identity_factors(params: CircuitParams, gens: Su11Generators):

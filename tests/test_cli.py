@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kerramp import cli
 
@@ -144,6 +146,13 @@ class TestFigure2:
         code, _ = run_cli(capsys, "figure2", "--points", "0")
         assert code == 1
 
+    def test_negative_theta_max_rejected(self, capsys):
+        code = cli.main(["figure2", "--theta-max", "-1", "--points", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--theta-max" in captured.err
+
 
 class TestLossy:
     def test_default_run_reproduces_reference(self, capsys):
@@ -236,6 +245,49 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         code, _ = run_cli(capsys, "amplify", "--config", str(cfg))
         assert code == 1
+
+    def test_flag_equal_to_default_overrides_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rs = 0.3\n")
+        code, out = run_cli(
+            capsys, "lossy", "--rs", "0.1", "--rk", "0", "--config", str(cfg),
+            "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["rs"] == 0.1
+
+    def test_non_numeric_value_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta_deg = abc\n")
+        code = cli.main(["amplify", "--theta1", "0.5", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "abc" in captured.err
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        case=st.sampled_from(
+            [
+                ("delta_deg", ["amplify", "--theta1", "0.5"]),
+                ("theta1", ["amplify", "--delta", "0.5"]),
+                ("theta_max", ["figure2", "--points", "3"]),
+            ]
+        ),
+        value=st.text(st.characters(blacklist_categories=("Cc", "Cs"))),
+    )
+    def test_any_float_value_is_ok_or_usage_error(self, capsys, tmp_path, case, value):
+        key, argv = case
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code = cli.main(argv + ["--config", str(cfg)])
+        assert code in (0, 1)
+        capsys.readouterr()
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

@@ -136,6 +136,20 @@ class TestLossChannel:
         ba = loss.apply_mode_loss(loss.apply_mode_loss(rho, 1, 0.4), 0, 0.2)
         assert np.max(np.abs(ab.matrix - ba.matrix)) < 1e-12
 
+    def test_middle_mode_matches_embedded_oracle(self):
+        # modes on both sides of the lost one: the reshape has pre > 1 and
+        # post > 1
+        rng = np.random.default_rng(38)
+        layout = fock.make_layout([3, 5, 4])
+        rho = random_density(rng, layout)
+        for R in (0.05, 0.4, 0.9):
+            got = loss.apply_mode_loss(rho, 1, R).matrix
+            want = np.zeros_like(rho.matrix)
+            for K in damping_kraus_oracle(5, R):
+                M = np.kron(np.kron(np.eye(3), K), np.eye(4))
+                want += M @ rho.matrix @ M.conj().T
+            assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestLossyStage:
     def test_no_loss_is_pure_unitary(self):
