@@ -75,27 +75,17 @@ class CircuitPlan:
 
 
 def squeeze_single(layout: ModeLayout, mode: int, theta: float) -> Operator:
-    """Single-mode quadrature squeezer exp(-(theta/2)(b b - b† b†))."""
-    layout.check_mode(mode)
-    b = fock.annihilation(layout, mode).matrix
-    bb = b @ b
-    gen = Operator(layout, -(theta / 2.0) * (bb - bb.conj().T))
-    return fock.expm(gen)
+    """Single-mode quadrature squeezer exp(-(theta/2)(b b - b† b†)),
+    built per parity sector (fock.pair_squeezer)."""
+    return fock.pair_squeezer(layout, (mode,), theta)
 
 
 def squeeze_two_mode(
     layout: ModeLayout, mode_b: int, mode_c: int, theta: float
 ) -> Operator:
-    """Two-mode squeezer exp(-theta (b c - b† c†))."""
-    layout.check_mode(mode_b)
-    layout.check_mode(mode_c)
-    if mode_b == mode_c:
-        raise fock.LayoutError("two-mode squeezer needs two distinct modes")
-    b = fock.annihilation(layout, mode_b).matrix
-    c = fock.annihilation(layout, mode_c).matrix
-    bc = b @ c
-    gen = Operator(layout, -theta * (bc - bc.conj().T))
-    return fock.expm(gen)
+    """Two-mode squeezer exp(-theta (b c - b† c†)), built per n_b - n_c
+    sector (fock.pair_squeezer)."""
+    return fock.pair_squeezer(layout, (mode_b, mode_c), theta)
 
 
 def kerr(layout: ModeLayout, mode_a: int, mode_b: int, dphi: float) -> Operator:

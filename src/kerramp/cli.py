@@ -71,7 +71,9 @@ def _write_output(path, fmt, meta, columns, rows):
 def _config_flags(path) -> list[str]:
     """Flat key=value config, # comments; keys are the flag names, with - or _.
 
-    Each line becomes a --key=value token for argparse to convert.
+    Each line becomes a --key=value token for argparse to convert.  The
+    subcommand parsers take no abbreviations, so a key must name its flag
+    in full, as on the command line.
     """
     flags = []
     with open(path, encoding="utf-8") as fh:
@@ -271,6 +273,8 @@ def _input_state(name, p, layout):
 
 
 def cmd_lossy(args):
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
     if args.delta is None and args.delta_deg is None:
         delta = 0.5
     else:
@@ -379,6 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, summary):
+        # no prefix matching: "--max" must not stand for "--max-dim", on the
+        # command line or as a config key
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -388,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=None, help="dphi_in in radians")
         p.add_argument("--delta-deg", type=float, default=None, help="dphi_in in degrees")
 
-    p = sub.add_parser("amplify", help="solve the angle relations at one point")
+    p = command("amplify", "solve the angle relations at one point")
     angle_flags(p)
     p.add_argument("--theta1", type=float, default=None)
     p.add_argument("--theta2", type=float, default=None)
@@ -396,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_amplify)
 
-    p = sub.add_parser("table1", help="amplified-shift table over dB levels")
+    p = command("table1", "amplified-shift table over dB levels")
     p.add_argument(
         "--db-list", default=None, help="comma-separated dB levels (default: 6 rows)"
     )
     common(p)
     p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("figure2", help="amplified-shift curves")
+    p = command("figure2", "amplified-shift curves")
     p.add_argument(
         "--dphi-in-list",
         default=None,
@@ -414,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_figure2)
 
-    p = sub.add_parser("lossy", help="lossy amplifier fidelity run")
+    p = command("lossy", "lossy amplifier fidelity run")
     angle_flags(p)
     p.add_argument("--theta1", type=float, default=0.5)
     p.add_argument("--rs", type=float, default=0.1, help="squeezer-loss reflectance")
@@ -429,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_lossy)
 
-    p = sub.add_parser("verify", help="identity and equivalence verification")
+    p = command("verify", "identity and equivalence verification")
     p.add_argument("--dim", type=int, default=100, help="Fock truncation")
     p.add_argument("--block", type=int, default=40, help="interior-block bound")
     common(p)

@@ -1,9 +1,18 @@
 """Truncated multimode Fock-space backbone.
 
 Dense operators and density matrices over a composite Hilbert space built
-as the tensor product of per-mode truncated Fock ladders.  All circuit
-generators used downstream are anti-Hermitian, so matrix exponentials are
-computed by eigendecomposition of the associated Hermitian matrix.
+as the tensor product of per-mode truncated Fock ladders.
+
+Gates keep the structure the physics gives them.  Every squeezer here
+conserves the Fock index of each mode it does not squeeze; a single-mode
+squeezer also conserves the parity of its mode, and a two-mode squeezer the
+difference of its two modes' indices.  :func:`pair_squeezer` therefore
+builds a truncated squeezer sector by sector: each parity or index-difference
+ladder is a real tridiagonal generator, exponentiated by its own small
+eigendecomposition and placed in the full matrix by index arithmetic.
+Operators flagged diagonal are multiplied and conjugated elementwise.
+:func:`expm`, the dense eigendecomposition on the full space, stays as the
+oracle for these builders and for the beam splitter.
 
 Truncation caveat: on a D-level ladder [b, b†] = 1 holds only away from the
 top level, so identity and unitarity checks for squeezing-like operators are
@@ -14,10 +23,8 @@ Products of squeezers are the exception: composed gate by gate on the
 D-level ladder, intermediate states leak past the top level and the
 product's interior block no longer holds the untruncated operator's
 elements.  :func:`compress_product` composes such products on a working
-ladder that doubles from D until the compression to D settles, sector by
-sector: every factor here conserves the Fock index of each mode it does not
-squeeze, a single-mode squeezer conserves the parity of its mode, and a
-two-mode squeezer conserves the difference of its two modes' indices.
+ladder that doubles from D until the compression to D settles, with the
+same sector ladders.
 """
 
 from __future__ import annotations
@@ -149,9 +156,15 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         if other.layout != self.layout:
             raise OperatorError("layout mismatch in operator product")
+        if self.diagonal:  # scale the rows of other
+            product = np.diagonal(self.matrix)[:, None] * other.matrix
+        elif other.diagonal:  # scale the columns of self
+            product = self.matrix * np.diagonal(other.matrix)
+        else:
+            product = self.matrix @ other.matrix
         return Operator(
             self.layout,
-            self.matrix @ other.matrix,
+            product,
             unitary=self.unitary and other.unitary,
             diagonal=self.diagonal and other.diagonal,
         )
@@ -247,7 +260,9 @@ def expm(generator: Operator) -> Operator:
     """exp(A) for anti-Hermitian A, via eigendecomposition of H = -iA.
 
     Returns the unitary exp(iH).  Raises if A deviates from anti-Hermiticity
-    beyond tolerance; every circuit generator in this package is of this form.
+    beyond tolerance.  A dense O(N^3) reference: the gates are built from
+    their sectors (see pair_squeezer), and this serves as their oracle and
+    as the beam splitter's.
     """
     A = generator.matrix
     dev = np.max(np.abs(A + A.conj().T))
@@ -270,12 +285,17 @@ def diagonal_unitary(layout: ModeLayout, phases: np.ndarray) -> Operator:
 
 
 def evolve(rho: DensityMatrix, U: Operator, validate: bool = True) -> DensityMatrix:
-    """Unitary conjugation U rho U†, re-symmetrized."""
+    """Unitary conjugation U rho U†, re-symmetrized; elementwise,
+    u_i rho_ij conj(u_j), when U is flagged diagonal."""
     if U.layout != rho.layout:
         raise OperatorError("layout mismatch between state and unitary")
     if not U.unitary:
         raise OperatorError("operator is not flagged unitary")
-    out = U.matrix @ rho.matrix @ U.dag
+    if U.diagonal:
+        u = np.diagonal(U.matrix)
+        out = u[:, None] * rho.matrix * u.conj()
+    else:
+        out = U.matrix @ rho.matrix @ U.dag
     out = (out + out.conj().T) / 2
     return DensityMatrix(rho.layout, out, validate=validate)
 
@@ -314,37 +334,45 @@ def partial_trace(rho: DensityMatrix, keep, validate: bool = True) -> DensityMat
     )
 
 
-def sqrtm_psd(rho: DensityMatrix) -> Operator:
-    """Hermitian PSD square root via eigendecomposition.
+def _psd_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root from an eigendecomposition (w ascending).
 
     Eigenvalues in [-EIGENVALUE_TOL, 0) are clipped to 0; anything more
     negative indicates a logic bug rather than round-off and raises.
     """
-    H = (rho.matrix + rho.matrix.conj().T) / 2
-    w, V = np.linalg.eigh(H)
     if w[0] < -EIGENVALUE_TOL:
         raise StateError(f"matrix is not PSD: eigenvalue {w[0]:.2e}")
-    w = np.clip(w, 0.0, None)
-    root = (V * np.sqrt(w)) @ V.conj().T
-    root = (root + root.conj().T) / 2
-    return Operator(rho.layout, root, hermitian=True)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    return (root + root.conj().T) / 2
+
+
+def sqrtm_psd(rho: DensityMatrix) -> Operator:
+    """Hermitian PSD square root via eigendecomposition (see _psd_root)."""
+    H = (rho.matrix + rho.matrix.conj().T) / 2
+    return Operator(rho.layout, _psd_root(*np.linalg.eigh(H)), hermitian=True)
 
 
 def fidelity(rho_ideal: DensityMatrix, rho_out: DensityMatrix) -> float:
     """Uhlmann-Jozsa fidelity [Tr sqrt(sqrt(r1) r2 sqrt(r1))]^2 in [0, 1].
 
-    Uses the pure-state shortcut <psi|rho_out|psi> when rho_ideal has
-    numerical rank 1.
+    Both states are restricted to the support of rho_ideal, the basis states
+    whose rows of rho_ideal hold a nonzero entry.  That is exact: with P the
+    projector onto them, r1 = P r1 P and so sqrt(r1) = P sqrt(r1) P.  Uses
+    the pure-state shortcut <psi|rho_out|psi> when rho_ideal has numerical
+    rank 1, as it always has on a support of one state.
     """
     if rho_ideal.layout != rho_out.layout:
         raise OperatorError("layout mismatch between states")
-    w, V = np.linalg.eigh((rho_ideal.matrix + rho_ideal.matrix.conj().T) / 2)
-    if w[-2] < 1e-12:  # numerically pure
+    rows = np.flatnonzero(np.any(rho_ideal.matrix, axis=1))
+    support = np.ix_(rows, rows)
+    r1, r2 = rho_ideal.matrix[support], rho_out.matrix[support]
+    w, V = np.linalg.eigh((r1 + r1.conj().T) / 2)
+    if len(w) == 1 or w[-2] < 1e-12:  # numerically pure
         psi = V[:, -1]
-        f = np.real(psi.conj() @ rho_out.matrix @ psi)
+        f = np.real(psi.conj() @ r2 @ psi)
     else:
-        root = sqrtm_psd(rho_ideal).matrix
-        inner = root @ rho_out.matrix @ root
+        root = _psd_root(w, V)
+        inner = root @ r2 @ root
         ev = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
         # round-off in near-zero eigenvalues is amplified by the square
         # root; suppress anything below the spectral noise floor
@@ -408,27 +436,70 @@ class PhaseFactor:
     phase: Callable
 
 
-def _sectors(dim: int, modes, work: int):
-    """Ladders of the squeezers on `modes`, on working ladder `work`.
+def _check_squeezed(layout: ModeLayout, modes: tuple) -> None:
+    for m in modes:
+        layout.check_mode(m)
+    if len(modes) not in (1, 2) or len(set(modes)) != len(modes):
+        raise LayoutError(f"a squeezer needs one mode or two distinct modes, got {modes}")
 
-    Yields (key, box, numbers, coupling) per sector that meets the D-box
-    (D = dim): numbers holds the Fock indices of each squeezed mode along
-    the ladder, whose first `box` states lie in the D-box; coupling[m] is
-    <m|A|m+1>.  Sectors with equal key have equal couplings and come in a
-    row.
+
+def _sectors(box, work):
+    """Ladders of the squeezer on modes with dimensions `box`, each ladder
+    running up to Fock index work[j] - 1 on squeezed mode j.
+
+    Yields (key, inside, numbers, coupling) per sector that meets the box:
+    numbers holds the Fock indices of each squeezed mode along the ladder,
+    whose first `inside` states lie in the box; coupling[m] is <m|A|m+1>.
+    Sectors with equal key have equal couplings and come in a row.
     """
-    if len(modes) == 1:  # parity p of n_b
+    if len(box) == 1:  # parity p of n_b
         for p in (0, 1):
-            n = p + 2 * np.arange((work - p + 1) // 2)
+            n = p + 2 * np.arange((work[0] - p + 1) // 2)
             coupling = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-            yield p, (dim - p + 1) // 2, (n,), coupling
+            yield p, (box[0] - p + 1) // 2, (n,), coupling
         return
-    for a in range(dim):  # n_b - n_c = k, key |k|
-        m = np.arange(work - a)
-        coupling = np.sqrt((m[:-1] + a + 1.0) * (m[:-1] + 1.0))
-        yield a, dim - a, (m + a, m), coupling
-        if a:
-            yield a, dim - a, (m, m + a), coupling
+    for a in range(max(box)):  # n_b - n_c = k, |k| = a
+        for off in ((a, 0), (0, a)) if a else ((0, 0),):
+            inside = min(box[0] - off[0], box[1] - off[1])
+            if inside <= 0:
+                continue
+            m = np.arange(min(work[0] - off[0], work[1] - off[1]))
+            coupling = np.sqrt((m[:-1] + a + 1.0) * (m[:-1] + 1.0))
+            yield (a, len(m)), inside, (m + off[0], m + off[1]), coupling
+
+
+def _ladder_eig(coupling: np.ndarray):
+    """Eigenbasis (w, Q, z) of the ladder generator T, real antisymmetric
+    tridiagonal with T[m, m+1] = -coupling[m].
+
+    T equals Z (i S) Z* with Z = diag(z), z[m] = i^m, and S = Q diag(w) Q^T
+    real symmetric tridiagonal, S[m, m+1] = -coupling[m]; so
+    exp(theta T) = Z Q e^{i theta w} Q^T Z*.
+    """
+    size = len(coupling) + 1
+    w, Q = scipy.linalg.eigh_tridiagonal(np.zeros(size), -coupling)
+    z = np.array([1, 1j, -1, -1j])[np.arange(size) % 4]
+    return w, Q, z
+
+
+def _ladder_exp(eig, theta: float, V: np.ndarray) -> np.ndarray:
+    """exp(theta T) V for the ladder whose eigenbasis is eig (_ladder_eig);
+    the first axis of V runs along the ladder."""
+    w, Q, z = eig
+    size = len(w)
+    z = z.reshape((size,) + (1,) * (V.ndim - 1))
+    # real Q acts on the real and imaginary parts at once
+    X = np.ascontiguousarray(z.conj() * V).view(float).reshape(size, -1)
+    X = (Q.T @ X).view(complex).reshape(V.shape)
+    X *= np.exp(1j * theta * w).reshape(z.shape)
+    return z * (Q @ X.view(float).reshape(size, -1)).view(complex).reshape(V.shape)
+
+
+def _spectators(layout: ModeLayout, modes) -> dict:
+    """Fock indices of the modes not in `modes`, flattened over their grid."""
+    others = [j for j in range(layout.num_modes) if j not in modes]
+    grids = np.meshgrid(*[np.arange(layout.dims[j]) for j in others], indexing="ij")
+    return {j: g.ravel() for j, g in zip(others, grids)}
 
 
 def _numbers(num_modes: int, modes, numbers, spectators: dict) -> list:
@@ -442,39 +513,63 @@ def _numbers(num_modes: int, modes, numbers, spectators: dict) -> list:
     return n
 
 
+def _place_blocks(layout: ModeLayout, modes, spectators: dict, sectors, blocks):
+    """Full matrix holding each sector's (inside, S, inside) block at the
+    sector's states inside the layout; S = 1 broadcasts one block over every
+    spectator value."""
+    U = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    for (_, inside, numbers, _), block in zip(sectors, blocks):
+        n = _numbers(layout.num_modes, modes, [nj[:inside] for nj in numbers], spectators)
+        idx = np.ravel_multi_index(np.broadcast_arrays(*n), layout.dims)
+        U[idx[:, :, None], idx.T[None, :, :]] = block
+    return U
+
+
+def pair_squeezer(layout: ModeLayout, modes, theta: float) -> Operator:
+    """Squeezer exp(-theta (A - A†)) truncated to layout, with A = b b / 2
+    on one mode or A = b c on two modes (of any dimensions).
+
+    Built sector by sector: each parity ladder of the squeezed mode, or each
+    n_b - n_c ladder of the two, is exponentiated on its own (_ladder_exp)
+    and its block is placed at its states for every spectator Fock index.
+    """
+    modes = tuple(modes)
+    _check_squeezed(layout, modes)
+    box = tuple(layout.dims[m] for m in modes)
+    sectors = list(_sectors(box, box))
+    blocks = [
+        _ladder_exp(_ladder_eig(coupling), theta, np.eye(inside, dtype=complex))[:, None]
+        for _, inside, _, coupling in sectors
+    ]
+    U = _place_blocks(layout, modes, _spectators(layout, modes), sectors, blocks)
+    return Operator(layout, U, unitary=True)
+
+
 def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work: int):
     """Compressed blocks of the factor product on working ladder `work`.
 
-    One (box, S, box) array per sector, S running over the spectator
+    One (inside, S, inside) array per sector, S running over the spectator
     (unsqueezed) modes' Fock indices; only the sector's columns inside the
     D-box are propagated.  Each ladder's eigenbasis serves every squeezer
     and spectator value of its sectors.
     """
     n_spec = int(np.prod([layout.dims[j] for j in spectators]))
+    box = tuple(layout.dims[m] for m in modes)
     eig_key, blocks = None, []
-    for key, box, numbers, coupling in _sectors(layout.dims[modes[0]], modes, work):
+    for key, inside, numbers, coupling in _sectors(box, (work,) * len(modes)):
         size = len(numbers[0])
         n = _numbers(layout.num_modes, modes, numbers, spectators)
-        V = np.zeros((size, n_spec, box), dtype=complex)
-        V[np.arange(box), :, np.arange(box)] = 1.0
+        V = np.zeros((size, n_spec, inside), dtype=complex)
+        V[np.arange(inside), :, np.arange(inside)] = 1.0
         for f in factors:
             if isinstance(f, PhaseFactor):
                 phase = np.broadcast_to(f.phase(n), (size, n_spec))
                 V *= np.exp(1j * phase)[:, :, None]
                 continue
             if key != eig_key:
-                # T real antisymmetric tridiagonal, T[m, m+1] = -coupling[m],
-                # equals Z (i S) Z* with Z = diag(i^m) and S real symmetric,
-                # S[m, m+1] = -coupling[m]; so exp(theta T) = Z Q e^{i theta w} Q^T Z*
-                w, Q = scipy.linalg.eigh_tridiagonal(np.zeros(size), -coupling)
-                z = np.array([1, 1j, -1, -1j])[np.arange(size) % 4, None, None]
-                eig_key = key
-            # real Q acts on the real and imaginary parts at once
-            X = np.ascontiguousarray(z.conj() * V).view(float).reshape(size, -1)
-            X = (Q.T @ X).view(complex).reshape(V.shape)
-            X *= np.exp(1j * f.theta * w)[:, None, None]
-            V = z * (Q @ X.view(float).reshape(size, -1)).view(complex).reshape(V.shape)
-        blocks.append(V[:box])
+                eig, eig_key = _ladder_eig(coupling), key
+            V = _ladder_exp(eig, f.theta, V)
+        blocks.append(V[:inside])
     return blocks
 
 
@@ -500,14 +595,11 @@ def compress_product(layout: ModeLayout, factors) -> Operator:
             phase = phase + f.phase(n)
         return diagonal_unitary(layout, phase)
     (modes,) = squeezed
-    for m in modes:
-        layout.check_mode(m)
-    if len(set(modes)) != len(modes) or len({layout.dims[m] for m in modes}) != 1:
-        raise LayoutError(f"squeezed modes {modes} need distinct modes of equal dimension")
+    _check_squeezed(layout, modes)
+    if len({layout.dims[m] for m in modes}) != 1:
+        raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     dim = layout.dims[modes[0]]
-    others = [j for j in range(layout.num_modes) if j not in modes]
-    grids = np.meshgrid(*[np.arange(layout.dims[j]) for j in others], indexing="ij")
-    spectators = {j: g.ravel() for j, g in zip(others, grids)}
+    spectators = _spectators(layout, modes)
     settled = double_until_settled(
         lambda work: _sector_blocks(layout, factors, modes, spectators, work),
         start_dim=dim,
@@ -522,9 +614,6 @@ def compress_product(layout: ModeLayout, factors) -> Operator:
             f"compression did not settle by working ladder {settled.dim}: "
             f"last change {settled.change:.2e} >= tol {SETTLE_TOL:.0e}"
         )
-    U = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for (_, box, numbers, _), block in zip(_sectors(dim, modes, dim), settled.value):
-        n = _numbers(layout.num_modes, modes, [nj[:box] for nj in numbers], spectators)
-        idx = np.ravel_multi_index(np.broadcast_arrays(*n), layout.dims)
-        U[idx[:, :, None], idx.T[None, :, :]] = block
+    box = (dim,) * len(modes)
+    U = _place_blocks(layout, modes, spectators, _sectors(box, box), settled.value)
     return Operator(layout, U, work_dim=settled.dim)

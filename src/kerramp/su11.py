@@ -33,7 +33,8 @@ REPRESENTATIONS = ("matrix-2x2", "fock-single", "fock-two-mode")
 
 
 class ParameterRangeError(ValueError):
-    """delta outside the supported open interval (0, pi/2)."""
+    """delta outside the supported open interval (0, pi/2), or theta1 whose
+    cosh(2 theta1) is not a finite float."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,16 @@ def solve_params(delta: float, theta1: float) -> CircuitParams:
     tan(delta) and the resulting gamma stay in the first quadrant.
     """
     _check_delta(delta)
-    if not math.isfinite(theta1):
-        raise ValueError(f"theta1 must be finite, got {theta1}")
+    try:
+        cosh2 = math.cosh(2.0 * theta1)  # nan at nan, inf at +-inf
+    except OverflowError:  # |2 theta1| past about 710
+        cosh2 = math.inf
+    if not math.isfinite(cosh2):
+        raise ParameterRangeError(
+            f"theta1 must have a finite cosh(2 theta1), got theta1 = {theta1}"
+        )
     theta2 = math.atanh(-math.cos(delta) * math.tanh(2.0 * theta1))
-    gamma = math.atan(math.tan(delta) * math.cosh(2.0 * theta1))
+    gamma = math.atan(math.tan(delta) * cosh2)
     return CircuitParams(delta=delta, theta1=theta1, theta2=theta2, gamma=gamma)
 
 
@@ -178,7 +185,7 @@ def generators(layout: ModeLayout | None, representation: str) -> Su11Generators
         b = fock.annihilation(layout, 1).matrix
         bb = b @ b
         n = [fock.number_diagonal(layout, j) for j in range(layout.num_modes)]
-        g1 = 0.5 * (bb + bb.conj().T) @ np.diag(z)
+        g1 = 0.5 * (bb + bb.conj().T) * z  # times diag(z): scale the columns
         g2 = 0.5j * (bb - bb.conj().T)
         g3 = np.diag(_g3_values(representation, n))
         return Su11Generators(representation, g1, g2, g3, layout=layout)
@@ -194,7 +201,7 @@ def generators(layout: ModeLayout | None, representation: str) -> Su11Generators
         c = fock.annihilation(layout, 2).matrix
         bc = b @ c
         n = [fock.number_diagonal(layout, j) for j in range(layout.num_modes)]
-        g1 = (bc + bc.conj().T) @ np.diag(z)
+        g1 = (bc + bc.conj().T) * z
         g2 = 1j * (bc - bc.conj().T)
         g3 = np.diag(_g3_values(representation, n))
         return Su11Generators(representation, g1, g2, g3, layout=layout)
@@ -220,11 +227,15 @@ def commutator_residual(gens: Su11Generators, block: int | None = None) -> float
     return float(max(np.max(np.abs(r)) for r in residuals))
 
 
+def _squeezed_modes(representation: str) -> tuple[int, ...]:
+    return (1,) if representation == "fock-single" else (1, 2)
+
+
 def _exp_factor(gens: Su11Generators, coeff: float, which: str) -> np.ndarray:
     """exp(i coeff G) for G in {g2, g3}.
 
-    In the Fock representations these generators are Hermitian, so the
-    exponential is fock.expm of the anti-Hermitian i coeff G; the 2x2
+    In the Fock representations G3 is diagonal and exp(i coeff G2) is the
+    truncated squeezer with theta = coeff (fock.pair_squeezer); the 2x2
     representation is non-Hermitian (a boost) and uses the general matrix
     exponential.
     """
@@ -233,7 +244,8 @@ def _exp_factor(gens: Su11Generators, coeff: float, which: str) -> np.ndarray:
         return scipy.linalg.expm(1j * coeff * g)
     if which == "g3":
         return np.diag(np.exp(1j * coeff * np.diag(g)))
-    return fock.expm(Operator(gens.layout, 1j * coeff * g)).matrix
+    modes = _squeezed_modes(gens.representation)
+    return fock.pair_squeezer(gens.layout, modes, coeff).matrix
 
 
 def identity_factors(params: CircuitParams, gens: Su11Generators):
@@ -257,7 +269,7 @@ def compress_identity(params: CircuitParams, gens: Su11Generators) -> Operator:
     working ladder it was composed on (see fock.compress_product)."""
     if gens.layout is None:
         raise ValueError("compress_identity needs a Fock representation")
-    modes = (1,) if gens.representation == "fock-single" else (1, 2)
+    modes = _squeezed_modes(gens.representation)
     half_delta = params.delta / 2.0
     g3 = fock.PhaseFactor(lambda n: half_delta * _g3_values(gens.representation, n))
     factors = (

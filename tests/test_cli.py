@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -59,6 +60,33 @@ class TestAmplify:
             capsys, "amplify", "--delta", "0.5", "--delta-deg", "30", "--theta1", "1"
         )
         assert code == 1
+
+
+class TestParameterRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amplify", "--delta", "0.5", "--theta1", "1000"],
+            ["amplify", "--delta", "0.5", "--theta1", "1e308"],
+            ["lossy", "--theta1", "1e308"],
+        ],
+    )
+    def test_theta1_with_overflowing_cosh_is_usage_error(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "theta1" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_lossy_tol_must_be_positive_and_finite(self, capsys, tol):
+        code = cli.main(["lossy", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
 
 class TestTable1:
@@ -163,6 +191,16 @@ class TestLossy:
         assert row["converged"] is True
         assert row["fidelity"] == pytest.approx(0.74, abs=0.01)
 
+    def test_strong_squeezing_reference(self, capsys):
+        code, out = run_cli(
+            capsys, "lossy", "--theta1", "1.5", "--rs", "0.1", "--rk", "0.1",
+            "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["truncation"] == 160
+        assert abs(row["fidelity"] - 0.3367123201975788) <= 1e-12
+
     def test_werner_run(self, capsys):
         code, out = run_cli(
             capsys,
@@ -245,6 +283,20 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         code, _ = run_cli(capsys, "amplify", "--config", str(cfg))
         assert code == 1
+
+    def test_abbreviated_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max = 10\n")
+        code = cli.main(["lossy", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "unrecognized arguments: --max=10" in captured.err
+        # a unique prefix of a flag is no flag, in the file or on the command line
+        cfg.write_text("form = json\n")
+        argv = ["amplify", "--delta", "0.5", "--theta1", "0.5"]
+        assert cli.main(argv + ["--config", str(cfg)]) == 1
+        assert cli.main(argv + ["--form", "json"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_flag_equal_to_default_overrides_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

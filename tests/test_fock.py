@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kerramp import fock
+from kerramp import fock, loss
 
 
 def random_density(rng, layout):
@@ -12,6 +12,37 @@ def random_density(rng, layout):
     rho = A @ A.conj().T
     rho /= np.trace(rho)
     return fock.DensityMatrix(layout, rho)
+
+
+def state_with_root(rng, layout, support, rank):
+    """(rho, sqrt(rho)): a random state of the given rank whose eigenvectors
+    live on the basis states `support`; the root comes from the construction."""
+    k = len(support)
+    Q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    p = np.zeros(k)
+    p[:rank] = rng.uniform(0.1, 1.0, size=rank)
+    p /= p.sum()
+    V = np.zeros((layout.total_dim, k), dtype=complex)
+    V[support] = Q
+    rho = (V * p) @ V.conj().T
+    return fock.DensityMatrix(layout, rho), (V * np.sqrt(p)) @ V.conj().T
+
+
+def full_space_fidelity(root1, root2):
+    """Uhlmann fidelity ||sqrt(r1) sqrt(r2)||_1^2 on the whole space, from
+    known roots; singular values carry no amplified round-off."""
+    return np.sum(np.linalg.svd(root1 @ root2, compute_uv=False)) ** 2
+
+
+def dense_squeezer(layout, modes, theta):
+    """fock.expm of the kron-embedded generator -theta (A - A†), A = b b / 2
+    or b c."""
+    b = fock.annihilation(layout, modes[0]).matrix
+    if len(modes) == 1:
+        A = b @ b / 2
+    else:
+        A = b @ fock.annihilation(layout, modes[1]).matrix
+    return fock.expm(fock.Operator(layout, -theta * (A - A.conj().T))).matrix
 
 
 class TestModeLayout:
@@ -224,6 +255,63 @@ class TestEvolve:
             fock.evolve(rho, fock.identity(fock.make_layout([3, 2])))
 
 
+class TestDiagonalOperators:
+    """Operators flagged diagonal are conjugated and multiplied elementwise;
+    the dense products are the oracle."""
+
+    def test_evolve_matches_dense_conjugation(self):
+        rng = np.random.default_rng(21)
+        layout = fock.make_layout([2, 3, 4])
+        rho = random_density(rng, layout)
+        U = fock.diagonal_unitary(layout, rng.uniform(-np.pi, np.pi, layout.total_dim))
+        dense = U.matrix @ rho.matrix @ U.matrix.conj().T
+        out = fock.evolve(rho, U)
+        assert np.max(np.abs(out.matrix - dense)) <= 1e-14
+
+    def test_products_match_dense_products(self):
+        rng = np.random.default_rng(22)
+        layout = fock.make_layout([3, 5])
+        n = layout.total_dim
+        D1 = fock.diagonal_unitary(layout, rng.uniform(-np.pi, np.pi, n))
+        D2 = fock.diagonal_unitary(layout, rng.uniform(-np.pi, np.pi, n))
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        S = fock.expm(fock.Operator(layout, M - M.conj().T))
+        for left, right in ((D1, S), (S, D2), (D1, D2), (S, S)):
+            product = left @ right
+            dense = left.matrix @ right.matrix
+            assert np.max(np.abs(product.matrix - dense)) <= 1e-14
+            assert product.diagonal == (left.diagonal and right.diagonal)
+            assert product.unitary
+
+
+class TestPairSqueezer:
+    """Sector-built squeezers against fock.expm of the kron-embedded
+    generator on the whole truncated space."""
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("theta", [0.7, -1.3])
+    def test_single_mode_matches_dense_exponential(self, mode, theta):
+        layout = fock.make_layout([3, 7, 5])
+        S = fock.pair_squeezer(layout, (mode,), theta)
+        assert S.unitary
+        assert np.max(np.abs(S.matrix - dense_squeezer(layout, (mode,), theta))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "dims, modes",
+        [([6, 6], (0, 1)), ([4, 6], (0, 1)), ([6, 4], (1, 0)), ([3, 4, 5], (2, 1))],
+    )
+    def test_two_mode_matches_dense_exponential(self, dims, modes):
+        layout = fock.make_layout(dims)
+        S = fock.pair_squeezer(layout, modes, 0.8)
+        assert S.unitary
+        assert np.max(np.abs(S.matrix - dense_squeezer(layout, modes, 0.8))) <= 1e-13
+
+    @pytest.mark.parametrize("modes", [(1, 1), (0, 1, 2), (), (3,)])
+    def test_rejects_bad_modes(self, modes):
+        with pytest.raises(fock.LayoutError):
+            fock.pair_squeezer(fock.make_layout([3, 4, 4]), modes, 0.3)
+
+
 class TestSqrtmPsd:
     def test_identity_root(self):
         layout = fock.make_layout([3])
@@ -292,6 +380,46 @@ class TestFidelity:
         r2 = fock.DensityMatrix(layout, np.diag(q).astype(complex))
         expected = np.sum(np.sqrt(p * q)) ** 2
         assert fock.fidelity(r1, r2) == pytest.approx(expected, abs=1e-12)
+
+
+class TestFidelityOnSupport:
+    """fidelity restricts both states to the support of rho_ideal; the
+    Uhlmann fidelity on the whole space, from known roots, is the oracle."""
+
+    layout = fock.make_layout([2, 3, 4])
+
+    def check(self, rng, rho1, root1):
+        rho2, root2 = state_with_root(rng, self.layout, np.arange(24), 24)
+        want = full_space_fidelity(root1, root2)
+        assert abs(fock.fidelity(rho1, rho2) - want) <= 1e-12
+
+    def test_pure_state(self):
+        rng = np.random.default_rng(31)
+        rho1, _ = state_with_root(rng, self.layout, [0, 5, 6, 17, 23], 1)
+        self.check(rng, rho1, rho1.matrix)
+
+    def test_werner_state(self):
+        rng = np.random.default_rng(32)
+        p = 0.3
+        rho1 = loss.make_werner(self.layout, p)
+        block = [self.layout.basis_vector((na, nb, 0)) for na in (0, 1) for nb in (0, 1)]
+        phi = (block[0] + block[3]) / math.sqrt(2.0)
+        low, high = (1 - p) / 4, p + (1 - p) / 4
+        root1 = math.sqrt(low) * sum(np.outer(v, v) for v in block) + (
+            math.sqrt(high) - math.sqrt(low)
+        ) * np.outer(phi, phi)
+        self.check(rng, rho1, root1)
+
+    def test_one_state_support(self):
+        rng = np.random.default_rng(33)
+        v = self.layout.basis_vector((1, 2, 3))
+        rho1 = fock.DensityMatrix.from_state_vector(self.layout, v)
+        self.check(rng, rho1, rho1.matrix)
+
+    def test_full_support(self):
+        rng = np.random.default_rng(34)
+        rho1, root1 = state_with_root(rng, self.layout, np.arange(24), 24)
+        self.check(rng, rho1, root1)
 
 
 class TestDensityMatrixValidation:

@@ -58,6 +58,16 @@ class TestSolveParams:
         with pytest.raises(ValueError):
             su11.solve_params(0.5, math.inf)
 
+    @pytest.mark.parametrize("theta1", [1000.0, -1000.0, 1e308, -math.inf, math.nan])
+    def test_rejects_theta1_whose_cosh_overflows(self, theta1):
+        with pytest.raises(su11.ParameterRangeError, match="theta1"):
+            su11.solve_params(0.5, theta1)
+
+    def test_accepts_theta1_with_finite_cosh(self):
+        p = su11.solve_params(0.5, 350.0)  # cosh(700) ~ 5e303
+        assert math.isfinite(p.theta2)
+        assert p.gamma == pytest.approx(math.pi / 2, abs=1e-12)
+
 
 class TestInvertTheta2:
     def test_matches_bisection_oracle(self):
