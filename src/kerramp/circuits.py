@@ -19,7 +19,7 @@ on states, i.e. the rightmost factor is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +43,34 @@ class SqueezeTwoMode:
 
 @dataclass(frozen=True)
 class Kerr:
+    """Cross-Kerr gate exp(i phase(n)), phase = dphi n_a n_b; here and in
+    PhaseShift, n[j] holds the Fock indices of mode j over the states."""
+
     mode_a: int
     mode_b: int
     dphi: float
 
+    @property
+    def modes(self) -> tuple[int, ...]:
+        return (self.mode_a, self.mode_b)
+
+    def phase(self, n):
+        return self.dphi * n[self.mode_a] * n[self.mode_b]
+
 
 @dataclass(frozen=True)
 class PhaseShift:
-    """Diagonal gate exp(-i (sum_j coeffs[j] n_j + constant))."""
+    """Diagonal gate exp(i phase(n)), phase = -(sum_j coeffs[j] n_j + constant)."""
 
     coeffs: tuple[tuple[int, float], ...]
     constant: float = 0.0
+
+    @property
+    def modes(self) -> tuple[int, ...]:
+        return tuple(mode for mode, _ in self.coeffs)
+
+    def phase(self, n):
+        return -sum((c * n[mode] for mode, c in self.coeffs), self.constant)
 
 
 @dataclass(frozen=True)
@@ -88,15 +105,23 @@ def squeeze_two_mode(
     return fock.pair_squeezer(layout, (mode_b, mode_c), theta)
 
 
+def _check_diagonal(layout: ModeLayout, gate: Kerr | PhaseShift) -> None:
+    for mode in gate.modes:
+        layout.check_mode(mode)
+    if isinstance(gate, Kerr) and gate.mode_a == gate.mode_b:
+        raise fock.LayoutError("cross-Kerr needs two distinct modes")
+
+
+def _diagonal(layout: ModeLayout, gate: Kerr | PhaseShift) -> Operator:
+    """A diagonal gate's unitary exp(i gate.phase(n)) on the layout."""
+    _check_diagonal(layout, gate)
+    n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
+    return fock.diagonal_unitary(layout, gate.phase(n) + np.zeros(layout.total_dim))
+
+
 def kerr(layout: ModeLayout, mode_a: int, mode_b: int, dphi: float) -> Operator:
     """Cross-Kerr unitary exp(i dphi n_a n_b), diagonal in the Fock basis."""
-    layout.check_mode(mode_a)
-    layout.check_mode(mode_b)
-    if mode_a == mode_b:
-        raise fock.LayoutError("cross-Kerr needs two distinct modes")
-    na = fock.number_diagonal(layout, mode_a)
-    nb = fock.number_diagonal(layout, mode_b)
-    return fock.diagonal_unitary(layout, dphi * na * nb)
+    return _diagonal(layout, Kerr(mode_a, mode_b, dphi))
 
 
 def phase_shift(layout: ModeLayout, coeffs, constant: float = 0.0) -> Operator:
@@ -106,11 +131,7 @@ def phase_shift(layout: ModeLayout, coeffs, constant: float = 0.0) -> Operator:
     """
     if isinstance(coeffs, dict):
         coeffs = coeffs.items()
-    phases = np.full(layout.total_dim, -constant, dtype=float)
-    for mode, c in coeffs:
-        layout.check_mode(mode)
-        phases -= c * fock.number_diagonal(layout, mode)
-    return fock.diagonal_unitary(layout, phases)
+    return _diagonal(layout, PhaseShift(tuple(coeffs), constant))
 
 
 def _check_swap(layout: ModeLayout, mode_b: int, mode_c: int) -> None:
@@ -128,7 +149,7 @@ def swap(layout: ModeLayout, mode_b: int, mode_c: int) -> Operator:
     )
     M = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     M[perm, np.arange(layout.total_dim)] = 1.0
-    return Operator(layout, M, hermitian=True, unitary=True)
+    return Operator(layout, M, unitary=True)
 
 
 def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
@@ -137,10 +158,8 @@ def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
         return squeeze_single(layout, gate.mode, gate.theta)
     if isinstance(gate, SqueezeTwoMode):
         return squeeze_two_mode(layout, gate.mode_b, gate.mode_c, gate.theta)
-    if isinstance(gate, Kerr):
-        return kerr(layout, gate.mode_a, gate.mode_b, gate.dphi)
-    if isinstance(gate, PhaseShift):
-        return phase_shift(layout, gate.coeffs, gate.constant)
+    if isinstance(gate, (Kerr, PhaseShift)):
+        return _diagonal(layout, gate)
     if isinstance(gate, Swap):
         return swap(layout, gate.mode_b, gate.mode_c)
     raise TypeError(f"unknown gate {gate!r}")
@@ -154,19 +173,9 @@ def compose(plan: CircuitPlan) -> Operator:
     return U
 
 
-def _phase_factor(layout: ModeLayout, gate: Kerr | PhaseShift, where) -> fock.PhaseFactor:
-    """A diagonal gate as a phase function, acting on modes where[j]."""
-    if isinstance(gate, Kerr):
-        layout.check_mode(gate.mode_a)
-        layout.check_mode(gate.mode_b)
-        a, b = where[gate.mode_a], where[gate.mode_b]
-        return fock.PhaseFactor(lambda n: gate.dphi * n[a] * n[b])
-    for mode, _ in gate.coeffs:
-        layout.check_mode(mode)
-    coeffs = [(where[mode], c) for mode, c in gate.coeffs]
-    return fock.PhaseFactor(
-        lambda n: -sum((c * n[mode] for mode, c in coeffs), gate.constant)
-    )
+def _relabelled(phase, where):
+    """phase of a gate whose mode j now sits at mode where[j]."""
+    return lambda n: phase([n[w] for w in where])
 
 
 def compress(plan: CircuitPlan) -> Operator:
@@ -191,7 +200,8 @@ def compress(plan: CircuitPlan) -> Operator:
             modes = (where[gate.mode_b], where[gate.mode_c])
             factors.append(fock.PairSqueeze(modes, gate.theta))
         else:
-            factors.append(_phase_factor(layout, gate, where))
+            _check_diagonal(layout, gate)
+            factors.append(fock.PhaseFactor(_relabelled(gate.phase, tuple(where))))
     U = fock.compress_product(layout, factors)
     if where != list(range(layout.num_modes)):
         M = U.matrix
@@ -215,14 +225,9 @@ def beta_prime_three_mode(params: CircuitParams):
     return {0: 2.0 * (g - d), 1: -g, 2: -g}, -(g - d)
 
 
-def build_two_mode_amplifier(params: CircuitParams, layout: ModeLayout):
-    """Two-mode amplifier P' S1 K(d) P S2 P K(d) S1 and its equivalent
-    amplified Kerr unitary K(2 gamma).
-
-    Returns (plan, lhs, rhs); lhs = compress(plan) is the compression of
-    the untruncated circuit to the layout, rhs the single Kerr gate it must
-    equal on the interior block.
-    """
+def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:
+    """Two-mode amplifier P' S1 K(d) P S2 P K(d) S1 as a plan; gates[0] = S1
+    acts first, with P = exp(-i (d/2) n_b) and P' from beta_prime_two_mode."""
     if layout.num_modes != 2 or layout.dims[0] != 2:
         raise fock.LayoutError(
             "two-mode amplifier needs layout (a: 2, b: D), got " + str(layout.dims)
@@ -239,7 +244,18 @@ def build_two_mode_amplifier(params: CircuitParams, layout: ModeLayout):
         SqueezeSingle(1, params.theta1),
         PhaseShift(tuple(pp_coeffs.items()), pp_const),
     )
-    plan = CircuitPlan(layout, gates, params)
+    return CircuitPlan(layout, gates, params)
+
+
+def build_two_mode_amplifier(params: CircuitParams, layout: ModeLayout):
+    """Two-mode amplifier (two_mode_plan) and its equivalent amplified Kerr
+    unitary K(2 gamma).
+
+    Returns (plan, lhs, rhs); lhs = compress(plan) is the compression of
+    the untruncated circuit to the layout, rhs the single Kerr gate it must
+    equal on the interior block.
+    """
+    plan = two_mode_plan(params, layout)
     rhs = kerr(layout, 0, 1, params.dphi_amp)
     return plan, compress(plan), rhs
 

@@ -361,6 +361,8 @@ def verify_report(dim=100, block=40, three_mode_dim=14, three_mode_block=5, seed
 
 
 def cmd_verify(args):
+    if args.block < 0:
+        raise UsageError(f"--block must be >= 0, got {args.block}")
     rows = verify_report(dim=args.dim, block=args.block)
     columns = ["check", "residual", "tolerance", "passed", "work_dim"]
     _write_output(_out_path(args), args.format, _meta(args), columns, rows)

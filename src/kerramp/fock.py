@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-8
 ANTIHERMITIAN_TOL = 1e-10
@@ -51,7 +50,7 @@ class StateError(ValueError):
 
 
 class OperatorError(ValueError):
-    """Operator precondition violated (shape, flags, hermiticity)."""
+    """Operator precondition violated (shape, layout, unitary flag, generator)."""
 
 
 class TruncationError(ValueError):
@@ -133,7 +132,6 @@ class Operator:
 
     layout: ModeLayout
     matrix: np.ndarray
-    hermitian: bool = False
     unitary: bool = False
     diagonal: bool = False
     work_dim: int | None = None
@@ -144,10 +142,6 @@ class Operator:
             raise OperatorError(
                 f"matrix shape {self.matrix.shape} does not match layout dim {n}"
             )
-        if self.hermitian:
-            dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-            if dev > HERMITICITY_TOL:
-                raise OperatorError(f"hermitian flag set but deviation {dev:.2e}")
 
     @property
     def dag(self) -> np.ndarray:
@@ -209,7 +203,6 @@ def identity(layout: ModeLayout) -> Operator:
     return Operator(
         layout,
         np.eye(layout.total_dim, dtype=complex),
-        hermitian=True,
         unitary=True,
         diagonal=True,
     )
@@ -246,7 +239,7 @@ def number_op(layout: ModeLayout, mode: int) -> Operator:
     """Photon-number operator of the given mode."""
     layout.check_mode(mode)
     n = np.diag(np.arange(layout.dims[mode], dtype=complex))
-    return Operator(layout, embed(layout, mode, n), hermitian=True, diagonal=True)
+    return Operator(layout, embed(layout, mode, n), diagonal=True)
 
 
 def number_diagonal(layout: ModeLayout, mode: int) -> np.ndarray:
@@ -349,7 +342,7 @@ def _psd_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 def sqrtm_psd(rho: DensityMatrix) -> Operator:
     """Hermitian PSD square root via eigendecomposition (see _psd_root)."""
     H = (rho.matrix + rho.matrix.conj().T) / 2
-    return Operator(rho.layout, _psd_root(*np.linalg.eigh(H)), hermitian=True)
+    return Operator(rho.layout, _psd_root(*np.linalg.eigh(H)))
 
 
 def fidelity(rho_ideal: DensityMatrix, rho_out: DensityMatrix) -> float:

@@ -2,9 +2,10 @@
 
 Each imperfect nonlinear element is modelled as the perfect unitary
 followed by a fictitious beam splitter of reflectance R mixing the signal
-with a fresh vacuum ancilla, which is then traced out.  The stages are
-applied sequentially so at most one ancilla is ever co-resident with the
-signal modes.
+with a fresh vacuum ancilla, which is then traced out.  The lossy pass runs
+the gates of circuits.two_mode_plan, the same plan the lossless builder
+composes, and after each nonlinear gate applies the beam splitters that
+SPLITTERS_AFTER_GATE lists for the gate's position in the plan.
 
 With the ancilla in vacuum, the attach-evolve-trace step is amplitude
 damping, whose Kraus operators have the closed form
@@ -27,6 +28,16 @@ from .su11 import CircuitParams
 
 BS_NAMES = ("R1", "R2", "R2p", "R3", "R4", "R4p", "R5")
 _SQUEEZER_BS = ("R1", "R3", "R5")
+
+# (splitter, lost mode) pairs after each nonlinear gate of
+# circuits.two_mode_plan, keyed by the gate's position: b is mode 1, a mode 0.
+SPLITTERS_AFTER_GATE = {
+    0: (("R1", 1),),  # S1
+    1: (("R2", 1), ("R2p", 0)),  # K
+    3: (("R3", 1),),  # S2
+    5: (("R4", 1), ("R4p", 0)),  # K
+    6: (("R5", 1),),  # S1
+}
 
 
 class ReflectanceError(ValueError):
@@ -114,9 +125,7 @@ def _damping_weights(dim: int, reflectance: float):
         yield np.exp(0.5 * log_w2)
 
 
-def apply_mode_loss(
-    rho: DensityMatrix, mode: int, reflectance: float, validate: bool = False
-) -> DensityMatrix:
+def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> DensityMatrix:
     """Vacuum beam-splitter loss channel on one mode of a multimode state.
 
     out[.., m, .., m', ..] = sum_k w_k[m] w_k[m'] rho[.., m + k, .., m' + k, ..]
@@ -138,24 +147,19 @@ def apply_mode_loss(
         out[:, :m, :, :, :m, :] += ww * r[:, k:, :, :, k:, :]
     out = out.reshape(rho.matrix.shape)
     out = (out + out.conj().T) / 2
-    return DensityMatrix(rho.layout, out, validate=validate)
+    return DensityMatrix(rho.layout, out, validate=False)
 
 
-def lossy_stage(
-    rho: DensityMatrix,
-    unitary: Operator | None,
-    loss_modes,
-    validate: bool = False,
-) -> DensityMatrix:
+def lossy_stage(rho: DensityMatrix, unitary: Operator | None, loss_modes) -> DensityMatrix:
     """One circuit stage: apply the unitary, then lose each listed mode.
 
     loss_modes is a list of (mode, reflectance) pairs; each loss attaches a
     fresh vacuum ancilla, mixes it in on a beam splitter, and traces it out.
     """
     if unitary is not None:
-        rho = fock.evolve(rho, unitary, validate=validate)
+        rho = fock.evolve(rho, unitary, validate=False)
     for mode, r in loss_modes:
-        rho = apply_mode_loss(rho, mode, r, validate=validate)
+        rho = apply_mode_loss(rho, mode, r)
     return rho
 
 
@@ -218,38 +222,24 @@ def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
 def _run_fixed_dim(
     rho_in: DensityMatrix, params: CircuitParams, loss: LossConfig
 ) -> tuple[DensityMatrix, DensityMatrix]:
-    """One pass of the five-stage lossy circuit at the input truncation.
-
-    Stage pattern: (1) S1 then R1 on b; (2) K then R2 on b and R2' on a;
-    (3) P, S2, R3 on b, then P again; (4) K then R4 on b, R4' on a;
-    (5) S1 then R5 on b, then P'.  The ideal reference applies the single
-    amplified Kerr unitary K(2 gamma).
+    """One pass of the lossy circuit at the input truncation: the gates of
+    circuits.two_mode_plan in order, each followed by the beam splitters
+    SPLITTERS_AFTER_GATE lists for its position.  The ideal reference
+    applies the single amplified Kerr unitary K(2 gamma).
     """
     layout = rho_in.layout
-    d = params.delta
-    S1 = circuits.squeeze_single(layout, 1, params.theta1)
-    S2 = circuits.squeeze_single(layout, 1, params.theta2)
-    K = circuits.kerr(layout, 0, 1, d)
-    P = circuits.phase_shift(layout, {1: d / 2.0})
-    pp_coeffs, pp_const = circuits.beta_prime_two_mode(params)
-    Pp = circuits.phase_shift(layout, pp_coeffs, pp_const)
-
-    rho = lossy_stage(rho_in, S1, [(1, loss.reflectance("R1"))])
-    rho = lossy_stage(
-        rho, K, [(1, loss.reflectance("R2")), (0, loss.reflectance("R2p"))]
-    )
-    rho = lossy_stage(rho, S2 @ P, [(1, loss.reflectance("R3"))])
-    rho = fock.evolve(rho, P, validate=False)
-    rho = lossy_stage(
-        rho, K, [(1, loss.reflectance("R4")), (0, loss.reflectance("R4p"))]
-    )
-    rho = lossy_stage(rho, S1, [(1, loss.reflectance("R5"))])
-    rho_out = fock.evolve(rho, Pp, validate=False)
-
+    gates = circuits.two_mode_plan(params, layout).gates
+    ops = {gate: circuits.gate_operator(layout, gate) for gate in dict.fromkeys(gates)}
+    rho = rho_in
+    for position, gate in enumerate(gates):
+        splitters = SPLITTERS_AFTER_GATE.get(position, ())
+        rho = lossy_stage(
+            rho, ops[gate], [(mode, loss.reflectance(name)) for name, mode in splitters]
+        )
     rho_ideal = fock.evolve(
         rho_in, circuits.kerr(layout, 0, 1, params.dphi_amp), validate=False
     )
-    return rho_out, rho_ideal
+    return rho, rho_ideal
 
 
 def run_lossy_amplifier(

@@ -33,8 +33,8 @@ REPRESENTATIONS = ("matrix-2x2", "fock-single", "fock-two-mode")
 
 
 class ParameterRangeError(ValueError):
-    """delta outside the supported open interval (0, pi/2), or theta1 whose
-    cosh(2 theta1) is not a finite float."""
+    """delta outside the supported open interval (0, pi/2), theta1 whose
+    cosh(2 theta1) is not a finite float, or theta2 that is NaN."""
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ class CircuitParams:
     @property
     def kappa(self) -> float:
         return 2.0 * self.gamma / self.delta
-
-    @property
-    def beta_coeff(self) -> float:
-        """Coefficient of n_b in the inner phase shifter P."""
-        return self.delta / 2.0
 
 
 def _check_delta(delta: float) -> None:
@@ -109,9 +104,11 @@ def invert_theta2(delta: float, theta2: float):
 
     Solves tanh(2 theta1) = |tanh(theta2)| / cos(delta).  When the right
     side reaches 1 no real solution exists and the amplified phase saturates
-    at pi.
+    at pi; so does theta2 = +-inf.
     """
     _check_delta(delta)
+    if math.isnan(theta2):
+        raise ParameterRangeError(f"theta2 must be a number, got theta2 = {theta2}")
     ratio = abs(math.tanh(theta2)) / math.cos(delta)
     if ratio >= 1.0:
         return Saturated(delta=delta, theta2=theta2)
@@ -128,7 +125,7 @@ def db_to_theta(db: float) -> float:
 
     Convention: e^(-2 theta) = 10^(db/10), i.e. theta = |db| ln(10) / 20.
     """
-    if db > 0:
+    if not db <= 0:  # NaN too
         raise ValueError(f"squeezing level must be <= 0 dB, got {db}")
     return abs(db) * math.log(10.0) / 20.0
 

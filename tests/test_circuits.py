@@ -325,3 +325,49 @@ class TestCompress:
         params = su11.solve_params(0.5, 1.5)
         with pytest.raises(fock.TruncationError, match=r"working ladder 256: last change"):
             circuits.build_two_mode_amplifier(params, fock.make_layout([2, 8]))
+
+
+class TestDiagonalGates:
+    PARAMS = su11.solve_params(0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            (circuits.Kerr(1, 1, 0.3),),
+            (circuits.SqueezeSingle(1, 0.4), circuits.Kerr(1, 1, 0.3)),
+        ],
+    )
+    def test_compress_refuses_self_kerr(self, gates):
+        layout = fock.make_layout([2, 6])
+        plan = circuits.CircuitPlan(layout, gates, self.PARAMS)
+        with pytest.raises(fock.LayoutError, match="two distinct modes"):
+            circuits.compress(plan)
+        with pytest.raises(fock.LayoutError, match="two distinct modes"):
+            circuits.compose(plan)
+
+    def test_compress_relabels_diagonal_gates_across_swaps(self):
+        # SWAP K_ab(d) P_b SWAP = K_ac(d) P_c, each gate's phase evaluated on
+        # the modes the pending swaps moved it to
+        layout = fock.make_layout([2, 4, 4])
+        gates = (
+            circuits.Swap(1, 2),
+            circuits.Kerr(0, 1, 0.3),
+            circuits.PhaseShift(((1, 0.7),), 0.2),
+            circuits.Swap(1, 2),
+            circuits.PhaseShift(((1, -0.4),)),
+        )
+        plan = circuits.CircuitPlan(layout, gates, self.PARAMS)
+        expected = (
+            circuits.phase_shift(layout, {1: -0.4}).matrix
+            @ circuits.phase_shift(layout, {2: 0.7}, 0.2).matrix
+            @ circuits.kerr(layout, 0, 2, 0.3).matrix
+        )
+        assert np.max(np.abs(circuits.compress(plan).matrix - expected)) < 1e-14
+        assert np.max(np.abs(circuits.compose(plan).matrix - expected)) < 1e-14
+
+    def test_builder_returns_two_mode_plan(self):
+        layout = fock.make_layout([2, 8])
+        plan, _, _ = circuits.build_two_mode_amplifier(self.PARAMS, layout)
+        assert plan == circuits.two_mode_plan(self.PARAMS, layout)
+        with pytest.raises(fock.LayoutError):
+            circuits.two_mode_plan(self.PARAMS, fock.make_layout([3, 8]))

@@ -88,6 +88,37 @@ class TestParameterRange:
         assert captured.out == ""
         assert "--tol" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["amplify", "--delta", "0.5", "--theta2", "nan"], "theta2"),
+            (["amplify", "--delta", "0.5", "--db", "nan"], "dB"),
+            (["table1", "--db-list", "nan"], "dB"),
+        ],
+    )
+    def test_nan_squeeze_is_blamed_on_its_own_flag(self, capsys, argv, culprit):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert culprit in captured.err
+        assert "theta1" not in captured.err
+
+    @pytest.mark.parametrize("theta2", ["inf", "-inf"])
+    def test_infinite_theta2_saturates(self, capsys, theta2):
+        code, out = run_cli(capsys, "amplify", "--delta", "0.5", f"--theta2={theta2}")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["saturated"] == "true"
+        assert float(row["dphi_amp_deg"]) == 180.0
+
+    def test_negative_verify_block_is_usage_error(self, capsys):
+        code = cli.main(["verify", "--block", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--block" in captured.err
+
 
 class TestTable1:
     def test_default_rows_match_published_values(self, capsys):

@@ -311,3 +311,40 @@ class TestLossyAmplifier:
         )
         with pytest.raises(fock.LayoutError):
             loss.run_lossy_amplifier(rho, self.PARAMS, loss.LossConfig())
+
+
+class TestLossyCircuitPlan:
+    """The lossy pass runs circuits.two_mode_plan, one splitter at a time."""
+
+    PARAMS = su11.solve_params(0.5, 0.5)
+    # one splitter at R = 0.3, all others lossless, [2, 20], |++> input
+    SPLITTER_FIDELITY = {
+        "R1": 0.913532173387129,
+        "R2": 0.8929268077779454,
+        "R2p": 0.8938280615452815,
+        "R3": 0.7909462395474909,
+        "R4": 0.7798506147136194,
+        "R4p": 0.8871733896731886,
+        "R5": 0.887173478153582,
+    }
+
+    @pytest.mark.parametrize("name", loss.BS_NAMES)
+    def test_single_splitter_fidelity(self, name):
+        rho = loss.make_plus_plus(fock.make_layout([2, 20]))
+        report = loss.run_lossy_amplifier(
+            rho,
+            self.PARAMS,
+            loss.LossConfig(overrides={name: 0.3}),
+            start_dim=20,
+            max_dim=20,
+        )
+        assert report.truncation == 20
+        assert report.fidelity == pytest.approx(self.SPLITTER_FIDELITY[name], abs=1e-12)
+
+    def test_lossless_pass_is_the_composed_plan(self):
+        layout = fock.make_layout([2, 16])
+        rho = loss.make_werner(layout, 0.6)
+        rho_out, _ = loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig())
+        U = circuits.compose(circuits.two_mode_plan(self.PARAMS, layout))
+        want = fock.evolve(rho, U)
+        assert np.max(np.abs(rho_out.matrix - want.matrix)) < 1e-12

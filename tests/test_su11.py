@@ -100,6 +100,14 @@ class TestInvertTheta2:
         with pytest.raises(su11.ParameterRangeError):
             su11.invert_theta2(2.0, 0.3)
 
+    def test_rejects_nan_theta2(self):
+        with pytest.raises(su11.ParameterRangeError, match="theta2"):
+            su11.invert_theta2(0.5, math.nan)
+
+    @pytest.mark.parametrize("theta2", [math.inf, -math.inf])
+    def test_infinite_theta2_saturates(self, theta2):
+        assert isinstance(su11.invert_theta2(0.5, theta2), su11.Saturated)
+
 
 class TestScalarHelpers:
     def test_kappa_small_delta(self):
@@ -115,6 +123,10 @@ class TestScalarHelpers:
     def test_db_to_theta_rejects_positive(self):
         with pytest.raises(ValueError):
             su11.db_to_theta(1.0)
+
+    def test_db_to_theta_rejects_nan(self):
+        with pytest.raises(ValueError, match="dB"):
+            su11.db_to_theta(math.nan)
 
     def test_db_matches_table_column_pairs(self):
         printed = {-3: 0.35, -9: 1.04, -10: 1.15, -11.5: 1.32, -13: 1.50, -20: 2.30}
