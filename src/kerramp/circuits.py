@@ -11,7 +11,8 @@ of the ladder, so even its interior block differs from the untruncated
 circuit's.  compress(plan), which the builders return as lhs, is the
 compression of the untruncated circuit to the layout: its elements are the
 exact operator's, composed on a working ladder (its work_dim) that doubles
-until they settle.
+until the box columns' leakage onto the ladder's top tenth (its leakage)
+is below fock.SETTLE_TOL.
 
 Operator products written left-to-right in the builders act right-to-left
 on states, i.e. the rightmost factor is applied first.
@@ -19,7 +20,7 @@ on states, i.e. the rightmost factor is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,9 +183,10 @@ def compress(plan: CircuitPlan) -> Operator:
     """Compression to plan.layout of the untruncated circuit.
 
     See fock.compress_product for the working ladder (reported as the
-    result's work_dim) and its cap.  A SWAP maps the layout's box onto
-    itself, so every SWAP is moved to the end of the circuit, relabelling
-    the modes of the gates it passes, and applied to the compression.
+    result's work_dim), the leakage that certifies it and the cap.  A SWAP
+    maps the layout's box onto itself, so every SWAP is moved to the end of
+    the circuit, relabelling the modes of the gates it passes, and applied
+    to the compression.
     """
     layout = plan.layout
     where = list(range(layout.num_modes))  # gate mode -> mode after pending swaps
@@ -207,7 +209,7 @@ def compress(plan: CircuitPlan) -> Operator:
         M = U.matrix
         for gate in swaps:
             M = swap(layout, gate.mode_b, gate.mode_c).matrix @ M
-        U = Operator(layout, M, work_dim=U.work_dim)
+        U = replace(U, matrix=M)
     return U
 
 

@@ -299,6 +299,7 @@ def cmd_lossy(args):
             "truncation": report.truncation,
             "convergence_delta": report.convergence_delta,
             "converged": report.converged,
+            "leakage": report.leakage,
         }
     ]
     columns = list(rows[0].keys())
@@ -310,7 +311,8 @@ def verify_report(dim=100, block=40, three_mode_dim=14, three_mode_block=5, seed
     """Residuals of the group identity and the circuit equivalences.
 
     Each Fock-space row carries work_dim, the working ladder its compressed
-    operator was composed on; the 2x2 rows have none.
+    operator was composed on, and the leakage that certified that ladder;
+    the 2x2 rows have neither.
     """
     rng = np.random.default_rng(seed)
     gens2 = su11.generators(None, "matrix-2x2")
@@ -329,7 +331,7 @@ def verify_report(dim=100, block=40, three_mode_dim=14, three_mode_block=5, seed
     p = su11.solve_params(0.3, 0.4)
     layout = fock.make_layout([2, dim])
     gens_f = su11.generators(layout, "fock-single")
-    fock_res, fock_work = su11.identity_residual(p, gens_f, block=block)
+    fock_res, fock_work, fock_leak = su11.identity_residual(p, gens_f, block=block)
 
     p2 = su11.solve_params(0.5, 0.5)
     layout2 = fock.make_layout([2, 40])
@@ -341,11 +343,17 @@ def verify_report(dim=100, block=40, three_mode_dim=14, three_mode_block=5, seed
     three_mode_res = circuits.equivalence_residual(lhs3, rhs3, block=three_mode_block)
 
     checks = [
-        ("identity-2x2-random-grid", max_2x2, 1e-12, None),
-        ("matrix-derivation-consistency", max_consistency, 1e-12, None),
-        (f"identity-fock-d{dim}-block{block}", fock_res, 1e-6, fock_work),
-        ("two-mode-circuit-equivalence", two_mode_res, 1e-7, lhs.work_dim),
-        ("three-mode-circuit-equivalence", three_mode_res, 1e-6, lhs3.work_dim),
+        ("identity-2x2-random-grid", max_2x2, 1e-12, None, None),
+        ("matrix-derivation-consistency", max_consistency, 1e-12, None, None),
+        (f"identity-fock-d{dim}-block{block}", fock_res, 1e-6, fock_work, fock_leak),
+        ("two-mode-circuit-equivalence", two_mode_res, 1e-7, lhs.work_dim, lhs.leakage),
+        (
+            "three-mode-circuit-equivalence",
+            three_mode_res,
+            1e-6,
+            lhs3.work_dim,
+            lhs3.leakage,
+        ),
     ]
     rows = [
         {
@@ -354,8 +362,9 @@ def verify_report(dim=100, block=40, three_mode_dim=14, three_mode_block=5, seed
             "tolerance": tol,
             "passed": bool(res < tol),
             "work_dim": work_dim,
+            "leakage": leakage,
         }
-        for name, res, tol, work_dim in checks
+        for name, res, tol, work_dim, leakage in checks
     ]
     return rows
 
@@ -364,7 +373,7 @@ def cmd_verify(args):
     if args.block < 0:
         raise UsageError(f"--block must be >= 0, got {args.block}")
     rows = verify_report(dim=args.dim, block=args.block)
-    columns = ["check", "residual", "tolerance", "passed", "work_dim"]
+    columns = ["check", "residual", "tolerance", "passed", "work_dim", "leakage"]
     _write_output(_out_path(args), args.format, _meta(args), columns, rows)
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_VERIFY
 

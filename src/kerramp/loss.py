@@ -165,7 +165,12 @@ def lossy_stage(rho: DensityMatrix, unitary: Operator | None, loss_modes) -> Den
 
 @dataclass(frozen=True)
 class LossyRunReport:
-    """Outcome of a lossy amplifier run at converged truncation."""
+    """Outcome of a lossy amplifier run at converged truncation.
+
+    convergence_delta is |dF| over the last doubling; leakage is the
+    largest population on the top tenth of the b ladder (fock.tail_index)
+    after any stage of the last pass.
+    """
 
     rho_out: DensityMatrix
     rho_ideal: DensityMatrix
@@ -173,6 +178,7 @@ class LossyRunReport:
     truncation: int
     convergence_delta: float
     converged: bool
+    leakage: float
 
 
 def make_plus_plus(layout: ModeLayout) -> DensityMatrix:
@@ -221,25 +227,32 @@ def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
 
 def _run_fixed_dim(
     rho_in: DensityMatrix, params: CircuitParams, loss: LossConfig
-) -> tuple[DensityMatrix, DensityMatrix]:
+) -> tuple[DensityMatrix, DensityMatrix, float]:
     """One pass of the lossy circuit at the input truncation: the gates of
     circuits.two_mode_plan in order, each followed by the beam splitters
     SPLITTERS_AFTER_GATE lists for its position.  The ideal reference
     applies the single amplified Kerr unitary K(2 gamma).
+
+    Returns (output, ideal output, leakage), the leakage being the largest
+    population on the top tenth of the b ladder after any stage, read off
+    the diagonal: S2 pulls the mid-circuit spread back down.
     """
     layout = rho_in.layout
     gates = circuits.two_mode_plan(params, layout).gates
     ops = {gate: circuits.gate_operator(layout, gate) for gate in dict.fromkeys(gates)}
-    rho = rho_in
+    tail = fock.tail_index(layout.dims[1])
+    rho, leakage = rho_in, 0.0
     for position, gate in enumerate(gates):
         splitters = SPLITTERS_AFTER_GATE.get(position, ())
         rho = lossy_stage(
             rho, ops[gate], [(mode, loss.reflectance(name)) for name, mode in splitters]
         )
+        populations = np.real(np.diagonal(rho.matrix)).reshape(layout.dims)
+        leakage = max(leakage, float(populations[:, tail:].sum()))
     rho_ideal = fock.evolve(
         rho_in, circuits.kerr(layout, 0, 1, params.dphi_amp), validate=False
     )
-    return rho, rho_ideal
+    return rho, rho_ideal, leakage
 
 
 def run_lossy_amplifier(
@@ -254,9 +267,10 @@ def run_lossy_amplifier(
 
     rho_in lives on layout (a: 2, b: D_in); the bosonic mode is zero-padded
     to growing truncations until the fidelity between lossy and ideal
-    outputs changes by less than tol under doubling.  A non-convergent run
-    returns the best estimate with converged=False; a start truncation above
-    max_dim raises fock.TruncationError.
+    outputs changes by less than tol under doubling and the pass's leakage
+    onto the top tenth of the b ladder is below tol too.  A non-convergent
+    run returns the best estimate with converged=False; a start truncation
+    above max_dim raises fock.TruncationError.
     """
     if rho_in.layout.num_modes != 2 or rho_in.layout.dims[0] != 2:
         raise fock.LayoutError(
@@ -265,22 +279,24 @@ def run_lossy_amplifier(
 
     def run(dim):
         rho = embed_state(rho_in, fock.make_layout([2, dim]))
-        rho_out, rho_ideal = _run_fixed_dim(rho, params, loss)
-        return rho_out, rho_ideal, fock.fidelity(rho_ideal, rho_out)
+        rho_out, rho_ideal, leakage = _run_fixed_dim(rho, params, loss)
+        return rho_out, rho_ideal, fock.fidelity(rho_ideal, rho_out), leakage
 
     settled = fock.double_until_settled(
         run,
         start_dim=max(start_dim, rho_in.layout.dims[1]),
         max_dim=max_dim,
         tol=tol,
-        distance=lambda new, old: abs(new[2] - old[2]),
+        distance=lambda new, old: max(abs(new[2] - old[2]), new[3]),
     )
-    rho_out, rho_ideal, f = settled.value
+    rho_out, rho_ideal, f, leakage = settled.value
+    previous = settled.previous
     return LossyRunReport(
         rho_out=rho_out,
         rho_ideal=rho_ideal,
         fidelity=f,
         truncation=settled.dim,
-        convergence_delta=settled.change,
+        convergence_delta=math.inf if previous is None else abs(f - previous[2]),
         converged=settled.converged,
+        leakage=leakage,
     )

@@ -13,9 +13,11 @@ representations (single-mode and two-mode squeezing families).
 
 The identity holds exactly for the untruncated operators.  In the Fock
 representations verify_identity therefore checks the compression of the
-exact left side to the layout (composed on a doubling working ladder, see
-fock.compress_product), while identity_factors gives the product of the
-factors truncated to the layout, leakage past the ladder top included.
+exact left side to the layout, composed on a working ladder that doubles
+until a leakage certificate holds (see fock.compress_product), while
+identity_factors gives the product of the factors truncated to the layout,
+leakage past the ladder top included.  G1 and G2 are placed by index
+arithmetic, one nonzero per row of each ladder term.
 """
 
 from __future__ import annotations
@@ -145,11 +147,6 @@ class Su11Generators:
     layout: ModeLayout | None = None
 
 
-def _z_diag(layout: ModeLayout) -> np.ndarray:
-    """Diagonal of Z_a = 2 n_a - 1 on the qubit mode 0."""
-    return 2.0 * fock.number_diagonal(layout, 0) - 1.0
-
-
 def _g3_values(representation: str, n) -> np.ndarray:
     """G3 (diagonal) from the per-mode Fock indices n of a Fock representation."""
     z = 2.0 * n[0] - 1.0
@@ -158,11 +155,34 @@ def _g3_values(representation: str, n) -> np.ndarray:
     return (n[1] + n[2] + 1.0) * z
 
 
+def _pair_lowering(layout: ModeLayout, representation: str, n) -> np.ndarray:
+    """A = b b / 2 (fock-single) or b c (fock-two-mode) as a dense matrix.
+
+    A has one nonzero per row, <n|A|n + step> with step the flat-index
+    shift of the lowered levels, so each is placed at its index directly.
+    """
+    dims = layout.dims
+    stride = [math.prod(dims[j + 1 :]) for j in range(len(dims))]
+    if representation == "fock-single":
+        rows = np.flatnonzero(n[1] + 2 < dims[1])
+        values = 0.5 * np.sqrt((n[1][rows] + 1.0) * (n[1][rows] + 2.0))
+        step = 2 * stride[1]
+    else:
+        rows = np.flatnonzero((n[1] + 1 < dims[1]) & (n[2] + 1 < dims[2]))
+        values = np.sqrt((n[1][rows] + 1.0) * (n[2][rows] + 1.0))
+        step = stride[1] + stride[2]
+    A = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    A[rows, rows + step] = values
+    return A
+
+
 def generators(layout: ModeLayout | None, representation: str) -> Su11Generators:
     """Build the SU(1,1) generator triple in the requested representation.
 
     fock-single needs layout (a: 2, b: D); fock-two-mode needs
-    (a: 2, b: D, c: D); matrix-2x2 ignores the layout.
+    (a: 2, b: D, c: D); matrix-2x2 ignores the layout.  In both Fock
+    representations G1 = (A + A†) Z_a and G2 = i (A - A†), with
+    A = b b / 2 or b c (_pair_lowering) and Z_a = 2 n_a - 1.
     """
     if representation == "matrix-2x2":
         g1 = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -172,38 +192,27 @@ def generators(layout: ModeLayout | None, representation: str) -> Su11Generators
 
     if layout is None:
         raise fock.LayoutError(f"representation {representation} requires a layout")
-
     if representation == "fock-single":
         if layout.num_modes < 2 or layout.dims[0] != 2:
             raise fock.LayoutError(
                 "fock-single needs layout (a: 2, b: D), got " + str(layout.dims)
             )
-        z = _z_diag(layout)
-        b = fock.annihilation(layout, 1).matrix
-        bb = b @ b
-        n = [fock.number_diagonal(layout, j) for j in range(layout.num_modes)]
-        g1 = 0.5 * (bb + bb.conj().T) * z  # times diag(z): scale the columns
-        g2 = 0.5j * (bb - bb.conj().T)
-        g3 = np.diag(_g3_values(representation, n))
-        return Su11Generators(representation, g1, g2, g3, layout=layout)
-
-    if representation == "fock-two-mode":
+    elif representation == "fock-two-mode":
         if layout.num_modes < 3 or layout.dims[0] != 2:
             raise fock.LayoutError(
                 "fock-two-mode needs layout (a: 2, b: D, c: D), got "
                 + str(layout.dims)
             )
-        z = _z_diag(layout)
-        b = fock.annihilation(layout, 1).matrix
-        c = fock.annihilation(layout, 2).matrix
-        bc = b @ c
-        n = [fock.number_diagonal(layout, j) for j in range(layout.num_modes)]
-        g1 = (bc + bc.conj().T) * z
-        g2 = 1j * (bc - bc.conj().T)
-        g3 = np.diag(_g3_values(representation, n))
-        return Su11Generators(representation, g1, g2, g3, layout=layout)
-
-    raise ValueError(f"unknown representation {representation!r}")
+    else:
+        raise ValueError(f"unknown representation {representation!r}")
+    n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
+    A = _pair_lowering(layout, representation, n)
+    g1 = A + A.T  # A is real
+    g1 *= 2.0 * n[0] - 1.0  # times diag(Z_a): scale the columns
+    g2 = A - A.T
+    g2 *= 1j
+    g3 = np.diag(_g3_values(representation, n))
+    return Su11Generators(representation, g1, g2, g3, layout=layout)
 
 
 def commutator_residual(gens: Su11Generators, block: int | None = None) -> float:
@@ -281,26 +290,27 @@ def compress_identity(params: CircuitParams, gens: Su11Generators) -> Operator:
 
 def identity_residual(
     params: CircuitParams, gens: Su11Generators, block: int | None = None
-) -> tuple[float, int | None]:
-    """(residual, work_dim) of the five-factor identity.
+) -> tuple[float, int | None, float | None]:
+    """(residual, work_dim, leakage) of the five-factor identity.
 
     The residual is the max-norm of left - right, restricted to the interior
     block for Fock representations (block = max bosonic index), with left
-    the compression of the exact product; work_dim is the working ladder it
-    was composed on, None for matrix-2x2.
+    the compression of the exact product (compress_identity); work_dim is
+    the working ladder it was composed on and leakage the figure that
+    certified it, both None for matrix-2x2.
     """
     if gens.layout is None:
         left, right = identity_factors(params, gens)
-        work_dim = None
+        work_dim = leakage = None
     else:
         compressed = compress_identity(params, gens)
-        left, work_dim = compressed.matrix, compressed.work_dim
+        left, work_dim, leakage = compressed.matrix, compressed.work_dim, compressed.leakage
         right = _exp_factor(gens, params.gamma, "g3")
     diff = left - right
     if block is not None and gens.layout is not None:
         idx = gens.layout.interior_indices(block, modes=range(1, gens.layout.num_modes))
         diff = diff[np.ix_(idx, idx)]
-    return float(np.max(np.abs(diff))), work_dim
+    return float(np.max(np.abs(diff))), work_dim, leakage
 
 
 def verify_identity(
@@ -311,7 +321,8 @@ def verify_identity(
 
     In the Fock representations the left side is the compression of the
     exact product to the layout (compress_identity), so the residual holds
-    no truncation leakage; identity_residual also returns its working ladder.
+    no truncation leakage; identity_residual also returns its working
+    ladder and leakage.
     """
     return identity_residual(params, gens, block)[0]
 

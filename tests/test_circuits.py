@@ -320,10 +320,21 @@ class TestCompress:
         W = circuits.swap(layout, 1, 2).matrix
         assert np.max(np.abs(swapped.matrix - W @ plain.matrix)) < 1e-14
 
+    def test_trailing_swap_keeps_working_ladder_and_leakage(self):
+        layout = fock.make_layout([2, 4, 4])
+        params = su11.solve_params(0.5, 0.5)
+        gates = (circuits.SqueezeTwoMode(1, 2, 0.3), circuits.Kerr(0, 1, 0.5))
+        plain = circuits.compress(circuits.CircuitPlan(layout, gates, params))
+        swapped = circuits.compress(
+            circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),), params)
+        )
+        assert (swapped.work_dim, swapped.leakage) == (plain.work_dim, plain.leakage)
+        assert plain.leakage < fock.SETTLE_TOL
+
     def test_refuses_when_working_ladder_cap_is_reached(self):
         # at theta1 = 1.5 a D = 8 box needs more than the default 32 D ladder
         params = su11.solve_params(0.5, 1.5)
-        with pytest.raises(fock.TruncationError, match=r"working ladder 256: last change"):
+        with pytest.raises(fock.TruncationError, match=r"working ladder 256: leakage"):
             circuits.build_two_mode_amplifier(params, fock.make_layout([2, 8]))
 
 

@@ -232,6 +232,22 @@ class TestLossy:
         assert row["truncation"] == 160
         assert abs(row["fidelity"] - 0.3367123201975788) <= 1e-12
 
+    def test_strong_squeezing_past_the_cap_does_not_converge(self, capsys):
+        # theta1 = 2.5 leaves 7.6e-3 of the b population on the top tenth of
+        # the ladder at the default cap 160
+        code, out = run_cli(capsys, "lossy", "--theta1", "2.5", "--format", "json")
+        assert code == 3
+        (row,) = json.loads(out)["rows"]
+        assert row["converged"] is False
+        assert row["truncation"] == 160
+        assert row["leakage"] > 1e-3
+
+    def test_leakage_column(self, capsys):
+        code, out = run_cli(capsys, "lossy", "--theta1", "0.5")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert 0.0 <= float(row["leakage"]) < 1e-3
+
     def test_werner_run(self, capsys):
         code, out = run_cli(
             capsys,
@@ -288,6 +304,17 @@ class TestVerify:
         assert by_name["identity-fock-d60-block12"]["passed"] == "true"
         assert by_name["identity-2x2-random-grid"]["work_dim"] == ""
         assert int(by_name["identity-fock-d60-block12"]["work_dim"]) >= 60
+
+
+    def test_leakage_column_next_to_work_dim(self, capsys):
+        _, out = run_cli(capsys, "verify", "--dim", "60", "--block", "12")
+        header = out.splitlines()[0].split(",")
+        assert header[header.index("work_dim") + 1] == "leakage"
+        for r in parse_csv(out):
+            if r["work_dim"] == "":
+                assert r["leakage"] == ""
+            else:
+                assert 0.0 <= float(r["leakage"]) < 1e-12
 
 
 class TestConfigFile:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kerramp import fock, loss
+from kerramp import circuits, fock, loss, su11
 
 
 def random_density(rng, layout):
@@ -517,3 +517,98 @@ class TestCompressProduct:
         factors = [fock.PairSqueeze((1,), 0.1), fock.PairSqueeze((1, 2), 0.1)]
         with pytest.raises(fock.OperatorError):
             fock.compress_product(layout, factors)
+
+
+@pytest.fixture
+def next_doubling(monkeypatch):
+    """Records the certified blocks of the next compress_product call and
+    the blocks the same product gives on twice its working ladder."""
+    seen = {}
+    settle = fock.double_until_settled
+
+    def spy(evaluate, start_dim, max_dim, tol, distance):
+        settled = settle(evaluate, start_dim, max_dim, tol, distance)
+        seen["certified"] = settled.value[0]
+        seen["doubled"] = evaluate(2 * settled.dim)[0]
+        return settled
+
+    monkeypatch.setattr(fock, "double_until_settled", spy)
+    return seen
+
+
+class TestLeakageCertificate:
+    """compress_product stops where the box columns' weight on the top tenth
+    of the working ladder is below SETTLE_TOL; the box it returns must be the
+    one the next doubling would give."""
+
+    PARAMS = su11.solve_params(0.5, 0.5)
+
+    @staticmethod
+    def build(case, dims):
+        layout = fock.make_layout(dims)
+        params = TestLeakageCertificate.PARAMS
+        if case == "fock-single":
+            gens = su11.generators(layout, "fock-single")
+            return su11.compress_identity(params, gens)
+        if case == "two-mode":
+            return circuits.build_two_mode_amplifier(params, layout)[1]
+        if case == "inverse-pair":
+            factors = [fock.PairSqueeze((1, 2), 0.4), fock.PairSqueeze((1, 2), -0.4)]
+            return fock.compress_product(layout, factors)
+        swap = case == "three-mode-swap"
+        return circuits.build_three_mode_amplifier(params, layout, swap)[1]
+
+    @pytest.mark.parametrize(
+        "case, dims",
+        [
+            ("fock-single", [2, 8]),
+            ("fock-single", [2, 20]),
+            ("fock-single", [2, 60]),
+            ("two-mode", [2, 6]),
+            ("two-mode", [2, 20]),
+            ("three-mode", [2, 6, 6]),
+            ("three-mode-swap", [2, 6, 6]),
+            ("inverse-pair", [2, 10, 10]),
+        ],
+    )
+    def test_certified_box_equals_next_doubling(self, next_doubling, case, dims):
+        U = self.build(case, dims)
+        assert U.leakage < fock.SETTLE_TOL
+        assert U.work_dim >= 2 * dims[1]
+        gap = max(
+            float(np.max(np.abs(a - b)))
+            for a, b in zip(next_doubling["certified"], next_doubling["doubled"])
+        )
+        assert gap < 1e-12
+
+    def test_verify_layouts_stop_one_ladder_before_a_confirming_doubling(self):
+        # the working ladders of `kerramp verify` at its defaults
+        gens = su11.generators(fock.make_layout([2, 100]), "fock-single")
+        single = su11.compress_identity(su11.solve_params(0.3, 0.4), gens)
+        two = self.build("two-mode", [2, 40])
+        three = self.build("three-mode", [2, 14, 14])
+        assert (single.work_dim, two.work_dim, three.work_dim) == (400, 320, 112)
+
+    def test_leakage_is_largest_over_squeezer_stages(self):
+        # S(-t) S(t) returns every column to the box, so only the spread
+        # after the first squeezer can fail the certificate on a short ladder
+        layout = fock.make_layout([2, 4])
+        pair = [fock.PairSqueeze((1,), 1.0), fock.PairSqueeze((1,), -1.0)]
+        spectators = fock._spectators(layout, (1,))
+        blocks, leakage = fock._sector_blocks(layout, pair, (1,), spectators, 16)
+        _, first = fock._sector_blocks(layout, pair[:1], (1,), spectators, 16)
+        assert leakage == first > 1e-3
+        assert max(float(np.max(np.abs(b[:, 0] - np.eye(len(b))))) for b in blocks) < 1e-12
+
+    def test_cap_names_the_leakage(self):
+        layout = fock.make_layout([2, 4])
+        with pytest.raises(
+            fock.TruncationError,
+            match=r"working ladder 128: leakage \d\.\d\de[-+]\d\d >= tol 1e-12",
+        ):
+            fock.compress_product(layout, [fock.PairSqueeze((1,), 3.0)])
+
+    def test_tail_index_is_the_top_tenth(self):
+        assert [fock.tail_index(w) for w in (2, 10, 20, 112, 224, 400)] == [
+            1, 9, 18, 101, 202, 360,
+        ]

@@ -313,6 +313,53 @@ class TestLossyAmplifier:
             loss.run_lossy_amplifier(rho, self.PARAMS, loss.LossConfig())
 
 
+class TestLossyLeakage:
+    """A lossy run converges only when |dF| and the b ladder's top-tenth
+    population, the largest over the stages of the pass, are both < tol."""
+
+    def test_pass_leakage_is_largest_over_stages(self):
+        # at theta1 = 0.5 on [2, 20] the population peaks after S2 and is
+        # 30 times smaller at the output
+        params = su11.solve_params(0.5, 0.5)
+        layout = fock.make_layout([2, 20])
+        rho = loss.make_plus_plus(layout)
+        config = loss.LossConfig(0.1, 0.1)
+        populations = []
+        for position, gate in enumerate(circuits.two_mode_plan(params, layout).gates):
+            splitters = loss.SPLITTERS_AFTER_GATE.get(position, ())
+            rho = loss.lossy_stage(
+                rho,
+                circuits.gate_operator(layout, gate),
+                [(mode, config.reflectance(name)) for name, mode in splitters],
+            )
+            populations.append(np.real(np.diagonal(rho.matrix)).reshape(2, 20)[:, 18:].sum())
+        _, _, leakage = loss._run_fixed_dim(loss.make_plus_plus(layout), params, config)
+        assert leakage == pytest.approx(max(populations), rel=1e-12)
+        assert leakage > 30 * populations[-1]
+
+    @pytest.mark.parametrize("theta1", [0.3, 0.8, 1.2, 1.5, 2.5])
+    def test_converged_run_is_below_tol_on_both_figures(self, theta1):
+        rho = loss.make_plus_plus(fock.make_layout([2, 20]))
+        params = su11.solve_params(0.5, theta1)
+        report = loss.run_lossy_amplifier(rho, params, loss.LossConfig(0.1, 0.1), max_dim=80)
+        if report.converged:
+            assert report.leakage < 1e-3 and report.convergence_delta < 1e-3
+        else:
+            assert max(report.leakage, report.convergence_delta) >= 1e-3
+
+    def test_small_fidelity_change_with_leakage_does_not_converge(self):
+        # theta1 = 2.5: the 40 -> 80 doubling moves F by 7.9e-4 while a third
+        # of a percent of the population sits on the top tenth of the ladder
+        rho = loss.make_plus_plus(fock.make_layout([2, 40]))
+        params = su11.solve_params(0.5, 2.5)
+        report = loss.run_lossy_amplifier(
+            rho, params, loss.LossConfig(0.1, 0.1), start_dim=40, max_dim=80
+        )
+        assert report.convergence_delta < 1e-3
+        assert report.leakage > 1e-3
+        assert not report.converged
+
+
 class TestLossyCircuitPlan:
     """The lossy pass runs circuits.two_mode_plan, one splitter at a time."""
 
@@ -344,7 +391,7 @@ class TestLossyCircuitPlan:
     def test_lossless_pass_is_the_composed_plan(self):
         layout = fock.make_layout([2, 16])
         rho = loss.make_werner(layout, 0.6)
-        rho_out, _ = loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig())
+        rho_out, _, _ = loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig())
         U = circuits.compose(circuits.two_mode_plan(self.PARAMS, layout))
         want = fock.evolve(rho, U)
         assert np.max(np.abs(rho_out.matrix - want.matrix)) < 1e-12

@@ -166,6 +166,30 @@ class TestGenerators:
             su11.generators(None, "no-such-rep")
 
 
+class TestGeneratorsByIndex:
+    """G1 and G2 placed by index arithmetic against the kron-embedded
+    ladder products G1 = (A + A†) Z_a, G2 = i (A - A†)."""
+
+    @pytest.mark.parametrize(
+        "rep, dims",
+        [
+            ("fock-single", [2, 9]),
+            ("fock-single", [2, 5, 3]),
+            ("fock-two-mode", [2, 6, 6]),
+            ("fock-two-mode", [2, 4, 7]),
+            ("fock-two-mode", [2, 5, 3, 2]),
+        ],
+    )
+    def test_matches_embedded_ladders(self, rep, dims):
+        layout = fock.make_layout(dims)
+        b = fock.annihilation(layout, 1).matrix
+        A = b @ b / 2 if rep == "fock-single" else b @ fock.annihilation(layout, 2).matrix
+        z = 2.0 * fock.number_diagonal(layout, 0) - 1.0
+        g = su11.generators(layout, rep)
+        assert np.max(np.abs(g.g1 - (A + A.conj().T) @ np.diag(z))) < 1e-14
+        assert np.max(np.abs(g.g2 - 1j * (A - A.conj().T))) < 1e-14
+
+
 class TestVerifyIdentity:
     def test_matrix_2x2_at_operating_point(self):
         p = su11.solve_params(0.5, 0.5)
