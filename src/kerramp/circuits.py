@@ -311,18 +311,14 @@ def build_three_mode_amplifier(
     return plan, compress(plan), rhs
 
 
-def equivalence_residual(
-    lhs: Operator, rhs: Operator, block: int, modes=None
-) -> float:
+def equivalence_residual(lhs: Operator, rhs: Operator, block: int) -> float:
     """Max-norm of lhs - rhs on the interior block (bosonic indices <= block).
 
     With lhs from a builder (compress) this measures the circuit itself; with
     lhs = compose(plan) it also holds the truncation leakage of the gates.
     """
     layout = lhs.layout
-    if modes is None:
-        modes = range(1, layout.num_modes)
-    idx = layout.interior_indices(block, modes=modes)
+    idx = layout.interior_indices(block, modes=range(1, layout.num_modes))
     diff = (lhs.matrix - rhs.matrix)[np.ix_(idx, idx)]
     return float(np.max(np.abs(diff)))
 

@@ -215,7 +215,11 @@ def identity(layout: ModeLayout) -> Operator:
 
 
 def embed(layout: ModeLayout, mode: int, single_mode_matrix: np.ndarray) -> np.ndarray:
-    """Tensor a single-mode matrix with identities on all other modes."""
+    """Tensor a single-mode matrix with identities on all other modes.
+
+    Dense kron embedding on the full space; it serves the oracles
+    (loss.beam_splitter and the tests), not the structured gates.
+    """
     layout.check_mode(mode)
     d = layout.dims[mode]
     if single_mode_matrix.shape != (d, d):
@@ -231,18 +235,27 @@ def embed(layout: ModeLayout, mode: int, single_mode_matrix: np.ndarray) -> np.n
 
 
 def lowering_matrix(dim: int) -> np.ndarray:
-    """Single-mode annihilation matrix: sqrt(n) on the subdiagonal."""
+    """Single-mode annihilation matrix: sqrt(n) on the subdiagonal.
+
+    Serves the oracles (loss.beam_splitter and the tests).
+    """
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
 def annihilation(layout: ModeLayout, mode: int) -> Operator:
-    """Annihilation operator of the given mode, embedded in the full space."""
+    """Annihilation operator of the given mode, embedded in the full space.
+
+    Serves the oracles (loss.beam_splitter and the tests).
+    """
     layout.check_mode(mode)
     return Operator(layout, embed(layout, mode, lowering_matrix(layout.dims[mode])))
 
 
 def number_op(layout: ModeLayout, mode: int) -> Operator:
-    """Photon-number operator of the given mode."""
+    """Photon-number operator of the given mode.
+
+    Serves the oracles (the tests).
+    """
     layout.check_mode(mode)
     n = np.diag(np.arange(layout.dims[mode], dtype=complex))
     return Operator(layout, embed(layout, mode, n), diagonal=True)

@@ -42,7 +42,8 @@ class ParameterRangeError(ValueError):
 @dataclass(frozen=True)
 class Saturated:
     """No real theta1 reproduces the requested theta2; the amplified phase
-    is capped at pi."""
+    is capped at pi.  theta2 carries the circuit's sign, -|theta2|, as
+    solve_params gives it."""
 
     delta: float
     theta2: float
@@ -113,8 +114,20 @@ def invert_theta2(delta: float, theta2: float):
         raise ParameterRangeError(f"theta2 must be a number, got theta2 = {theta2}")
     ratio = abs(math.tanh(theta2)) / math.cos(delta)
     if ratio >= 1.0:
-        return Saturated(delta=delta, theta2=theta2)
+        return Saturated(delta=delta, theta2=-abs(theta2))
     return 0.5 * math.atanh(ratio)
+
+
+def solve_theta2(delta: float, theta2: float):
+    """CircuitParams whose inner squeeze has magnitude |theta2|, or Saturated.
+
+    The composition of invert_theta2 and solve_params, so the circuit's
+    theta2 comes out <= 0 whatever the sign given.
+    """
+    theta1 = invert_theta2(delta, theta2)
+    if isinstance(theta1, Saturated):
+        return theta1
+    return solve_params(delta, theta1)
 
 
 def kappa_small_delta(theta1: float) -> float:

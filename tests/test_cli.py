@@ -46,6 +46,8 @@ class TestAmplify:
         assert row["saturated"] == "true"
         assert float(row["dphi_amp_deg"]) == 180.0
         assert row["kappa"] == ""
+        # the circuit's theta2 is <= 0, saturated or not
+        assert float(row["theta2"]) == pytest.approx(-1.49668031, abs=1e-8)
 
     def test_requires_exactly_one_squeeze_flag(self, capsys):
         code, _ = run_cli(capsys, "amplify", "--delta", "0.5")
@@ -111,6 +113,7 @@ class TestParameterRange:
         (row,) = parse_csv(out)
         assert row["saturated"] == "true"
         assert float(row["dphi_amp_deg"]) == 180.0
+        assert row["theta2"] == "-inf"
 
     def test_negative_verify_block_is_usage_error(self, capsys):
         code = cli.main(["verify", "--block", "-1"])
@@ -182,7 +185,25 @@ class TestFigure2:
 
     def test_curves_bounded_by_180(self, capsys):
         _, out = run_cli(capsys, "figure2", "--points", "60")
-        assert all(float(r["dphi_amp_deg"]) <= 180.0 for r in parse_csv(out))
+        rows = parse_csv(out)
+        assert all(float(r["dphi_amp_deg"]) <= 180.0 for r in rows)
+        # default dphi_in list; at 28.8 degrees panel b crosses the edge
+        # tanh|theta2| = cos(dphi_in) and saturates past it
+        dphi_ins = [1e-7, math.radians(9.0), math.radians(28.8)]
+        assert len(rows) == len(dphi_ins) * 2 * 60
+        for k, delta in enumerate(dphi_ins):
+            block = rows[120 * k : 120 * (k + 1)]
+            assert [r["panel"] for r in block] == ["a"] * 60 + ["b"] * 60
+            assert all(float(r["dphi_in_rad"]) == pytest.approx(delta) for r in block)
+            assert all(r["saturated"] == "false" for r in block[:60])
+            for r in block[60:]:
+                past_edge = math.tanh(float(r["theta"])) >= math.cos(delta)
+                assert r["saturated"] == str(past_edge).lower()
+                if past_edge:
+                    assert r["dphi_amp_deg"] == "180"
+                else:
+                    assert float(r["dphi_amp_deg"]) < 180.0
+        assert any(r["saturated"] == "true" for r in rows[300:])
 
     def test_table_point_lies_on_curve(self, capsys):
         # -10 dB row at 9 degrees: theta2 = 1.1513 -> 31.6 degrees

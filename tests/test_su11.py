@@ -82,6 +82,7 @@ class TestInvertTheta2:
         result = su11.invert_theta2(math.radians(28.8), 1.5)
         assert isinstance(result, su11.Saturated)
         assert result.dphi_amp == pytest.approx(math.pi)
+        assert result.theta2 == -1.5
 
     def test_zero_theta2(self):
         assert su11.invert_theta2(0.8, 0.0) == 0.0
@@ -107,6 +108,35 @@ class TestInvertTheta2:
     @pytest.mark.parametrize("theta2", [math.inf, -math.inf])
     def test_infinite_theta2_saturates(self, theta2):
         assert isinstance(su11.invert_theta2(0.5, theta2), su11.Saturated)
+
+    # the edge tanh|theta2| = cos(0.5) lies at |theta2| = atanh(cos 0.5)
+    EDGE = math.atanh(math.cos(0.5))
+
+    @pytest.mark.parametrize(
+        "theta2, saturated",
+        [
+            (0.0, False),
+            (-0.0, False),
+            (0.3, False),
+            (-0.3, False),
+            (EDGE * (1 - 1e-9), False),
+            (-EDGE * (1 - 1e-9), False),
+            (EDGE * (1 + 1e-9), True),
+            (-EDGE * (1 + 1e-9), True),
+            (math.inf, True),
+            (-math.inf, True),
+        ],
+    )
+    def test_solve_theta2_composes_invert_and_solve(self, theta2, saturated):
+        theta1 = su11.invert_theta2(0.5, theta2)
+        p = su11.solve_theta2(0.5, theta2)
+        assert isinstance(p, su11.Saturated) == saturated
+        if saturated:
+            assert p == theta1
+            assert p.theta2 == -abs(theta2)
+        else:
+            assert p == su11.solve_params(0.5, theta1)
+            assert p.theta2 <= 0.0
 
 
 class TestScalarHelpers:
