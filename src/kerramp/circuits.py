@@ -94,35 +94,21 @@ class CircuitPlan:
 
 def squeeze_single(layout: ModeLayout, mode: int, theta: float) -> Operator:
     """Single-mode quadrature squeezer exp(-(theta/2)(b b - b† b†)),
-    built per parity sector (fock.pair_squeezer)."""
-    return fock.pair_squeezer(layout, (mode,), theta)
+    built per parity sector (fock.truncated_product)."""
+    return gate_operator(layout, SqueezeSingle(mode, theta))
 
 
 def squeeze_two_mode(
     layout: ModeLayout, mode_b: int, mode_c: int, theta: float
 ) -> Operator:
     """Two-mode squeezer exp(-theta (b c - b† c†)), built per n_b - n_c
-    sector (fock.pair_squeezer)."""
-    return fock.pair_squeezer(layout, (mode_b, mode_c), theta)
-
-
-def _check_diagonal(layout: ModeLayout, gate: Kerr | PhaseShift) -> None:
-    for mode in gate.modes:
-        layout.check_mode(mode)
-    if isinstance(gate, Kerr) and gate.mode_a == gate.mode_b:
-        raise fock.LayoutError("cross-Kerr needs two distinct modes")
-
-
-def _diagonal(layout: ModeLayout, gate: Kerr | PhaseShift) -> Operator:
-    """A diagonal gate's unitary exp(i gate.phase(n)) on the layout."""
-    _check_diagonal(layout, gate)
-    n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
-    return fock.diagonal_unitary(layout, gate.phase(n) + np.zeros(layout.total_dim))
+    sector (fock.truncated_product)."""
+    return gate_operator(layout, SqueezeTwoMode(mode_b, mode_c, theta))
 
 
 def kerr(layout: ModeLayout, mode_a: int, mode_b: int, dphi: float) -> Operator:
     """Cross-Kerr unitary exp(i dphi n_a n_b), diagonal in the Fock basis."""
-    return _diagonal(layout, Kerr(mode_a, mode_b, dphi))
+    return gate_operator(layout, Kerr(mode_a, mode_b, dphi))
 
 
 def phase_shift(layout: ModeLayout, coeffs, constant: float = 0.0) -> Operator:
@@ -132,7 +118,7 @@ def phase_shift(layout: ModeLayout, coeffs, constant: float = 0.0) -> Operator:
     """
     if isinstance(coeffs, dict):
         coeffs = coeffs.items()
-    return _diagonal(layout, PhaseShift(tuple(coeffs), constant))
+    return gate_operator(layout, PhaseShift(tuple(coeffs), constant))
 
 
 def _check_swap(layout: ModeLayout, mode_b: int, mode_c: int) -> None:
@@ -153,17 +139,29 @@ def swap(layout: ModeLayout, mode_b: int, mode_c: int) -> Operator:
     return Operator(layout, M, unitary=True)
 
 
-def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
-    """Materialize one gate descriptor as an Operator."""
+def _factor(layout: ModeLayout, gate: Gate, where) -> fock.PairSqueeze | fock.PhaseFactor:
+    """A squeezer or diagonal gate as a fock factor, the gate's mode j
+    sitting at mode where[j]."""
     if isinstance(gate, SqueezeSingle):
-        return squeeze_single(layout, gate.mode, gate.theta)
+        return fock.PairSqueeze((where[gate.mode],), gate.theta)
     if isinstance(gate, SqueezeTwoMode):
-        return squeeze_two_mode(layout, gate.mode_b, gate.mode_c, gate.theta)
+        return fock.PairSqueeze((where[gate.mode_b], where[gate.mode_c]), gate.theta)
     if isinstance(gate, (Kerr, PhaseShift)):
-        return _diagonal(layout, gate)
+        for mode in gate.modes:
+            layout.check_mode(mode)
+        if isinstance(gate, Kerr) and gate.mode_a == gate.mode_b:
+            raise fock.LayoutError("cross-Kerr needs two distinct modes")
+        return fock.PhaseFactor(lambda n: gate.phase([n[w] for w in where]))
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
+    """Materialize one gate descriptor as an Operator: a SWAP as its
+    permutation, any other gate truncated to the layout
+    (fock.truncated_product); the Kerr and phase gates come out diagonal."""
     if isinstance(gate, Swap):
         return swap(layout, gate.mode_b, gate.mode_c)
-    raise TypeError(f"unknown gate {gate!r}")
+    return fock.truncated_product(layout, [_factor(layout, gate, range(layout.num_modes))])
 
 
 def compose(plan: CircuitPlan) -> Operator:
@@ -172,11 +170,6 @@ def compose(plan: CircuitPlan) -> Operator:
     for gate in plan.gates:
         U = gate_operator(plan.layout, gate) @ U
     return U
-
-
-def _relabelled(phase, where):
-    """phase of a gate whose mode j now sits at mode where[j]."""
-    return lambda n: phase([n[w] for w in where])
 
 
 def compress(plan: CircuitPlan) -> Operator:
@@ -196,14 +189,8 @@ def compress(plan: CircuitPlan) -> Operator:
             _check_swap(layout, gate.mode_b, gate.mode_c)
             swaps.append(gate)
             where[gate.mode_b], where[gate.mode_c] = where[gate.mode_c], where[gate.mode_b]
-        elif isinstance(gate, SqueezeSingle):
-            factors.append(fock.PairSqueeze((where[gate.mode],), gate.theta))
-        elif isinstance(gate, SqueezeTwoMode):
-            modes = (where[gate.mode_b], where[gate.mode_c])
-            factors.append(fock.PairSqueeze(modes, gate.theta))
         else:
-            _check_diagonal(layout, gate)
-            factors.append(fock.PhaseFactor(_relabelled(gate.phase, tuple(where))))
+            factors.append(_factor(layout, gate, tuple(where)))
     U = fock.compress_product(layout, factors)
     if where != list(range(layout.num_modes)):
         M = U.matrix

@@ -52,6 +52,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _strict_json(x):
+    """x with every non-finite float written as its CSV cell (inf, -inf,
+    nan): strict JSON has no such numbers."""
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_strict_json(v) for v in x]
+    return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_output(path, fmt, meta, columns, rows):
     if fmt == "csv":
         lines = [",".join(columns)]
@@ -59,8 +69,8 @@ def _write_output(path, fmt, meta, columns, rows):
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        doc = {"meta": meta, "rows": rows}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = _strict_json({"meta": meta, "rows": rows})
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -6,13 +6,14 @@ as the tensor product of per-mode truncated Fock ladders.
 Gates keep the structure the physics gives them.  Every squeezer here
 conserves the Fock index of each mode it does not squeeze; a single-mode
 squeezer also conserves the parity of its mode, and a two-mode squeezer the
-difference of its two modes' indices.  :func:`pair_squeezer` therefore
-builds a truncated squeezer sector by sector: each parity or index-difference
-ladder is a real tridiagonal generator, exponentiated by its own small
-eigendecomposition and placed in the full matrix by index arithmetic.
+difference of its two modes' indices.  :func:`truncated_product`
+therefore builds a product of truncated squeezers and diagonal phases
+sector by sector: each parity or index-difference ladder is a real
+tridiagonal generator, exponentiated by its own small eigendecomposition,
+and the product's blocks are placed in the full matrix by index arithmetic.
 Operators flagged diagonal are multiplied and conjugated elementwise.
 :func:`expm`, the dense eigendecomposition on the full space, stays as the
-oracle for these builders and for the beam splitter.
+oracle for these products and for the beam splitter.
 
 Truncation caveat: on a D-level ladder [b, b†] = 1 holds only away from the
 top level, so identity and unitarity checks for squeezing-like operators are
@@ -261,20 +262,13 @@ def number_op(layout: ModeLayout, mode: int) -> Operator:
     return Operator(layout, embed(layout, mode, n), diagonal=True)
 
 
-def number_diagonal(layout: ModeLayout, mode: int) -> np.ndarray:
-    """Fock index of the given mode along the flat basis, as a real vector."""
-    layout.check_mode(mode)
-    grids = np.unravel_index(np.arange(layout.total_dim), layout.dims)
-    return grids[mode].astype(float)
-
-
 def expm(generator: Operator) -> Operator:
     """exp(A) for anti-Hermitian A, via eigendecomposition of H = -iA.
 
     Returns the unitary exp(iH).  Raises if A deviates from anti-Hermiticity
     beyond tolerance.  A dense O(N^3) reference: the gates are built from
-    their sectors (see pair_squeezer), and this serves as their oracle and
-    as the beam splitter's.
+    their sectors (see truncated_product), and this serves as their oracle
+    and as the beam splitter's.
     """
     A = generator.matrix
     dev = np.max(np.abs(A + A.conj().T))
@@ -458,13 +452,6 @@ class PhaseFactor:
     phase: Callable
 
 
-def _check_squeezed(layout: ModeLayout, modes: tuple) -> None:
-    for m in modes:
-        layout.check_mode(m)
-    if len(modes) not in (1, 2) or len(set(modes)) != len(modes):
-        raise LayoutError(f"a squeezer needs one mode or two distinct modes, got {modes}")
-
-
 def _sectors(box, work):
     """Ladders of the squeezer on modes with dimensions `box`, each ladder
     running up to Fock index work[j] - 1 on squeezed mode j.
@@ -547,56 +534,36 @@ def _place_blocks(layout: ModeLayout, modes, spectators: dict, sectors, blocks):
     return U
 
 
-def pair_squeezer(layout: ModeLayout, modes, theta: float) -> Operator:
-    """Squeezer exp(-theta (A - A†)) truncated to layout, with A = b b / 2
-    on one mode or A = b c on two modes (of any dimensions).
-
-    Built sector by sector: each parity ladder of the squeezed mode, or each
-    n_b - n_c ladder of the two, is exponentiated on its own (_ladder_exp)
-    and its block is placed at its states for every spectator Fock index.
-    """
-    modes = tuple(modes)
-    _check_squeezed(layout, modes)
-    box = tuple(layout.dims[m] for m in modes)
-    sectors = list(_sectors(box, box))
-    blocks = [
-        _ladder_exp(_ladder_eig(coupling), theta, np.eye(inside, dtype=complex))[:, None]
-        for _, inside, _, coupling in sectors
-    ]
-    U = _place_blocks(layout, modes, _spectators(layout, modes), sectors, blocks)
-    return Operator(layout, U, unitary=True)
-
-
-def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work: int):
-    """Compressed blocks of the factor product on working ladder `work`,
-    and their leakage.
+def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
+    """Blocks of the factor product on the working ladders `work` (one
+    length per squeezed mode), and their leakage.
 
     One (inside, S, inside) array per sector, S running over the spectator
-    (unsqueezed) modes' Fock indices; only the sector's columns inside the
-    D-box are propagated.  Each ladder's eigenbasis serves every squeezer
-    and spectator value of its sectors.  The leakage is the largest 2-norm
-    a propagated column puts on the ladder's top tenth (a Fock index of at
+    (unsqueezed) modes' Fock indices, or S = 1 while no phase factor has
+    told them apart; only the sector's columns inside the layout's box are
+    propagated.  Each ladder's eigenbasis serves every squeezer and
+    spectator value of its sectors.  The leakage is the largest 2-norm a
+    propagated column puts on the ladder's top tenth (a Fock index of at
     least TAIL_FRACTION * work on a squeezed mode, a contiguous tail of the
     sector ladder) at the end of any squeezer.  Along one squeezer a
     column's mean photon number is a cosh-sinh combination of the squeeze
     parameter, so its spread peaks at a stage boundary; a later squeezer
     may pull it back, hence the maximum over stages.
     """
-    n_spec = int(np.prod([layout.dims[j] for j in spectators]))
+    n_spec = math.prod(layout.dims[j] for j in spectators)
     box = tuple(layout.dims[m] for m in modes)
-    edge = tail_index(work)
+    edge = [tail_index(w) for w in work]
     eig_key, blocks, leakage = None, [], 0.0
-    for key, inside, numbers, coupling in _sectors(box, (work,) * len(modes)):
+    for key, inside, numbers, coupling in _sectors(box, work):
         size = len(numbers[0])
         # first state past the edge on any squeezed mode; the top one at least
-        tail = min(int(np.searchsorted(np.max(numbers, axis=0), edge)), size - 1)
+        tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
         n = _numbers(layout.num_modes, modes, numbers, spectators)
-        V = np.zeros((size, n_spec, inside), dtype=complex)
-        V[np.arange(inside), :, np.arange(inside)] = 1.0
+        V = np.eye(size, inside, dtype=complex)[:, None]
         for f in factors:
             if isinstance(f, PhaseFactor):
                 phase = np.broadcast_to(f.phase(n), (size, n_spec))
-                V *= np.exp(1j * phase)[:, :, None]
+                V = V * np.exp(1j * phase)[:, :, None]
                 continue
             if key != eig_key:
                 eig, eig_key = _ladder_eig(coupling), key
@@ -606,36 +573,67 @@ def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work: i
     return blocks, leakage
 
 
-def compress_product(layout: ModeLayout, factors) -> Operator:
-    """Compression to layout of the untruncated product of factors.
-
-    factors[0] is applied first.  Every PairSqueeze must act on the same
-    modes, of equal dimension D.  The product is composed on a working
-    ladder of D, 2D, 4D, ... levels per squeezed mode (at most
-    MAX_WORK_FACTOR * D, at least 2D) until the box columns' leakage onto
-    the ladder's top tenth (_sector_blocks) falls below SETTLE_TOL; the
-    returned Operator's work_dim is that ladder and its leakage the
-    certified figure.  Raises TruncationError, naming the last ladder and
-    its leakage, when the cap is reached first.  A compression of a unitary
-    is in general not unitary, so the result carries no unitary flag.
-    """
+def _squeezed_modes(layout: ModeLayout, factors):
+    """The modes every PairSqueeze in factors acts on, sorted and checked
+    against layout; None when no factor squeezes."""
     squeezed = {tuple(sorted(f.modes)) for f in factors if isinstance(f, PairSqueeze)}
     if len(squeezed) > 1:
         raise OperatorError(f"squeezers act on different modes {sorted(squeezed)}")
-    if not squeezed:  # diagonal factors are exact on any ladder
+    if not squeezed:
+        return None
+    (modes,) = squeezed
+    for m in modes:
+        layout.check_mode(m)
+    if len(modes) not in (1, 2) or len(set(modes)) != len(modes):
+        raise LayoutError(f"a squeezer needs one mode or two distinct modes, got {modes}")
+    return modes
+
+
+def truncated_product(layout: ModeLayout, factors) -> Operator:
+    """Product of factors, each truncated to layout; factors[0] is applied
+    first, and every PairSqueeze must act on the same modes.
+
+    Walked sector by sector on the layout's own ladders (_sector_blocks),
+    each block placed at its states for every spectator Fock index.  With no
+    squeezer the product is diagonal, and exact on any ladder.
+    """
+    modes = _squeezed_modes(layout, factors)
+    if modes is None:
         n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
         phase = np.zeros(layout.total_dim)
         for f in factors:
             phase = phase + f.phase(n)
         return diagonal_unitary(layout, phase)
-    (modes,) = squeezed
-    _check_squeezed(layout, modes)
+    box = tuple(layout.dims[m] for m in modes)
+    spectators = _spectators(layout, modes)
+    blocks, _ = _sector_blocks(layout, factors, modes, spectators, box)
+    U = _place_blocks(layout, modes, spectators, _sectors(box, box), blocks)
+    return Operator(layout, U, unitary=True)
+
+
+def compress_product(layout: ModeLayout, factors) -> Operator:
+    """Compression to layout of the untruncated product of factors.
+
+    factors[0] is applied first.  Every PairSqueeze must act on the same
+    modes, of equal dimension D.  The product is walked as in
+    truncated_product, on a working ladder of D, 2D, 4D, ... levels per
+    squeezed mode (at most MAX_WORK_FACTOR * D, at least 2D) until the box
+    columns' leakage onto the ladder's top tenth (_sector_blocks) falls
+    below SETTLE_TOL; the returned Operator's work_dim is that ladder and
+    its leakage the certified figure.  Raises TruncationError, naming the
+    last ladder and its leakage, when the cap is reached first.  A
+    compression of a unitary is in general not unitary, so the result
+    carries no unitary flag.
+    """
+    modes = _squeezed_modes(layout, factors)
+    if modes is None:  # diagonal factors are exact on any ladder
+        return truncated_product(layout, factors)
     if len({layout.dims[m] for m in modes}) != 1:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     dim = layout.dims[modes[0]]
     spectators = _spectators(layout, modes)
     settled = double_until_settled(
-        lambda work: _sector_blocks(layout, factors, modes, spectators, work),
+        lambda work: _sector_blocks(layout, factors, modes, spectators, (work,) * len(modes)),
         start_dim=dim,
         max_dim=MAX_WORK_FACTOR * dim,
         tol=SETTLE_TOL,

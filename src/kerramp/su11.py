@@ -246,40 +246,47 @@ def commutator_residual(gens: Su11Generators, block: int | None = None) -> float
     return float(max(np.max(np.abs(r)) for r in residuals))
 
 
-def _squeezed_modes(representation: str) -> tuple[int, ...]:
-    return (1,) if representation == "fock-single" else (1, 2)
+def _g3_factor(gens: Su11Generators, coeff: float) -> fock.PhaseFactor:
+    """exp(i coeff G3) in a Fock representation, as a diagonal factor."""
+    return fock.PhaseFactor(lambda n: coeff * _g3_values(gens.representation, n))
 
 
-def _exp_factor(gens: Su11Generators, coeff: float, which: str) -> np.ndarray:
-    """exp(i coeff G) for G in {g2, g3}.
+def _left_factors(params: CircuitParams, gens: Su11Generators) -> tuple:
+    """The five factors of the identity's left side in a Fock representation;
+    exp(i theta G2) is the squeezer with that theta on b, or on b and c."""
+    modes = (1,) if gens.representation == "fock-single" else (1, 2)
+    g3 = _g3_factor(gens, params.delta / 2.0)
+    return (
+        fock.PairSqueeze(modes, params.theta1),
+        g3,
+        fock.PairSqueeze(modes, params.theta2),
+        g3,
+        fock.PairSqueeze(modes, params.theta1),
+    )
 
-    In the Fock representations G3 is diagonal and exp(i coeff G2) is the
-    truncated squeezer with theta = coeff (fock.pair_squeezer); the 2x2
-    representation is non-Hermitian (a boost) and uses the general matrix
-    exponential.
-    """
-    g = gens.g2 if which == "g2" else gens.g3
-    if gens.representation == "matrix-2x2":
-        return scipy.linalg.expm(1j * coeff * g)
-    if which == "g3":
-        return np.diag(np.exp(1j * coeff * np.diag(g)))
-    modes = _squeezed_modes(gens.representation)
-    return fock.pair_squeezer(gens.layout, modes, coeff).matrix
+
+def _right_side(params: CircuitParams, gens: Su11Generators) -> np.ndarray:
+    """exp(i gamma G3) in a Fock representation."""
+    return fock.truncated_product(gens.layout, [_g3_factor(gens, params.gamma)]).matrix
 
 
 def identity_factors(params: CircuitParams, gens: Su11Generators):
     """(left, right) sides of the five-factor identity as matrices.
 
-    In the Fock representations each factor is exponentiated on the layout
-    and left is their product, truncation leakage included; see
-    compress_identity for the compression of the exact left side.
+    In the Fock representations left is the product of the factors each
+    truncated to the layout (fock.truncated_product), truncation leakage
+    included; see compress_identity for the compression of the exact left
+    side.  The 2x2 representation is non-Hermitian (a boost) and uses the
+    general matrix exponential.
     """
-    eg2_1 = _exp_factor(gens, params.theta1, "g2")
-    eg2_2 = _exp_factor(gens, params.theta2, "g2")
-    eg3 = _exp_factor(gens, params.delta / 2.0, "g3")
-    left = eg2_1 @ eg3 @ eg2_2 @ eg3 @ eg2_1
-    right = _exp_factor(gens, params.gamma, "g3")
-    return left, right
+    if gens.layout is not None:
+        left = fock.truncated_product(gens.layout, _left_factors(params, gens))
+        return left.matrix, _right_side(params, gens)
+    expm = scipy.linalg.expm
+    eg2_1 = expm(1j * params.theta1 * gens.g2)
+    eg3 = expm(0.5j * params.delta * gens.g3)
+    left = eg2_1 @ eg3 @ expm(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1
+    return left, expm(1j * params.gamma * gens.g3)
 
 
 def compress_identity(params: CircuitParams, gens: Su11Generators) -> Operator:
@@ -288,17 +295,7 @@ def compress_identity(params: CircuitParams, gens: Su11Generators) -> Operator:
     working ladder it was composed on (see fock.compress_product)."""
     if gens.layout is None:
         raise ValueError("compress_identity needs a Fock representation")
-    modes = _squeezed_modes(gens.representation)
-    half_delta = params.delta / 2.0
-    g3 = fock.PhaseFactor(lambda n: half_delta * _g3_values(gens.representation, n))
-    factors = (
-        fock.PairSqueeze(modes, params.theta1),
-        g3,
-        fock.PairSqueeze(modes, params.theta2),
-        g3,
-        fock.PairSqueeze(modes, params.theta1),
-    )
-    return fock.compress_product(gens.layout, factors)
+    return fock.compress_product(gens.layout, _left_factors(params, gens))
 
 
 def identity_residual(
@@ -318,7 +315,7 @@ def identity_residual(
     else:
         compressed = compress_identity(params, gens)
         left, work_dim, leakage = compressed.matrix, compressed.work_dim, compressed.leakage
-        right = _exp_factor(gens, params.gamma, "g3")
+        right = _right_side(params, gens)
     diff = left - right
     if block is not None and gens.layout is not None:
         idx = gens.layout.interior_indices(block, modes=range(1, gens.layout.num_modes))

@@ -123,6 +123,57 @@ class TestParameterRange:
         assert "--block" in captured.err
 
 
+def strict_json(text):
+    """json.loads that refuses the non-standard Infinity, -Infinity and NaN."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv, exit_code, row_cells, config_cells",
+        [
+            (
+                ["amplify", "--delta", "0.5", "--theta2", "inf"],
+                0,
+                {"theta2": "-inf"},
+                {"theta2": "inf"},
+            ),
+            (
+                # one ladder only: no doubling measured a change
+                ["lossy", "--dim", "20", "--max-dim", "20"],
+                3,
+                {"convergence_delta": "inf"},
+                {},
+            ),
+            (
+                ["table1", "--db-list=-inf"],
+                0,
+                {"db": "-inf", "theta2_rad": "inf", "kappa1": "inf"},
+                {},
+            ),
+        ],
+    )
+    def test_non_finite_floats_are_csv_strings(
+        self, capsys, argv, exit_code, row_cells, config_cells
+    ):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == exit_code
+        doc = strict_json(out)
+        (row,) = doc["rows"]
+        for key, cell in row_cells.items():
+            assert row[key] == cell
+        for key, cell in config_cells.items():
+            assert doc["meta"]["config"][key] == cell
+        _, csv_out = run_cli(capsys, *argv)
+        (csv_row,) = parse_csv(csv_out)
+        for key, cell in row_cells.items():
+            assert csv_row[key] == cell
+
+
 class TestTable1:
     def test_default_rows_match_published_values(self, capsys):
         code, out = run_cli(capsys, "table1")

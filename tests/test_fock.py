@@ -292,7 +292,7 @@ class TestPairSqueezer:
     @pytest.mark.parametrize("theta", [0.7, -1.3])
     def test_single_mode_matches_dense_exponential(self, mode, theta):
         layout = fock.make_layout([3, 7, 5])
-        S = fock.pair_squeezer(layout, (mode,), theta)
+        S = fock.truncated_product(layout, [fock.PairSqueeze((mode,), theta)])
         assert S.unitary
         assert np.max(np.abs(S.matrix - dense_squeezer(layout, (mode,), theta))) <= 1e-13
 
@@ -302,14 +302,64 @@ class TestPairSqueezer:
     )
     def test_two_mode_matches_dense_exponential(self, dims, modes):
         layout = fock.make_layout(dims)
-        S = fock.pair_squeezer(layout, modes, 0.8)
+        S = fock.truncated_product(layout, [fock.PairSqueeze(modes, 0.8)])
         assert S.unitary
         assert np.max(np.abs(S.matrix - dense_squeezer(layout, modes, 0.8))) <= 1e-13
 
-    @pytest.mark.parametrize("modes", [(1, 1), (0, 1, 2), (), (3,)])
+    @pytest.mark.parametrize("modes", [(1, 1), (0, 1, 2), (), (3,), (1, 3)])
     def test_rejects_bad_modes(self, modes):
         with pytest.raises(fock.LayoutError):
-            fock.pair_squeezer(fock.make_layout([3, 4, 4]), modes, 0.3)
+            fock.truncated_product(fock.make_layout([3, 4, 4]), [fock.PairSqueeze(modes, 0.3)])
+
+
+def dense_product(layout, factors):
+    """Dense product of the factors, factors[0] applied first: squeezers by
+    dense_squeezer, phases as explicit diagonals."""
+    n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
+    U = np.eye(layout.total_dim, dtype=complex)
+    for f in factors:
+        if isinstance(f, fock.PairSqueeze):
+            F = dense_squeezer(layout, f.modes, f.theta)
+        else:
+            F = np.diag(np.exp(1j * (f.phase(n) + np.zeros(layout.total_dim))))
+        U = F @ U
+    return U
+
+
+class TestTruncatedProduct:
+    """The sector walk on the layout's own ladders against the dense product
+    of fock.expm-built factors."""
+
+    @pytest.mark.parametrize(
+        "dims, modes",
+        [([2, 12], (1,)), ([3, 4, 6], (1, 2)), ([3, 6, 4], (2, 1))],
+    )
+    def test_matches_dense_product(self, dims, modes):
+        layout = fock.make_layout(dims)
+        factors = [
+            fock.PairSqueeze(modes, 0.6),
+            fock.PhaseFactor(lambda n: 0.4 * n[0] * n[1] - 0.15 * n[-1] ** 2 + 0.2),
+            fock.PairSqueeze(modes, -1.1),
+        ]
+        U = fock.truncated_product(layout, factors)
+        assert U.unitary and not U.diagonal
+        assert np.max(np.abs(U.matrix - dense_product(layout, factors))) <= 1e-13
+
+    def test_without_squeezer_is_diagonal_unitary(self):
+        layout = fock.make_layout([2, 5, 3])
+        factors = [
+            fock.PhaseFactor(lambda n: 0.3 * n[0] * n[1]),
+            fock.PhaseFactor(lambda n: -0.7 * n[2] + 0.1),
+        ]
+        U = fock.truncated_product(layout, factors)
+        assert U.unitary and U.diagonal
+        assert np.max(np.abs(U.matrix - dense_product(layout, factors))) <= 1e-13
+
+    def test_rejects_squeezers_on_different_modes(self):
+        layout = fock.make_layout([2, 4, 4])
+        factors = [fock.PairSqueeze((1,), 0.1), fock.PairSqueeze((1, 2), 0.1)]
+        with pytest.raises(fock.OperatorError):
+            fock.truncated_product(layout, factors)
 
 
 class TestSqrtmPsd:
@@ -508,7 +558,8 @@ class TestCompressProduct:
         U = fock.compress_product(
             layout, [fock.PhaseFactor(lambda n: 0.3 * n[0] * n[1] + 0.1)]
         )
-        phases = 0.3 * fock.number_diagonal(layout, 0) * fock.number_diagonal(layout, 1)
+        n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
+        phases = 0.3 * n[0] * n[1]
         assert np.allclose(U.matrix, np.diag(np.exp(1j * (phases + 0.1))))
         assert U.work_dim is None
 
@@ -595,8 +646,8 @@ class TestLeakageCertificate:
         layout = fock.make_layout([2, 4])
         pair = [fock.PairSqueeze((1,), 1.0), fock.PairSqueeze((1,), -1.0)]
         spectators = fock._spectators(layout, (1,))
-        blocks, leakage = fock._sector_blocks(layout, pair, (1,), spectators, 16)
-        _, first = fock._sector_blocks(layout, pair[:1], (1,), spectators, 16)
+        blocks, leakage = fock._sector_blocks(layout, pair, (1,), spectators, (16,))
+        _, first = fock._sector_blocks(layout, pair[:1], (1,), spectators, (16,))
         assert leakage == first > 1e-3
         assert max(float(np.max(np.abs(b[:, 0] - np.eye(len(b))))) for b in blocks) < 1e-12
 

@@ -214,7 +214,7 @@ class TestGeneratorsByIndex:
         layout = fock.make_layout(dims)
         b = fock.annihilation(layout, 1).matrix
         A = b @ b / 2 if rep == "fock-single" else b @ fock.annihilation(layout, 2).matrix
-        z = 2.0 * fock.number_diagonal(layout, 0) - 1.0
+        z = 2.0 * np.unravel_index(np.arange(layout.total_dim), layout.dims)[0] - 1.0
         g = su11.generators(layout, rep)
         assert np.max(np.abs(g.g1 - (A + A.conj().T) @ np.diag(z))) < 1e-14
         assert np.max(np.abs(g.g2 - 1j * (A - A.conj().T))) < 1e-14
@@ -266,15 +266,33 @@ class TestVerifyIdentity:
     def test_collinear_squeezes_cancel(self):
         # delta -> 0 with theta2 = -2 theta1: squeeze parameters add to zero
         layout = fock.make_layout([2, 40])
-        g = su11.generators(layout, "fock-single")
         th = 0.3
-        left = (
-            su11._exp_factor(g, th, "g2")
-            @ su11._exp_factor(g, -2 * th, "g2")
-            @ su11._exp_factor(g, th, "g2")
-        )
+        squeezes = [fock.PairSqueeze((1,), t) for t in (th, -2 * th, th)]
+        left = fock.truncated_product(layout, squeezes).matrix
         idx = layout.interior_indices(10, modes=[1])
         assert np.max(np.abs((left - np.eye(80))[np.ix_(idx, idx)])) < 1e-10
+
+
+class TestIdentityFactors:
+    @pytest.mark.parametrize(
+        "rep, dims", [("fock-single", [2, 14]), ("fock-two-mode", [2, 6, 6])]
+    )
+    def test_fock_left_side_matches_dense_factors(self, rep, dims):
+        # the five factors exponentiated densely (fock.expm) and multiplied
+        # in the identity's order
+        p = su11.solve_params(0.5, 0.4)
+        layout = fock.make_layout(dims)
+        g = su11.generators(layout, rep)
+
+        def factor(coeff, gen):
+            return fock.expm(fock.Operator(layout, 1j * coeff * gen)).matrix
+
+        eg2_1 = factor(p.theta1, g.g2)
+        eg3 = factor(p.delta / 2.0, g.g3)
+        want = eg2_1 @ eg3 @ factor(p.theta2, g.g2) @ eg3 @ eg2_1
+        left, right = su11.identity_factors(p, g)
+        assert np.max(np.abs(left - want)) <= 1e-13
+        assert np.max(np.abs(right - factor(p.gamma, g.g3))) <= 1e-13
 
 
 class TestMatrixDerivation:
