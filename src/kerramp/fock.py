@@ -522,42 +522,44 @@ def _numbers(num_modes: int, modes, numbers, spectators: dict) -> list:
     return n
 
 
-def _place_blocks(layout: ModeLayout, modes, spectators: dict, sectors, blocks):
-    """Full matrix holding each sector's (inside, S, inside) block at the
-    sector's states inside the layout; S = 1 broadcasts one block over every
-    spectator value."""
+def _place_blocks(layout: ModeLayout, modes, spectators: dict, walked):
+    """Full matrix holding each walked sector's (inside, S, inside) block at
+    the sector's states inside the layout; S = 1 broadcasts one block over
+    every spectator value."""
     U = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for (_, inside, numbers, _), block in zip(sectors, blocks):
-        n = _numbers(layout.num_modes, modes, [nj[:inside] for nj in numbers], spectators)
+    for states, block in walked:
+        n = _numbers(layout.num_modes, modes, states, spectators)
         idx = np.ravel_multi_index(np.broadcast_arrays(*n), layout.dims)
         U[idx[:, :, None], idx.T[None, :, :]] = block
     return U
 
 
-def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
+def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work, leakage=True):
     """Blocks of the factor product on the working ladders `work` (one
-    length per squeezed mode), and their leakage.
+    length per squeezed mode), and their leakage (0.0 with leakage=False).
 
-    One (inside, S, inside) array per sector, S running over the spectator
-    (unsqueezed) modes' Fock indices, or S = 1 while no phase factor has
-    told them apart; only the sector's columns inside the layout's box are
-    propagated.  Each ladder's eigenbasis serves every squeezer and
-    spectator value of its sectors.  The leakage is the largest 2-norm a
-    propagated column puts on the ladder's top tenth (a Fock index of at
-    least TAIL_FRACTION * work on a squeezed mode, a contiguous tail of the
-    sector ladder) at the end of any squeezer.  Along one squeezer a
-    column's mean photon number is a cosh-sinh combination of the squeeze
-    parameter, so its spread peaks at a stage boundary; a later squeezer
-    may pull it back, hence the maximum over stages.
+    Returns (walked, leakage), walked holding per sector its states inside
+    the layout's box (the Fock indices of each squeezed mode) and its
+    (inside, S, inside) block, S running over the spectator (unsqueezed)
+    modes' Fock indices, or S = 1 while no phase factor has told them
+    apart; only the sector's columns inside the box are propagated.  Each
+    ladder's eigenbasis serves every squeezer and spectator value of its
+    sectors.  The leakage is the largest 2-norm a propagated column puts on
+    the ladder's top tenth (a Fock index of at least TAIL_FRACTION * work on
+    a squeezed mode, a contiguous tail of the sector ladder) at the end of
+    any squeezer.  Along one squeezer a column's mean photon number is a
+    cosh-sinh combination of the squeeze parameter, so its spread peaks at a
+    stage boundary; a later squeezer may pull it back, hence the maximum
+    over stages.
     """
     n_spec = math.prod(layout.dims[j] for j in spectators)
     box = tuple(layout.dims[m] for m in modes)
     edge = [tail_index(w) for w in work]
-    eig_key, blocks, leakage = None, [], 0.0
+    eig_key, walked, worst = None, [], 0.0
     for key, inside, numbers, coupling in _sectors(box, work):
         size = len(numbers[0])
-        # first state past the edge on any squeezed mode; the top one at least
-        tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
+        if leakage:  # first state past the edge on any squeezed mode; the top one at least
+            tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
         n = _numbers(layout.num_modes, modes, numbers, spectators)
         V = np.eye(size, inside, dtype=complex)[:, None]
         for f in factors:
@@ -568,9 +570,10 @@ def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
             if key != eig_key:
                 eig, eig_key = _ladder_eig(coupling), key
             V = _ladder_exp(eig, f.theta, V)
-            leakage = max(leakage, float(np.linalg.norm(V[tail:], axis=0).max()))
-        blocks.append(V[:inside])
-    return blocks, leakage
+            if leakage:
+                worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
+        walked.append(([nj[:inside] for nj in numbers], V[:inside]))
+    return walked, worst
 
 
 def _squeezed_modes(layout: ModeLayout, factors):
@@ -606,9 +609,8 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
         return diagonal_unitary(layout, phase)
     box = tuple(layout.dims[m] for m in modes)
     spectators = _spectators(layout, modes)
-    blocks, _ = _sector_blocks(layout, factors, modes, spectators, box)
-    U = _place_blocks(layout, modes, spectators, _sectors(box, box), blocks)
-    return Operator(layout, U, unitary=True)
+    walked, _ = _sector_blocks(layout, factors, modes, spectators, box, leakage=False)
+    return Operator(layout, _place_blocks(layout, modes, spectators, walked), unitary=True)
 
 
 def compress_product(layout: ModeLayout, factors) -> Operator:
@@ -639,12 +641,11 @@ def compress_product(layout: ModeLayout, factors) -> Operator:
         tol=SETTLE_TOL,
         distance=lambda new, old: new[1],
     )
-    blocks, leakage = settled.value
+    walked, leakage = settled.value
     if not settled.converged:
         raise TruncationError(
             f"compression did not settle by working ladder {settled.dim}: "
             f"leakage {leakage:.2e} >= tol {SETTLE_TOL:.0e}"
         )
-    box = (dim,) * len(modes)
-    U = _place_blocks(layout, modes, spectators, _sectors(box, box), blocks)
+    U = _place_blocks(layout, modes, spectators, walked)
     return Operator(layout, U, work_dim=settled.dim, leakage=leakage)

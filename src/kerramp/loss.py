@@ -10,9 +10,26 @@ SPLITTERS_AFTER_GATE lists for the gate's position in the plan.
 With the ancilla in vacuum, the attach-evolve-trace step is amplitude
 damping, whose Kraus operators have the closed form
 E_k |n> = sqrt(C(n, k) R^k (1 - R)^(n - k)) |n - k>
-(Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  The channel is applied
-as k-shifted, weighted slices of the density matrix reshaped around the
-lost mode, without building the extended space or any Kraus matrix.
+(Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)), that is
+E_k = sqrt(R^k / k!) T a^k with T = (1 - R)^(n / 2).
+
+The channel sum_k E_k rho E_k† is applied as one real matrix product,
+without building the extended space or any Kraus matrix.  With the plain
+shift S |n> = |n - 1> and G = diag(g_n), g_n = sqrt(n!) lambda^n, the
+lowering operator is a = lambda^-1 G^-1 S G, so
+sum_k (R^k / k!) a^k rho a†^k = G^-1 [sum_k f_k S^k (G rho G) S†^k] G^-1,
+f_k = (R / lambda^2)^k / k!: a Toeplitz sum along the diagonals of G rho G.
+Skewing its upper diagonals into columns, Q[j, delta] = (G rho G)[j, j + delta],
+makes the whole sum one product F @ Q over the lost mode's ladder, batched
+over the modes before it, F being the upper-triangular Toeplitz matrix of
+f.  Moving the row scale (T G^-1)^2 and the summed index's G^2 into F makes
+it F[m, m + k] = w_k[m]^2 = C(m + k, k) R^k (1 - R)^m, and leaves ratios:
+Q[j, delta] = rho[j, j + delta] g_{j+delta} / g_j before the product and
+(1 - R)^(delta / 2) g_m / g_{m+delta} on out[m, m + delta] after it.  The
+real F acts on the real and imaginary parts at once.  Hermiticity gives the
+lower triangle: the m = m' blocks are halved and out = U + U†.  With
+lambda^2 = e / d every ratio stays within exp(+-d / 2e) on a d-level
+ladder, inside the float range up to MAX_LOSS_LADDER levels.
 """
 
 from __future__ import annotations
@@ -38,6 +55,12 @@ SPLITTERS_AFTER_GATE = {
     5: (("R4", 1), ("R4p", 0)),  # K
     6: (("R5", 1),),  # S1
 }
+
+
+# Largest lost-mode ladder apply_mode_loss takes: its scales reach
+# exp(d / 2e), exp(552) at d = 3000, and everything it sums or drops must
+# stay far enough inside the float range (exp(+-709)) to cost no digits.
+MAX_LOSS_LADDER = 3000
 
 
 class ReflectanceError(ValueError):
@@ -109,28 +132,14 @@ def beam_splitter(
     return fock.expm(gen)
 
 
-def _damping_weights(dim: int, reflectance: float):
-    """Rows w_k[m] = sqrt(C(m + k, k) R^k (1 - R)^m), m < dim - k, for k < dim.
-
-    Computed in log space, since the binomials overflow a float past n ~ 1030.
-    """
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    log_r = math.log(reflectance)
-    with np.errstate(divide="ignore"):
-        log_t = np.log1p(-reflectance)  # -inf at R = 1
-    for k in range(dim):
-        m = np.arange(dim - k)
-        m_log_t = np.multiply(m, log_t, out=np.zeros(dim - k), where=m > 0)  # 0 log 0 = 0
-        log_w2 = log_fact[k:] - log_fact[k] - log_fact[: dim - k] + k * log_r + m_log_t
-        yield np.exp(0.5 * log_w2)
-
-
 def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> DensityMatrix:
     """Vacuum beam-splitter loss channel on one mode of a multimode state.
 
     out[.., m, .., m', ..] = sum_k w_k[m] w_k[m'] rho[.., m + k, .., m' + k, ..]
     on the lost mode's indices, with w_k from the amplitude-damping Kraus
-    operators E_k |m + k> = w_k[m] |m>.
+    operators E_k |m + k> = w_k[m] |m>.  Computed as one real matrix product
+    along the diagonals of the rescaled state (module docstring); a lost
+    mode above MAX_LOSS_LADDER levels raises fock.TruncationError.
     """
     rho.layout.check_mode(mode)
     _check_reflectance(reflectance)
@@ -138,16 +147,50 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
         return rho
     dims = rho.layout.dims
     d = dims[mode]
-    shape = (math.prod(dims[:mode]), d, math.prod(dims[mode + 1 :]))
-    r = rho.matrix.reshape(shape + shape)
-    out = np.zeros_like(r)
-    for k, w in enumerate(_damping_weights(d, reflectance)):
-        m = d - k
-        ww = np.outer(w, w).reshape(1, m, 1, 1, m, 1)
-        out[:, :m, :, :, :m, :] += ww * r[:, k:, :, :, k:, :]
-    out = out.reshape(rho.matrix.shape)
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(rho.layout, out, validate=False)
+    if d > MAX_LOSS_LADDER:
+        raise fock.TruncationError(
+            f"lost mode's ladder {d} exceeds {MAX_LOSS_LADDER}, the largest whose "
+            "loss rescaling stays in float range"
+        )
+    pre, post = math.prod(dims[:mode]), math.prod(dims[mode + 1 :])
+    r = rho.matrix.reshape(pre, d, post, pre, d, post)
+    n = np.arange(d)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    # g_n = sqrt(n!) lambda^n with lambda^2 = e / d, centred: |log g_n| <~ d / 4e
+    g = np.exp(0.5 * (log_fact + n * (1.0 - math.log(d))) + d / (4 * math.e))
+    with np.errstate(divide="ignore"):
+        log_t = np.log1p(-reflectance)  # -inf at R = 1
+    n_log_t = np.multiply(n, log_t, out=np.zeros(d), where=n > 0)  # 0 log 0 = 0
+    # F[m, m + k] = w_k[m]^2 = C(m + k, k) R^k (1 - R)^m, built in log space
+    # in one d x d buffer: the k-dependent part is a Toeplitz view, -inf below
+    # the diagonal
+    log_c = np.concatenate((np.full(d - 1, -np.inf), n * math.log(reflectance) - log_fact))
+    F = np.add.outer(n_log_t - log_fact, log_fact)
+    F += np.lib.stride_tricks.sliding_window_view(log_c, d)[::-1]
+    np.exp(F, out=F)
+    # skew: buf[.., j, .., delta, ..] = rho[.., j, .., j + delta, ..] g_{j+delta} / g_j
+    buf = np.zeros(r.shape, dtype=complex)
+    for j in range(d):
+        np.multiply(
+            r[:, j, :, :, j:, :], (g[j:] / g[j])[:, None], out=buf[:, j, :, :, : d - j, :]
+        )
+    x = np.matmul(F, buf.view(float).reshape(pre, d, -1)).view(complex).reshape(r.shape)
+    del F
+    # unskew into the upper triangle U, its m = m' blocks halved; out = U + U†
+    half = np.exp(0.5 * n_log_t)
+    half[0] = 0.5
+    buf[...] = 0.0
+    for m in range(d):
+        np.multiply(
+            x[:, m, :, :, : d - m, :],
+            (g[m] * half[: d - m] / g[m:])[:, None],
+            out=buf[:, m, :, :, m:, :],
+        )
+    del x
+    upper = buf.reshape(rho.matrix.shape)
+    lower = upper.T.copy()  # a C-order copy: the sum below reads both in order
+    upper += np.conjugate(lower, out=lower)
+    return DensityMatrix(rho.layout, upper, validate=False)
 
 
 def lossy_stage(rho: DensityMatrix, unitary: Operator | None, loss_modes) -> DensityMatrix:

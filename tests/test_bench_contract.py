@@ -1,10 +1,12 @@
 """The benchmark's calls into kerramp, on small layouts.
 
 bench/worker.py builds the truncation-headroom circuits through kerramp's
-public functions, and bench/tracer.py patches some of kerramp's attributes
-by name.  A rename that breaks either would otherwise show only when the
-benchmark runs; these tests load the bench scripts by path and run the
-same calls.
+public functions, runs the lossy workloads through the CLI with an observer
+on loss.run_lossy_amplifier, and bench/tracer.py patches some of kerramp's
+attributes by name.  A rename that breaks any of these, or a numerical
+change that breaks a workload's gate, would otherwise show only when the
+benchmark runs; these tests load the bench scripts by path and run the same
+calls.
 """
 
 import importlib.util
@@ -66,6 +68,23 @@ def test_headroom_ops_pass_their_gates(bench):
     for op in ops:
         out = worker._headroom(mods, op)
         assert worker._gate(op, out, None) == [], op["label"]
+
+
+def test_lossy_ops_pass_their_gates(bench, monkeypatch):
+    # lossy-strong's op and lossy-sweep's anchored ops, the ones with a
+    # target fidelity; the drawn ops have no target to miss
+    worker, run = bench
+    _, mods = worker._setup()
+    loss = mods["loss"]
+    monkeypatch.setattr(loss, "run_lossy_amplifier", loss.run_lossy_amplifier)
+    observer = worker.LossyObserver(loss)
+    anchored = [op for op in run.lossy_sweep(seed=1) if "target" in op["gate"]]
+    assert len(anchored) == 12
+    for op in run.lossy_strong(seed=1) + anchored:
+        out = worker._run_cli(mods["cli"], op["argv"])
+        (report,) = observer.reports
+        assert worker._gate(op, out, report) == [], op["label"]
+        observer.reports.clear()
 
 
 def test_tracer_finds_its_patched_attributes(bench, monkeypatch):

@@ -628,7 +628,7 @@ class TestLeakageCertificate:
         assert U.work_dim >= 2 * dims[1]
         gap = max(
             float(np.max(np.abs(a - b)))
-            for a, b in zip(next_doubling["certified"], next_doubling["doubled"])
+            for (_, a), (_, b) in zip(next_doubling["certified"], next_doubling["doubled"])
         )
         assert gap < 1e-12
 
@@ -646,10 +646,10 @@ class TestLeakageCertificate:
         layout = fock.make_layout([2, 4])
         pair = [fock.PairSqueeze((1,), 1.0), fock.PairSqueeze((1,), -1.0)]
         spectators = fock._spectators(layout, (1,))
-        blocks, leakage = fock._sector_blocks(layout, pair, (1,), spectators, (16,))
+        walked, leakage = fock._sector_blocks(layout, pair, (1,), spectators, (16,))
         _, first = fock._sector_blocks(layout, pair[:1], (1,), spectators, (16,))
         assert leakage == first > 1e-3
-        assert max(float(np.max(np.abs(b[:, 0] - np.eye(len(b))))) for b in blocks) < 1e-12
+        assert max(float(np.max(np.abs(b[:, 0] - np.eye(len(b))))) for _, b in walked) < 1e-12
 
     def test_cap_names_the_leakage(self):
         layout = fock.make_layout([2, 4])

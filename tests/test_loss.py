@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
+from scipy.stats import binom
 
 from kerramp import circuits, fock, loss, su11
 
@@ -39,6 +41,40 @@ def lindblad_euler_oracle(rho_mat, t, dt=1e-4):
     for _ in range(steps):
         rho = rho + dt * (b @ rho @ b.conj().T - 0.5 * (n @ rho + rho @ n))
     return rho
+
+
+def slice_loop_oracle(rho_mat, dims, mode, R):
+    """The per-k slice loop apply_mode_loss ran before its matrix-product
+    kernel (reference implementation).
+
+    For each k the k-shifted slice of rho, reshaped around the lost mode, is
+    added with weights w_k[m] w_k[m'], w_k[m] = sqrt(C(m + k, k) R^k (1 - R)^m)
+    computed in log space; the sum is then symmetrised.
+    """
+    d = dims[mode]
+    shape = (math.prod(dims[:mode]), d, math.prod(dims[mode + 1 :]))
+    r = rho_mat.reshape(shape + shape)
+    out = np.zeros_like(r)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, d)))))
+    with np.errstate(divide="ignore"):
+        log_t = np.log1p(-R)  # -inf at R = 1
+    for k in range(d):
+        m = np.arange(d - k)
+        m_log_t = np.multiply(m, log_t, out=np.zeros(d - k), where=m > 0)  # 0 log 0 = 0
+        w = np.exp(
+            0.5 * (log_fact[k:] - log_fact[k] - log_fact[: d - k] + k * math.log(R) + m_log_t)
+        )
+        ww = np.outer(w, w).reshape(1, d - k, 1, 1, d - k, 1)
+        out[:, : d - k, :, :, : d - k, :] += ww * r[:, k:, :, :, k:, :]
+    out = out.reshape(rho_mat.shape)
+    return (out + out.conj().T) / 2
+
+
+def coherent_amplitudes(dim, mean_photons, phase):
+    """<n|alpha> for |alpha|^2 = mean_photons, arg alpha = phase, n < dim."""
+    n = np.arange(dim)
+    log_abs = 0.5 * (n * math.log(mean_photons) - gammaln(n + 1) - mean_photons)
+    return np.exp(log_abs + 1j * phase * n)
 
 
 def random_density(rng, layout):
@@ -149,6 +185,53 @@ class TestLossChannel:
                 M = np.kron(np.kron(np.eye(3), K), np.eye(4))
                 want += M @ rho.matrix @ M.conj().T
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestLossKernel:
+    """apply_mode_loss's matrix-product kernel against the slice loop it
+    replaced, and on ladders where its rescaling nears the float range."""
+
+    REFLECTANCES = (1e-9, 0.03, 0.1, 0.5, 0.9, 1.0)
+
+    @pytest.mark.parametrize(
+        "dims, mode", [([2, 160], 1), ([2, 160], 0), ([3, 40, 4], 1), ([320], 0)]
+    )
+    def test_matches_slice_loop(self, dims, mode):
+        rng = np.random.default_rng(39)
+        layout = fock.make_layout(dims)
+        rho = random_density(rng, layout)
+        for R in self.REFLECTANCES:
+            got = loss.apply_mode_loss(rho, mode, R).matrix
+            want = slice_loop_oracle(rho.matrix, dims, mode, R)
+            assert np.max(np.abs(got - want)) <= 1e-14, R
+            assert np.array_equal(got, got.conj().T), R
+            assert abs(np.trace(got) - 1.0) <= 1e-12, R
+
+    @pytest.mark.parametrize("R", [1e-9, 0.9, 1.0])
+    def test_long_ladder_matches_closed_form(self, R):
+        # (|alpha><alpha| + |d-1><d-1|) / 2: loss maps the coherent state to
+        # |alpha sqrt(1 - R)> and the top Fock state to a binomial mixture
+        d, mean, phase = 1280, 576.0, 0.3
+        alpha = coherent_amplitudes(d, mean, phase)
+        rho = 0.5 * np.outer(alpha, alpha.conj())
+        rho[d - 1, d - 1] += 0.5
+        layout = fock.make_layout([d])
+        got = loss.apply_mode_loss(fock.DensityMatrix(layout, rho, validate=False), 0, R).matrix
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, got.conj().T)
+        assert abs(np.trace(got) - 1.0) <= 1e-10
+        kept = coherent_amplitudes(d, mean * (1.0 - R), phase) if R < 1 else np.eye(d)[0]
+        want = 0.5 * np.outer(kept, kept.conj())
+        want[np.diag_indices(d)] += 0.5 * binom.pmf(np.arange(d), d - 1, 1.0 - R)
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_ladder_past_the_float_range_is_refused(self):
+        d = loss.MAX_LOSS_LADDER + 1
+        layout = fock.make_layout([d])
+        zero = np.broadcast_to(np.complex128(0.0), (d, d))  # no N^2 allocation
+        rho = fock.DensityMatrix(layout, zero, validate=False)
+        with pytest.raises(fock.TruncationError, match=f"ladder {d} exceeds"):
+            loss.apply_mode_loss(rho, 0, 0.1)
 
 
 class TestLossyStage:
