@@ -89,7 +89,6 @@ class CircuitPlan:
 
     layout: ModeLayout
     gates: tuple[Gate, ...]
-    params: CircuitParams
 
 
 def squeeze_single(layout: ModeLayout, mode: int, theta: float) -> Operator:
@@ -179,50 +178,33 @@ def compress(plan: CircuitPlan) -> Operator:
     result's work_dim), the leakage that certifies it and the cap.  A SWAP
     maps the layout's box onto itself, so every SWAP is moved to the end of
     the circuit, relabelling the modes of the gates it passes, and applied
-    to the compression.
+    to the compression as one relabelling of its rows.
     """
     layout = plan.layout
     where = list(range(layout.num_modes))  # gate mode -> mode after pending swaps
-    swaps, factors = [], []
+    factors = []
     for gate in plan.gates:
         if isinstance(gate, Swap):
             _check_swap(layout, gate.mode_b, gate.mode_c)
-            swaps.append(gate)
             where[gate.mode_b], where[gate.mode_c] = where[gate.mode_c], where[gate.mode_b]
         else:
             factors.append(_factor(layout, gate, tuple(where)))
     U = fock.compress_product(layout, factors)
     if where != list(range(layout.num_modes)):
-        M = U.matrix
-        for gate in swaps:
-            M = swap(layout, gate.mode_b, gate.mode_c).matrix @ M
-        U = replace(U, matrix=M)
+        rows = U.matrix.reshape(layout.dims + (-1,)).transpose(where + [layout.num_modes])
+        U = replace(U, matrix=rows.reshape(U.matrix.shape))
     return U
-
-
-def beta_prime_two_mode(params: CircuitParams):
-    """Coefficients of the outer phase shifter P' = exp(-i beta'),
-    beta' = (gamma - delta)(n_a - 1/2) - gamma n_b."""
-    g, d = params.gamma, params.delta
-    return {0: g - d, 1: -g}, -(g - d) / 2.0
-
-
-def beta_prime_three_mode(params: CircuitParams):
-    """P' coefficients for the three-mode circuit:
-    beta' = 2(gamma - delta)(n_a - 1/2) - gamma (n_b + n_c)."""
-    g, d = params.gamma, params.delta
-    return {0: 2.0 * (g - d), 1: -g, 2: -g}, -(g - d)
 
 
 def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:
     """Two-mode amplifier P' S1 K(d) P S2 P K(d) S1 as a plan; gates[0] = S1
-    acts first, with P = exp(-i (d/2) n_b) and P' from beta_prime_two_mode."""
+    acts first, with P = exp(-i (d/2) n_b) and the outer phase shifter
+    P' = exp(-i beta'), beta' = (gamma - delta)(n_a - 1/2) - gamma n_b."""
     if layout.num_modes != 2 or layout.dims[0] != 2:
         raise fock.LayoutError(
             "two-mode amplifier needs layout (a: 2, b: D), got " + str(layout.dims)
         )
-    d = params.delta
-    pp_coeffs, pp_const = beta_prime_two_mode(params)
+    g, d = params.gamma, params.delta
     gates = (
         SqueezeSingle(1, params.theta1),
         Kerr(0, 1, d),
@@ -231,9 +213,42 @@ def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:
         PhaseShift(((1, d / 2.0),)),
         Kerr(0, 1, d),
         SqueezeSingle(1, params.theta1),
-        PhaseShift(tuple(pp_coeffs.items()), pp_const),
+        PhaseShift(((0, g - d), (1, -g)), -(g - d) / 2.0),
     )
-    return CircuitPlan(layout, gates, params)
+    return CircuitPlan(layout, gates)
+
+
+def three_mode_plan(
+    params: CircuitParams, layout: ModeLayout, use_swap_decomposition: bool = False
+) -> CircuitPlan:
+    """Three-mode amplifier based on two-mode squeezing as a plan: the
+    squeezers S(theta1) S(theta2) S(theta1) on bc interleaved with the
+    Kerr-and-phase factors K_aj(d) exp(-i (d/2) n_j) on ac, then ab, and the
+    outer phase shifter P' = exp(-i beta'),
+    beta' = 2(gamma - delta)(n_a - 1/2) - gamma (n_b + n_c).
+    With use_swap_decomposition, every K_ac is realized as SWAP_bc K_ab SWAP_bc.
+    """
+    if layout.num_modes != 3 or layout.dims[0] != 2 or layout.dims[1] != layout.dims[2]:
+        raise fock.LayoutError(
+            "three-mode amplifier needs layout (a: 2, b: D, c: D), got "
+            + str(layout.dims)
+        )
+    g, d = params.gamma, params.delta
+    # e^{i (d/2)(2 n_a n_j - n_j)} = K_aj(d) exp(-i (d/2) n_j)
+    if use_swap_decomposition:
+        kerr_c = (Swap(1, 2), Kerr(0, 1, d), Swap(1, 2))
+    else:
+        kerr_c = (Kerr(0, 2, d),)
+    kerr_ps = (*kerr_c, PhaseShift(((2, d / 2.0),)), Kerr(0, 1, d), PhaseShift(((1, d / 2.0),)))
+    gates = (
+        SqueezeTwoMode(1, 2, params.theta1),
+        *kerr_ps,
+        SqueezeTwoMode(1, 2, params.theta2),
+        *kerr_ps,
+        SqueezeTwoMode(1, 2, params.theta1),
+        PhaseShift(((0, 2.0 * (g - d)), (1, -g), (2, -g)), -(g - d)),
+    )
+    return CircuitPlan(layout, gates)
 
 
 def build_two_mode_amplifier(params: CircuitParams, layout: ModeLayout):
@@ -252,49 +267,16 @@ def build_two_mode_amplifier(params: CircuitParams, layout: ModeLayout):
 def build_three_mode_amplifier(
     params: CircuitParams, layout: ModeLayout, use_swap_decomposition: bool = False
 ):
-    """Three-mode amplifier based on two-mode squeezing.
+    """Three-mode amplifier (three_mode_plan) and its equivalent amplified
+    Kerr unitary K_ab(2 gamma) K_ac(2 gamma).
 
-    lhs = compress(plan) is the compression of the untruncated seven-factor
-    product (squeezers interleaved with Kerr-and-phase factors on ab and ac)
-    together with the outer phase shifter; rhs is the pair of amplified Kerr
-    gates K_ab(2g) K_ac(2g).
-    With use_swap_decomposition, every K_ac factor is realized as
-    SWAP_bc K_ab SWAP_bc.
+    Returns (plan, lhs, rhs); lhs = compress(plan) is the compression of
+    the untruncated circuit to the layout, rhs the pair of amplified Kerr
+    gates as one diagonal, which lhs must equal on the interior block.
     """
-    if layout.num_modes != 3 or layout.dims[0] != 2 or layout.dims[1] != layout.dims[2]:
-        raise fock.LayoutError(
-            "three-mode amplifier needs layout (a: 2, b: D, c: D), got "
-            + str(layout.dims)
-        )
-    d = params.delta
-
-    def kerr_ps(signal_mode):
-        # e^{i (d/2)(2 n_a n_j - n_j)} = K_aj(d) * exp(-i (d/2) n_j)
-        if use_swap_decomposition and signal_mode == 2:
-            return (
-                Swap(1, 2),
-                Kerr(0, 1, d),
-                Swap(1, 2),
-                PhaseShift(((signal_mode, d / 2.0),)),
-            )
-        return (
-            Kerr(0, signal_mode, d),
-            PhaseShift(((signal_mode, d / 2.0),)),
-        )
-
-    pp_coeffs, pp_const = beta_prime_three_mode(params)
-    gates = (
-        SqueezeTwoMode(1, 2, params.theta1),
-        *kerr_ps(2),
-        *kerr_ps(1),
-        SqueezeTwoMode(1, 2, params.theta2),
-        *kerr_ps(2),
-        *kerr_ps(1),
-        SqueezeTwoMode(1, 2, params.theta1),
-        PhaseShift(tuple(pp_coeffs.items()), pp_const),
-    )
-    plan = CircuitPlan(layout, gates, params)
-    rhs = kerr(layout, 0, 1, params.dphi_amp) @ kerr(layout, 0, 2, params.dphi_amp)
+    plan = three_mode_plan(params, layout, use_swap_decomposition)
+    g2 = params.dphi_amp
+    rhs = compress(CircuitPlan(layout, (Kerr(0, 1, g2), Kerr(0, 2, g2))))
     return plan, compress(plan), rhs
 
 
@@ -306,8 +288,8 @@ def equivalence_residual(lhs: Operator, rhs: Operator, block: int) -> float:
     """
     layout = lhs.layout
     idx = layout.interior_indices(block, modes=range(1, layout.num_modes))
-    diff = (lhs.matrix - rhs.matrix)[np.ix_(idx, idx)]
-    return float(np.max(np.abs(diff)))
+    block_ix = np.ix_(idx, idx)
+    return float(np.max(np.abs(lhs.matrix[block_ix] - rhs.matrix[block_ix])))
 
 
 def conditional_phase(U: Operator, n_b: int = 1) -> float:

@@ -11,7 +11,7 @@ therefore builds a product of truncated squeezers and diagonal phases
 sector by sector: each parity or index-difference ladder is a real
 tridiagonal generator, exponentiated by its own small eigendecomposition,
 and the product's blocks are placed in the full matrix by index arithmetic.
-Operators flagged diagonal are multiplied and conjugated elementwise.
+States are conjugated elementwise by operators flagged diagonal.
 :func:`expm`, the dense eigendecomposition on the full space, stays as the
 oracle for these products and for the beam splitter.
 
@@ -157,15 +157,9 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         if other.layout != self.layout:
             raise OperatorError("layout mismatch in operator product")
-        if self.diagonal:  # scale the rows of other
-            product = np.diagonal(self.matrix)[:, None] * other.matrix
-        elif other.diagonal:  # scale the columns of self
-            product = self.matrix * np.diagonal(other.matrix)
-        else:
-            product = self.matrix @ other.matrix
         return Operator(
             self.layout,
-            product,
+            self.matrix @ other.matrix,
             unitary=self.unitary and other.unitary,
             diagonal=self.diagonal and other.diagonal,
         )
@@ -291,8 +285,10 @@ def diagonal_unitary(layout: ModeLayout, phases: np.ndarray) -> Operator:
 
 
 def evolve(rho: DensityMatrix, U: Operator, validate: bool = True) -> DensityMatrix:
-    """Unitary conjugation U rho U†, re-symmetrized; elementwise,
-    u_i rho_ij conj(u_j), when U is flagged diagonal."""
+    """Unitary conjugation U rho U†; elementwise, u_i rho_ij conj(u_j), when
+    U is flagged diagonal.  The result is Hermitian up to round-off and is
+    not re-symmetrized: apply_mode_loss and fidelity symmetrize what they
+    read."""
     if U.layout != rho.layout:
         raise OperatorError("layout mismatch between state and unitary")
     if not U.unitary:
@@ -302,11 +298,10 @@ def evolve(rho: DensityMatrix, U: Operator, validate: bool = True) -> DensityMat
         out = u[:, None] * rho.matrix * u.conj()
     else:
         out = U.matrix @ rho.matrix @ U.dag
-    out = (out + out.conj().T) / 2
     return DensityMatrix(rho.layout, out, validate=validate)
 
 
-def partial_trace(rho: DensityMatrix, keep, validate: bool = True) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state over the kept modes (order preserved as given)."""
     keep = list(keep)
     if len(keep) == 0:
@@ -316,27 +311,14 @@ def partial_trace(rho: DensityMatrix, keep, validate: bool = True) -> DensityMat
     if len(set(keep)) != len(keep):
         raise LayoutError("duplicate modes in keep")
     dims = rho.layout.dims
-    n_modes = len(dims)
-    tensor = rho.matrix.reshape(dims + dims)
-    # einsum subscripts: traced modes share the same label on row and column
-    # sides; kept modes keep distinct labels, output ordered as requested
-    row = [0] * n_modes
-    col = [0] * n_modes
-    next_label = 0
-    for m in range(n_modes):
-        if m in keep:
-            row[m] = next_label
-            col[m] = next_label + 1
-            next_label += 2
-        else:
-            row[m] = col[m] = next_label
-            next_label += 1
-    out_labels = [row[m] for m in keep] + [col[m] for m in keep]
-    reduced_t = np.einsum(tensor, row + col, out_labels)
-    new_dims = tuple(dims[m] for m in keep)
-    d = int(np.prod(new_dims))
+    n = len(dims)
+    traced = [m for m in range(n) if m not in keep]
+    # rows (kept, traced), then columns (kept, traced): traced is summed out
+    axes = keep + traced + [n + m for m in keep] + [n + m for m in traced]
+    d, t = math.prod(dims[m] for m in keep), math.prod(dims[m] for m in traced)
+    tensor = rho.matrix.reshape(dims + dims).transpose(axes).reshape(d, t, d, t)
     return DensityMatrix(
-        make_layout(new_dims), reduced_t.reshape(d, d), validate=validate
+        make_layout([dims[m] for m in keep]), np.einsum("ijkj->ik", tensor)
     )
 
 

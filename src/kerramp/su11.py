@@ -316,11 +316,10 @@ def identity_residual(
         compressed = compress_identity(params, gens)
         left, work_dim, leakage = compressed.matrix, compressed.work_dim, compressed.leakage
         right = _right_side(params, gens)
-    diff = left - right
     if block is not None and gens.layout is not None:
         idx = gens.layout.interior_indices(block, modes=range(1, gens.layout.num_modes))
-        diff = diff[np.ix_(idx, idx)]
-    return float(np.max(np.abs(diff))), work_dim, leakage
+        left, right = left[np.ix_(idx, idx)], right[np.ix_(idx, idx)]
+    return float(np.max(np.abs(left - right))), work_dim, leakage
 
 
 def verify_identity(

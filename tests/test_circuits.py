@@ -124,10 +124,10 @@ class TestPhaseShift:
     def test_constant_is_global_phase(self):
         layout = fock.make_layout([2, 3])
         params = su11.solve_params(0.5, 0.5)
-        coeffs, const = circuits.beta_prime_two_mode(params)
-        Pp = circuits.phase_shift(layout, coeffs, const)
-        bare = circuits.phase_shift(layout, coeffs, 0.0)
-        assert np.allclose(Pp.matrix, np.exp(-1j * const) * bare.matrix)
+        p_prime = circuits.two_mode_plan(params, layout).gates[-1]
+        Pp = circuits.gate_operator(layout, p_prime)
+        bare = circuits.phase_shift(layout, p_prime.coeffs, 0.0)
+        assert np.allclose(Pp.matrix, np.exp(-1j * p_prime.constant) * bare.matrix)
 
 
 class TestSwap:
@@ -269,8 +269,7 @@ class TestGateLocality:
 class TestPlanComposition:
     def test_single_gate_plan_matches_operator(self):
         layout = fock.make_layout([2, 8])
-        params = su11.solve_params(0.5, 0.5)
-        plan = circuits.CircuitPlan(layout, (circuits.Kerr(0, 1, 0.3),), params)
+        plan = circuits.CircuitPlan(layout, (circuits.Kerr(0, 1, 0.3),))
         assert np.allclose(
             circuits.compose(plan).matrix, circuits.kerr(layout, 0, 1, 0.3).matrix
         )
@@ -279,10 +278,9 @@ class TestPlanComposition:
         # first list entry acts first: X-then-measurement ordering via a
         # squeezer followed by a number-dependent phase is order sensitive
         layout = fock.make_layout([2, 10])
-        params = su11.solve_params(0.5, 0.5)
         S = circuits.SqueezeSingle(1, 0.4)
         P = circuits.PhaseShift(((1, 0.7),))
-        plan = circuits.CircuitPlan(layout, (S, P), params)
+        plan = circuits.CircuitPlan(layout, (S, P))
         expected = (
             circuits.phase_shift(layout, {1: 0.7}).matrix
             @ circuits.squeeze_single(layout, 1, 0.4).matrix
@@ -298,7 +296,7 @@ class TestCompress:
         small = fock.make_layout([2, 6])
         plan, lhs, _ = circuits.build_two_mode_amplifier(params, small)
         big = fock.make_layout([2, lhs.work_dim])
-        full = circuits.compose(circuits.CircuitPlan(big, plan.gates, params)).matrix
+        full = circuits.compose(circuits.CircuitPlan(big, plan.gates)).matrix
         idx = [big.flat_index(small.multi_index(i)) for i in range(small.total_dim)]
         assert np.max(np.abs(full[np.ix_(idx, idx)] - lhs.matrix)) < 1e-12
 
@@ -311,22 +309,28 @@ class TestCompress:
 
     def test_trailing_swap_applies_to_compression(self):
         layout = fock.make_layout([2, 4, 4])
-        params = su11.solve_params(0.5, 0.5)
         gates = (circuits.SqueezeTwoMode(1, 2, 0.3), circuits.Kerr(0, 1, 0.5))
-        plain = circuits.compress(circuits.CircuitPlan(layout, gates, params))
+        plain = circuits.compress(circuits.CircuitPlan(layout, gates))
         swapped = circuits.compress(
-            circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),), params)
+            circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),))
         )
         W = circuits.swap(layout, 1, 2).matrix
         assert np.max(np.abs(swapped.matrix - W @ plain.matrix)) < 1e-14
+        # a three-cycle of modes tells the relabelling from its inverse,
+        # which a single transposition cannot
+        plan = circuits.CircuitPlan(
+            fock.make_layout([2, 3, 3, 3]),
+            (circuits.Kerr(0, 1, 0.3), circuits.Swap(1, 2), circuits.Swap(2, 3)),
+        )
+        want = circuits.compose(plan).matrix
+        assert np.max(np.abs(circuits.compress(plan).matrix - want)) < 1e-14
 
     def test_trailing_swap_keeps_working_ladder_and_leakage(self):
         layout = fock.make_layout([2, 4, 4])
-        params = su11.solve_params(0.5, 0.5)
         gates = (circuits.SqueezeTwoMode(1, 2, 0.3), circuits.Kerr(0, 1, 0.5))
-        plain = circuits.compress(circuits.CircuitPlan(layout, gates, params))
+        plain = circuits.compress(circuits.CircuitPlan(layout, gates))
         swapped = circuits.compress(
-            circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),), params)
+            circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),))
         )
         assert (swapped.work_dim, swapped.leakage) == (plain.work_dim, plain.leakage)
         assert plain.leakage < fock.SETTLE_TOL
@@ -350,7 +354,7 @@ class TestDiagonalGates:
     )
     def test_compress_refuses_self_kerr(self, gates):
         layout = fock.make_layout([2, 6])
-        plan = circuits.CircuitPlan(layout, gates, self.PARAMS)
+        plan = circuits.CircuitPlan(layout, gates)
         with pytest.raises(fock.LayoutError, match="two distinct modes"):
             circuits.compress(plan)
         with pytest.raises(fock.LayoutError, match="two distinct modes"):
@@ -367,7 +371,7 @@ class TestDiagonalGates:
             circuits.Swap(1, 2),
             circuits.PhaseShift(((1, -0.4),)),
         )
-        plan = circuits.CircuitPlan(layout, gates, self.PARAMS)
+        plan = circuits.CircuitPlan(layout, gates)
         expected = (
             circuits.phase_shift(layout, {1: -0.4}).matrix
             @ circuits.phase_shift(layout, {2: 0.7}, 0.2).matrix
@@ -376,9 +380,28 @@ class TestDiagonalGates:
         assert np.max(np.abs(circuits.compress(plan).matrix - expected)) < 1e-14
         assert np.max(np.abs(circuits.compose(plan).matrix - expected)) < 1e-14
 
-    def test_builder_returns_two_mode_plan(self):
-        layout = fock.make_layout([2, 8])
-        plan, _, _ = circuits.build_two_mode_amplifier(self.PARAMS, layout)
-        assert plan == circuits.two_mode_plan(self.PARAMS, layout)
-        with pytest.raises(fock.LayoutError):
-            circuits.two_mode_plan(self.PARAMS, fock.make_layout([3, 8]))
+    @pytest.mark.parametrize(
+        "build, make_plan, dims, bad_dims",
+        [
+            (
+                circuits.build_two_mode_amplifier,
+                circuits.two_mode_plan,
+                [2, 8],
+                [[3, 8]],
+            ),
+            (
+                circuits.build_three_mode_amplifier,
+                circuits.three_mode_plan,
+                [2, 5, 5],
+                [[2, 5, 6], [3, 5, 5]],
+            ),
+        ],
+        ids=["two-mode", "three-mode"],
+    )
+    def test_builder_returns_its_plan(self, build, make_plan, dims, bad_dims):
+        layout = fock.make_layout(dims)
+        plan, _, _ = build(self.PARAMS, layout)
+        assert plan == make_plan(self.PARAMS, layout)
+        for bad in bad_dims:
+            with pytest.raises(fock.LayoutError):
+                make_plan(self.PARAMS, fock.make_layout(bad))
