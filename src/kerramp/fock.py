@@ -39,7 +39,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-8
@@ -466,9 +465,27 @@ def _ladder_eig(coupling: np.ndarray):
     T equals Z (i S) Z* with Z = diag(z), z[m] = i^m, and S = Q diag(w) Q^T
     real symmetric tridiagonal, S[m, m+1] = -coupling[m]; so
     exp(theta T) = Z Q e^{i theta w} Q^T Z*.
+
+    S has a zero diagonal, so it only couples even to odd ladder positions:
+    the ladder is bipartite, and with the even positions first S is
+    [[0, B], [B^T, 0]], B[i, j] = S[2i, 2j+1] lower bidiagonal.  With
+    B = U diag(s) V^T its eigenpairs are +-s_j on (u_j, +-v_j) / sqrt(2),
+    plus, on an odd ladder, the zero mode (u, 0) of B's extra left singular
+    vector (Golub & Kahan 1965).  A half-size SVD thus replaces the
+    tridiagonal eigensolver.
     """
     size = len(coupling) + 1
-    w, Q = scipy.linalg.eigh_tridiagonal(np.zeros(size), -coupling)
+    even, half = (size + 1) // 2, size // 2  # even and odd positions
+    B = np.zeros((even, half))
+    B[np.arange(half), np.arange(half)] = -coupling[0::2]
+    B[np.arange(1, even), np.arange(even - 1)] = -coupling[1::2]
+    U, s, Vt = np.linalg.svd(B)
+    u, v = U[:, :half] / math.sqrt(2.0), Vt.T / math.sqrt(2.0)
+    Q = np.zeros((size, size))
+    Q[0::2, :half], Q[1::2, :half] = u, v
+    Q[0::2, half : 2 * half], Q[1::2, half : 2 * half] = u, -v
+    Q[0::2, 2 * half :] = U[:, half:]  # the zero mode of an odd ladder
+    w = np.concatenate([s, -s, np.zeros(size - 2 * half)])
     z = np.array([1, 1j, -1, -1j])[np.arange(size) % 4]
     return w, Q, z
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fock
 from .fock import ModeLayout, Operator
@@ -270,23 +269,38 @@ def _right_side(params: CircuitParams, gens: Su11Generators) -> np.ndarray:
     return fock.truncated_product(gens.layout, [_g3_factor(gens, params.gamma)]).matrix
 
 
+def _expm_2x2(M: np.ndarray) -> np.ndarray:
+    """exp(M) of a 2x2 matrix in closed form.
+
+    With mu = tr M / 2 and N = M - mu I, Cayley-Hamilton gives N^2 = r^2 I,
+    r^2 = -det N, so exp(M) = e^mu (cosh(r) I + sinh(r) / r N).  r is
+    imaginary for a rotation (a G3 factor) and real for a boost (a G2
+    factor); below |r| = 1e-4 sinh(r) / r takes its series 1 + r^2 / 6,
+    whose next term, r^4 / 120, is below round-off.
+    """
+    mu = np.trace(M) / 2.0
+    N = M - mu * np.eye(2)
+    r = np.sqrt(complex(N[0, 0] ** 2 + N[0, 1] * N[1, 0]))  # -det N, N traceless
+    sinhc = 1.0 + r * r / 6.0 if abs(r) < 1e-4 else np.sinh(r) / r
+    return np.exp(mu) * (np.cosh(r) * np.eye(2) + sinhc * N)
+
+
 def identity_factors(params: CircuitParams, gens: Su11Generators):
     """(left, right) sides of the five-factor identity as matrices.
 
     In the Fock representations left is the product of the factors each
     truncated to the layout (fock.truncated_product), truncation leakage
     included; see compress_identity for the compression of the exact left
-    side.  The 2x2 representation is non-Hermitian (a boost) and uses the
-    general matrix exponential.
+    side.  The 2x2 representation is non-Hermitian (a boost); its factors
+    come from the closed-form exponential _expm_2x2.
     """
     if gens.layout is not None:
         left = fock.truncated_product(gens.layout, _left_factors(params, gens))
         return left.matrix, _right_side(params, gens)
-    expm = scipy.linalg.expm
-    eg2_1 = expm(1j * params.theta1 * gens.g2)
-    eg3 = expm(0.5j * params.delta * gens.g3)
-    left = eg2_1 @ eg3 @ expm(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1
-    return left, expm(1j * params.gamma * gens.g3)
+    eg2_1 = _expm_2x2(1j * params.theta1 * gens.g2)
+    eg3 = _expm_2x2(0.5j * params.delta * gens.g3)
+    left = eg2_1 @ eg3 @ _expm_2x2(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1
+    return left, _expm_2x2(1j * params.gamma * gens.g3)
 
 
 def compress_identity(params: CircuitParams, gens: Su11Generators) -> Operator:

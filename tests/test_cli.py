@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -387,6 +391,39 @@ class TestVerify:
                 assert r["leakage"] == ""
             else:
                 assert 0.0 <= float(r["leakage"]) < 1e-12
+
+
+class TestStartup:
+    def test_commands_load_no_scipy(self):
+        # importing scipy.linalg cost about 0.3 s of every start-up.  In a
+        # fresh interpreter: amplify loads the modules, lossy and verify build
+        # ladder eigenbases, and verify exponentiates the 2x2 representation
+        script = """
+import contextlib, io, json, sys
+from kerramp import cli
+argvs = (
+    ["amplify", "--delta", "0.5", "--theta1", "0.5"],
+    ["lossy", "--format", "json"],
+    ["verify", "--format", "json"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0, 0, 0]
+        assert result["scipy"] == []
 
 
 class TestConfigFile:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kerramp import circuits, fock, loss, su11
 
@@ -282,6 +283,41 @@ class TestDiagonalOperators:
             assert np.max(np.abs(product.matrix - dense)) <= 1e-14
             assert product.diagonal == (left.diagonal and right.diagonal)
             assert product.unitary
+
+
+def ladder_coupling(kind, size):
+    """Couplings of a squeezer sector ladder with `size` states: <n|bb/2|n+2>
+    along parity p (kind ("parity", p)) or <m+a, m|bc|m+a+1, m+1> along
+    n_b - n_c = a (kind ("two-mode", a))."""
+    family, k = kind
+    m = np.arange(size - 1, dtype=float)
+    if family == "parity":
+        n = k + 2 * m
+        return 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
+    return np.sqrt((m + k + 1.0) * (m + 1.0))
+
+
+class TestLadderEig:
+    """The half-size SVD eigenbasis against the ladder matrix it decomposes
+    and against scipy's tridiagonal eigensolver."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 201])
+    @pytest.mark.parametrize(
+        "kind",
+        [("parity", 0), ("parity", 1), ("two-mode", 0), ("two-mode", 5)],
+        ids=["parity-even", "parity-odd", "two-mode-a0", "two-mode-a5"],
+    )
+    def test_rebuilds_ladder_generator(self, size, kind):
+        coupling = ladder_coupling(kind, size)
+        w, Q, z = fock._ladder_eig(coupling)
+        S = np.diag(-coupling, 1) + np.diag(-coupling, -1)
+        scale = coupling.max(initial=1.0)
+        assert w.shape == (size,) and Q.shape == (size, size)
+        assert np.max(np.abs(Q.T @ Q - np.eye(size))) <= 1e-13
+        assert np.max(np.abs((Q * w) @ Q.T - S)) <= 1e-13 * scale
+        want = scipy.linalg.eigh_tridiagonal(np.zeros(size), -coupling, eigvals_only=True)
+        assert np.max(np.abs(np.sort(w) - want)) <= 1e-13 * scale
+        assert z[0] == 1 and np.array_equal(z[1:], 1j * z[:-1])  # z[m] = i^m
 
 
 class TestPairSqueezer:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kerramp import fock, su11
 
@@ -294,6 +295,45 @@ class TestIdentityFactors:
         assert np.max(np.abs(left - want)) <= 1e-13
         assert np.max(np.abs(right - factor(p.gamma, g.g3))) <= 1e-13
 
+    @pytest.mark.parametrize("theta1", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_matrix_2x2_matches_scipy_expm(self, theta1, delta):
+        # delta = 0 lies outside solve_params' range, so the angles come from
+        # its formulas; theta1 = 0 or delta = 0 makes zero generators
+        theta2 = math.atanh(-math.cos(delta) * math.tanh(2.0 * theta1))
+        gamma = math.atan(math.tan(delta) * math.cosh(2.0 * theta1))
+        p = su11.CircuitParams(delta, theta1, theta2, gamma)
+        g = su11.generators(None, "matrix-2x2")
+        factors = [
+            1j * theta1 * g.g2,
+            0.5j * delta * g.g3,
+            1j * theta2 * g.g2,
+            1j * gamma * g.g3,
+        ]
+        for M in factors:
+            want = scipy.linalg.expm(M)
+            assert np.max(np.abs(su11._expm_2x2(M) - want)) <= 1e-14 * np.max(np.abs(want))
+        eg2_1, eg3, eg2_2, right_want = (scipy.linalg.expm(M) for M in factors)
+        left_want = eg2_1 @ eg3 @ eg2_2 @ eg3 @ eg2_1
+        left, right = su11.identity_factors(p, g)
+        # the product's round-off scales with its factors' norms, not its own
+        scale = np.max(np.abs(eg2_1)) ** 2 * np.max(np.abs(eg2_2))
+        assert np.max(np.abs(left - left_want)) <= 1e-14 * scale
+        assert np.max(np.abs(right - right_want)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.zeros((2, 2)),
+            np.array([[1.0, 1.0], [-1.0, -1.0]]),  # nilpotent: r = 0 exactly
+            1e-9 * np.array([[1.0, 2.0j], [3.0, -1.0]]),  # r inside the series
+            np.array([[0.3 + 1j, 2.0], [0.5j, -0.7]]),  # general, complex r
+        ],
+        ids=["zero", "nilpotent", "small-r", "general"],
+    )
+    def test_closed_form_2x2_exponential(self, M):
+        want = scipy.linalg.expm(M)
+        assert np.max(np.abs(su11._expm_2x2(M) - want)) <= 1e-14 * np.max(np.abs(want))
 
 class TestMatrixDerivation:
     def test_no_squeezing_limit(self):
