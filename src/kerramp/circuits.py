@@ -1,9 +1,11 @@
 """Builders for the physical gates and the amplification circuits.
 
-Gates: single- and two-mode squeezers, cross-Kerr, diagonal phase shifters,
-SWAP.  Circuits: the two-mode squeeze-Kerr-squeeze amplifier and its
-three-mode analogue built on two-mode squeezing, each returned together
-with the equivalent single amplified-Kerr unitary for verification.
+Gates: single- and two-mode squeezers (fock.PairSqueeze), cross-Kerr and
+diagonal phase shifters (phase factors with their own phase(n)), SWAP: all
+but SWAP are factors of the fock sector walk as they stand.  Circuits: the
+two-mode squeeze-Kerr-squeeze amplifier and its three-mode analogue built
+on two-mode squeezing, each returned together with the equivalent single
+amplified-Kerr unitary for verification.
 
 Two products of a plan's gates are on offer.  compose(plan) multiplies the
 gates truncated to the plan's layout; intermediate states leak past the top
@@ -27,19 +29,6 @@ import numpy as np
 from . import fock
 from .fock import ModeLayout, Operator
 from .su11 import CircuitParams
-
-
-@dataclass(frozen=True)
-class SqueezeSingle:
-    mode: int
-    theta: float
-
-
-@dataclass(frozen=True)
-class SqueezeTwoMode:
-    mode_b: int
-    mode_c: int
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,7 @@ class Swap:
     mode_c: int
 
 
-Gate = SqueezeSingle | SqueezeTwoMode | Kerr | PhaseShift | Swap
+Gate = fock.PairSqueeze | Kerr | PhaseShift | Swap
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,7 @@ class CircuitPlan:
 def squeeze_single(layout: ModeLayout, mode: int, theta: float) -> Operator:
     """Single-mode quadrature squeezer exp(-(theta/2)(b b - b† b†)),
     built per parity sector (fock.truncated_product)."""
-    return gate_operator(layout, SqueezeSingle(mode, theta))
+    return gate_operator(layout, fock.PairSqueeze((mode,), theta))
 
 
 def squeeze_two_mode(
@@ -102,7 +91,7 @@ def squeeze_two_mode(
 ) -> Operator:
     """Two-mode squeezer exp(-theta (b c - b† c†)), built per n_b - n_c
     sector (fock.truncated_product)."""
-    return gate_operator(layout, SqueezeTwoMode(mode_b, mode_c, theta))
+    return gate_operator(layout, fock.PairSqueeze((mode_b, mode_c), theta))
 
 
 def kerr(layout: ModeLayout, mode_a: int, mode_b: int, dphi: float) -> Operator:
@@ -138,29 +127,30 @@ def swap(layout: ModeLayout, mode_b: int, mode_c: int) -> Operator:
     return Operator(layout, M, unitary=True)
 
 
-def _factor(layout: ModeLayout, gate: Gate, where) -> fock.PairSqueeze | fock.PhaseFactor:
-    """A squeezer or diagonal gate as a fock factor, the gate's mode j
-    sitting at mode where[j]."""
-    if isinstance(gate, SqueezeSingle):
-        return fock.PairSqueeze((where[gate.mode],), gate.theta)
-    if isinstance(gate, SqueezeTwoMode):
-        return fock.PairSqueeze((where[gate.mode_b], where[gate.mode_c]), gate.theta)
+def _factor(layout: ModeLayout, gate: Gate, where=None):
+    """A squeezer or diagonal gate, checked, as a factor of the fock sector
+    walk; with where, its mode j is relabelled to mode where[j]."""
     if isinstance(gate, (Kerr, PhaseShift)):
         for mode in gate.modes:
             layout.check_mode(mode)
         if isinstance(gate, Kerr) and gate.mode_a == gate.mode_b:
             raise fock.LayoutError("cross-Kerr needs two distinct modes")
-        return fock.PhaseFactor(lambda n: gate.phase([n[w] for w in where]))
-    raise TypeError(f"unknown gate {gate!r}")
+        if where is not None:
+            return fock.PhaseFactor(lambda n: gate.phase([n[w] for w in where]))
+    elif isinstance(gate, fock.PairSqueeze):
+        if where is not None:
+            return fock.PairSqueeze(tuple(where[m] for m in gate.modes), gate.theta)
+    else:
+        raise TypeError(f"unknown gate {gate!r}")
+    return gate
 
 
 def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
-    """Materialize one gate descriptor as an Operator: a SWAP as its
-    permutation, any other gate truncated to the layout
-    (fock.truncated_product); the Kerr and phase gates come out diagonal."""
+    """One gate as an Operator: a SWAP as its permutation, any other gate
+    truncated to the layout (fock.truncated_product)."""
     if isinstance(gate, Swap):
         return swap(layout, gate.mode_b, gate.mode_c)
-    return fock.truncated_product(layout, [_factor(layout, gate, range(layout.num_modes))])
+    return fock.truncated_product(layout, [_factor(layout, gate)])
 
 
 def compose(plan: CircuitPlan) -> Operator:
@@ -206,13 +196,13 @@ def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:
         )
     g, d = params.gamma, params.delta
     gates = (
-        SqueezeSingle(1, params.theta1),
+        fock.PairSqueeze((1,), params.theta1),
         Kerr(0, 1, d),
         PhaseShift(((1, d / 2.0),)),
-        SqueezeSingle(1, params.theta2),
+        fock.PairSqueeze((1,), params.theta2),
         PhaseShift(((1, d / 2.0),)),
         Kerr(0, 1, d),
-        SqueezeSingle(1, params.theta1),
+        fock.PairSqueeze((1,), params.theta1),
         PhaseShift(((0, g - d), (1, -g)), -(g - d) / 2.0),
     )
     return CircuitPlan(layout, gates)
@@ -241,11 +231,11 @@ def three_mode_plan(
         kerr_c = (Kerr(0, 2, d),)
     kerr_ps = (*kerr_c, PhaseShift(((2, d / 2.0),)), Kerr(0, 1, d), PhaseShift(((1, d / 2.0),)))
     gates = (
-        SqueezeTwoMode(1, 2, params.theta1),
+        fock.PairSqueeze((1, 2), params.theta1),
         *kerr_ps,
-        SqueezeTwoMode(1, 2, params.theta2),
+        fock.PairSqueeze((1, 2), params.theta2),
         *kerr_ps,
-        SqueezeTwoMode(1, 2, params.theta1),
+        fock.PairSqueeze((1, 2), params.theta1),
         PhaseShift(((0, 2.0 * (g - d)), (1, -g), (2, -g)), -(g - d)),
     )
     return CircuitPlan(layout, gates)

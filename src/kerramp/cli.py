@@ -238,6 +238,8 @@ def _input_state(name, p, layout):
 def cmd_lossy(args):
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.dim > args.max_dim:  # before the dense input state is built
+        raise UsageError(f"start ladder {args.dim} exceeds the cap {args.max_dim}")
     if args.delta is None and args.delta_deg is None:
         delta = 0.5
     else:
@@ -246,9 +248,7 @@ def cmd_lossy(args):
     layout = fock.make_layout([2, args.dim])
     rho_in = _input_state(args.state, args.p, layout)
     config = loss.LossConfig(r_s=args.rs, r_k=args.rk)
-    report = loss.run_lossy_amplifier(
-        rho_in, params, config, start_dim=args.dim, max_dim=args.max_dim, tol=args.tol
-    )
+    report = loss.run_lossy_amplifier(rho_in, params, config, max_dim=args.max_dim, tol=args.tol)
     rows = [
         {
             "state": args.state,

@@ -11,7 +11,7 @@ therefore builds a product of truncated squeezers and diagonal phases
 sector by sector: each parity or index-difference ladder is a real
 tridiagonal generator, exponentiated by its own small eigendecomposition,
 and the product's blocks are placed in the full matrix by index arithmetic.
-States are conjugated elementwise by operators flagged diagonal.
+A phase factor conjugates a state elementwise, as a vector (:func:`evolve`).
 :func:`expm`, the dense eigendecomposition on the full space, stays as the
 oracle for these products and for the beam splitter.
 
@@ -138,7 +138,6 @@ class Operator:
     layout: ModeLayout
     matrix: np.ndarray
     unitary: bool = False
-    diagonal: bool = False
     work_dim: int | None = None
     leakage: float | None = None
 
@@ -156,12 +155,7 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         if other.layout != self.layout:
             raise OperatorError("layout mismatch in operator product")
-        return Operator(
-            self.layout,
-            self.matrix @ other.matrix,
-            unitary=self.unitary and other.unitary,
-            diagonal=self.diagonal and other.diagonal,
-        )
+        return Operator(self.layout, self.matrix @ other.matrix, self.unitary and other.unitary)
 
 
 @dataclass(frozen=True)
@@ -200,12 +194,7 @@ class DensityMatrix:
 
 
 def identity(layout: ModeLayout) -> Operator:
-    return Operator(
-        layout,
-        np.eye(layout.total_dim, dtype=complex),
-        unitary=True,
-        diagonal=True,
-    )
+    return Operator(layout, np.eye(layout.total_dim, dtype=complex), unitary=True)
 
 
 def embed(layout: ModeLayout, mode: int, single_mode_matrix: np.ndarray) -> np.ndarray:
@@ -252,7 +241,7 @@ def number_op(layout: ModeLayout, mode: int) -> Operator:
     """
     layout.check_mode(mode)
     n = np.diag(np.arange(layout.dims[mode], dtype=complex))
-    return Operator(layout, embed(layout, mode, n), diagonal=True)
+    return Operator(layout, embed(layout, mode, n))
 
 
 def expm(generator: Operator) -> Operator:
@@ -270,34 +259,23 @@ def expm(generator: Operator) -> Operator:
     H = (-1j * A + (-1j * A).conj().T) / 2
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(1j * w)) @ V.conj().T
-    return Operator(generator.layout, U, unitary=True, diagonal=generator.diagonal)
+    return Operator(generator.layout, U, unitary=True)
 
 
-def diagonal_unitary(layout: ModeLayout, phases: np.ndarray) -> Operator:
-    """Diagonal unitary exp(i * phases) from a real phase vector."""
-    return Operator(
-        layout,
-        np.diag(np.exp(1j * np.asarray(phases, dtype=float))),
-        unitary=True,
-        diagonal=True,
-    )
-
-
-def evolve(rho: DensityMatrix, U: Operator, validate: bool = True) -> DensityMatrix:
-    """Unitary conjugation U rho U†; elementwise, u_i rho_ij conj(u_j), when
-    U is flagged diagonal.  The result is Hermitian up to round-off and is
+def evolve(rho: DensityMatrix, U, validate: bool = True) -> DensityMatrix:
+    """Unitary conjugation U rho U† by an Operator flagged unitary, or by a
+    phase factor (PhaseFactor) as its phase vector u = exp(i phase(n)):
+    u_i rho_ij conj(u_j).  The result is Hermitian up to round-off and is
     not re-symmetrized: apply_mode_loss and fidelity symmetrize what they
     read."""
+    if not isinstance(U, Operator):
+        u = _phase_vector(rho.layout, [U])
+        return DensityMatrix(rho.layout, u[:, None] * rho.matrix * u.conj(), validate=validate)
     if U.layout != rho.layout:
         raise OperatorError("layout mismatch between state and unitary")
     if not U.unitary:
         raise OperatorError("operator is not flagged unitary")
-    if U.diagonal:
-        u = np.diagonal(U.matrix)
-        out = u[:, None] * rho.matrix * u.conj()
-    else:
-        out = U.matrix @ rho.matrix @ U.dag
-    return DensityMatrix(rho.layout, out, validate=validate)
+    return DensityMatrix(rho.layout, U.matrix @ rho.matrix @ U.dag, validate=validate)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -428,9 +406,19 @@ class PairSqueeze:
 @dataclass(frozen=True)
 class PhaseFactor:
     """Diagonal factor exp(i phase(n)); phase maps the per-mode Fock-index
-    arrays (broadcastable against each other) to the phases."""
+    arrays (broadcastable against each other) to the phases.  Any factor but
+    a PairSqueeze is a phase factor, circuits.Kerr and PhaseShift included."""
 
     phase: Callable
+
+
+def _phase_vector(layout: ModeLayout, factors) -> np.ndarray:
+    """exp(i phase(n)) of a product of phase factors, over the flat basis."""
+    n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
+    phase = np.zeros(layout.total_dim)
+    for f in factors:
+        phase = phase + f.phase(n)
+    return np.exp(1j * phase)
 
 
 def _sectors(box, work):
@@ -562,7 +550,7 @@ def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work, l
         n = _numbers(layout.num_modes, modes, numbers, spectators)
         V = np.eye(size, inside, dtype=complex)[:, None]
         for f in factors:
-            if isinstance(f, PhaseFactor):
+            if not isinstance(f, PairSqueeze):
                 phase = np.broadcast_to(f.phase(n), (size, n_spec))
                 V = V * np.exp(1j * phase)[:, :, None]
                 continue
@@ -601,11 +589,7 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     """
     modes = _squeezed_modes(layout, factors)
     if modes is None:
-        n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
-        phase = np.zeros(layout.total_dim)
-        for f in factors:
-            phase = phase + f.phase(n)
-        return diagonal_unitary(layout, phase)
+        return Operator(layout, np.diag(_phase_vector(layout, factors)), unitary=True)
     box = tuple(layout.dims[m] for m in modes)
     spectators = _spectators(layout, modes)
     walked, _ = _sector_blocks(layout, factors, modes, spectators, box, leakage=False)

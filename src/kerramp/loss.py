@@ -193,11 +193,12 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
     return DensityMatrix(rho.layout, upper, validate=False)
 
 
-def lossy_stage(rho: DensityMatrix, unitary: Operator | None, loss_modes) -> DensityMatrix:
+def lossy_stage(rho: DensityMatrix, unitary, loss_modes) -> DensityMatrix:
     """One circuit stage: apply the unitary, then lose each listed mode.
 
-    loss_modes is a list of (mode, reflectance) pairs; each loss attaches a
-    fresh vacuum ancilla, mixes it in on a beam splitter, and traces it out.
+    unitary is None or what fock.evolve takes; loss_modes is a list of
+    (mode, reflectance) pairs; each loss attaches a fresh vacuum ancilla,
+    mixes it in on a beam splitter, and traces it out.
     """
     if unitary is not None:
         rho = fock.evolve(rho, unitary, validate=False)
@@ -273,8 +274,10 @@ def _run_fixed_dim(
 ) -> tuple[DensityMatrix, DensityMatrix, float]:
     """One pass of the lossy circuit at the input truncation: the gates of
     circuits.two_mode_plan in order, each followed by the beam splitters
-    SPLITTERS_AFTER_GATE lists for its position.  The ideal reference
-    applies the single amplified Kerr unitary K(2 gamma).
+    SPLITTERS_AFTER_GATE lists for its position.  Each distinct squeezer
+    is truncated to an Operator once; the Kerr and phase gates, and the ideal
+    reference K(2 gamma), act as phase vectors (fock.evolve), so the ideal
+    output keeps the exact zeros that fix the support fock.fidelity reads.
 
     Returns (output, ideal output, leakage), the leakage being the largest
     population on the top tenth of the b ladder after any stage, read off
@@ -282,19 +285,18 @@ def _run_fixed_dim(
     """
     layout = rho_in.layout
     gates = circuits.two_mode_plan(params, layout).gates
-    ops = {gate: circuits.gate_operator(layout, gate) for gate in dict.fromkeys(gates)}
+    squeezers = dict.fromkeys(g for g in gates if isinstance(g, fock.PairSqueeze))
+    ops = {gate: circuits.gate_operator(layout, gate) for gate in squeezers}
     tail = fock.tail_index(layout.dims[1])
     rho, leakage = rho_in, 0.0
     for position, gate in enumerate(gates):
         splitters = SPLITTERS_AFTER_GATE.get(position, ())
         rho = lossy_stage(
-            rho, ops[gate], [(mode, loss.reflectance(name)) for name, mode in splitters]
+            rho, ops.get(gate, gate), [(mode, loss.reflectance(name)) for name, mode in splitters]
         )
         populations = np.real(np.diagonal(rho.matrix)).reshape(layout.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
-    rho_ideal = fock.evolve(
-        rho_in, circuits.kerr(layout, 0, 1, params.dphi_amp), validate=False
-    )
+    rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp), validate=False)
     return rho, rho_ideal, leakage
 
 
@@ -302,18 +304,17 @@ def run_lossy_amplifier(
     rho_in: DensityMatrix,
     params: CircuitParams,
     loss: LossConfig,
-    start_dim: int = 20,
     max_dim: int = 160,
     tol: float = 1e-3,
 ) -> LossyRunReport:
     """Lossy two-mode amplifier run with truncation-doubling convergence.
 
-    rho_in lives on layout (a: 2, b: D_in); the bosonic mode is zero-padded
-    to growing truncations until the fidelity between lossy and ideal
-    outputs changes by less than tol under doubling and the pass's leakage
-    onto the top tenth of the b ladder is below tol too.  A non-convergent
-    run returns the best estimate with converged=False; a start truncation
-    above max_dim raises fock.TruncationError.
+    rho_in lives on layout (a: 2, b: D), and the first ladder is its own D;
+    the bosonic mode is zero-padded to D, 2D, 4D, ... until the fidelity
+    between lossy and ideal outputs changes by less than tol under doubling
+    and the pass's leakage onto the top tenth of the b ladder is below tol
+    too.  A non-convergent run returns the best estimate with
+    converged=False; a D above max_dim raises fock.TruncationError.
     """
     if rho_in.layout.num_modes != 2 or rho_in.layout.dims[0] != 2:
         raise fock.LayoutError(
@@ -327,7 +328,7 @@ def run_lossy_amplifier(
 
     settled = fock.double_until_settled(
         run,
-        start_dim=max(start_dim, rho_in.layout.dims[1]),
+        start_dim=rho_in.layout.dims[1],
         max_dim=max_dim,
         tol=tol,
         distance=lambda new, old: max(abs(new[2] - old[2]), new[3]),

@@ -278,7 +278,7 @@ class TestPlanComposition:
         # first list entry acts first: X-then-measurement ordering via a
         # squeezer followed by a number-dependent phase is order sensitive
         layout = fock.make_layout([2, 10])
-        S = circuits.SqueezeSingle(1, 0.4)
+        S = fock.PairSqueeze((1,), 0.4)
         P = circuits.PhaseShift(((1, 0.7),))
         plan = circuits.CircuitPlan(layout, (S, P))
         expected = (
@@ -286,6 +286,15 @@ class TestPlanComposition:
             @ circuits.squeeze_single(layout, 1, 0.4).matrix
         )
         assert np.allclose(circuits.compose(plan).matrix, expected)
+
+    def test_plan_gates_are_sector_walk_factors(self):
+        # a plan's gates go to fock.truncated_product as they are: one walk
+        # over the whole plan equals the gate-by-gate product
+        params = su11.solve_params(0.5, 0.5)
+        layout = fock.make_layout([2, 12])
+        plan = circuits.two_mode_plan(params, layout)
+        walked = fock.truncated_product(layout, list(plan.gates))
+        assert np.max(np.abs(walked.matrix - circuits.compose(plan).matrix)) <= 1e-13
 
 
 class TestCompress:
@@ -309,7 +318,7 @@ class TestCompress:
 
     def test_trailing_swap_applies_to_compression(self):
         layout = fock.make_layout([2, 4, 4])
-        gates = (circuits.SqueezeTwoMode(1, 2, 0.3), circuits.Kerr(0, 1, 0.5))
+        gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.5))
         plain = circuits.compress(circuits.CircuitPlan(layout, gates))
         swapped = circuits.compress(
             circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),))
@@ -327,7 +336,7 @@ class TestCompress:
 
     def test_trailing_swap_keeps_working_ladder_and_leakage(self):
         layout = fock.make_layout([2, 4, 4])
-        gates = (circuits.SqueezeTwoMode(1, 2, 0.3), circuits.Kerr(0, 1, 0.5))
+        gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.5))
         plain = circuits.compress(circuits.CircuitPlan(layout, gates))
         swapped = circuits.compress(
             circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),))
@@ -349,7 +358,7 @@ class TestDiagonalGates:
         "gates",
         [
             (circuits.Kerr(1, 1, 0.3),),
-            (circuits.SqueezeSingle(1, 0.4), circuits.Kerr(1, 1, 0.3)),
+            (fock.PairSqueeze((1,), 0.4), circuits.Kerr(1, 1, 0.3)),
         ],
     )
     def test_compress_refuses_self_kerr(self, gates):

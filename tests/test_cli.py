@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kerramp import cli
+from kerramp import cli, loss
 
 
 def run_cli(capsys, *argv):
@@ -350,6 +350,17 @@ class TestLossy:
         assert code == 0
         (row,) = json.loads(out)["rows"]
         assert row["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_start_above_cap_builds_no_input_state(self, capsys, monkeypatch):
+        def refuse(layout):
+            raise AssertionError(f"input state built on {layout.dims}")
+
+        monkeypatch.setattr(loss, "make_plus_plus", refuse)
+        code = cli.main(["lossy", "--dim", "700", "--max-dim", "160"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "start ladder 700 exceeds the cap 160" in captured.err
 
 
 class TestVerify:

@@ -436,7 +436,7 @@ class TestLossyLeakage:
         rho = loss.make_plus_plus(fock.make_layout([2, 40]))
         params = su11.solve_params(0.5, 2.5)
         report = loss.run_lossy_amplifier(
-            rho, params, loss.LossConfig(0.1, 0.1), start_dim=40, max_dim=80
+            rho, params, loss.LossConfig(0.1, 0.1), max_dim=80
         )
         assert report.convergence_delta < 1e-3
         assert report.leakage > 1e-3
@@ -465,11 +465,27 @@ class TestLossyCircuitPlan:
             rho,
             self.PARAMS,
             loss.LossConfig(overrides={name: 0.3}),
-            start_dim=20,
             max_dim=20,
         )
         assert report.truncation == 20
         assert report.fidelity == pytest.approx(self.SPLITTER_FIDELITY[name], abs=1e-12)
+
+    def test_phase_gates_build_no_matrix(self, monkeypatch):
+        # only the squeezers become truncated Operators; the Kerr and phase
+        # gates and the ideal K(2 gamma) act on the state as phase vectors
+        calls = []
+        truncated_product = fock.truncated_product
+
+        def spy(layout, factors):
+            calls.append(list(factors))
+            return truncated_product(layout, factors)
+
+        monkeypatch.setattr(fock, "truncated_product", spy)
+        rho = loss.make_plus_plus(fock.make_layout([2, 20]))
+        loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig(0.1, 0.1))
+        assert len(calls) == 2  # S1 and S2, each built once
+        for factors in calls:
+            assert any(isinstance(f, fock.PairSqueeze) for f in factors)
 
     def test_lossless_pass_is_the_composed_plan(self):
         layout = fock.make_layout([2, 16])
