@@ -11,7 +11,10 @@ therefore builds a product of truncated squeezers and diagonal phases
 sector by sector: each parity or index-difference ladder is a real
 tridiagonal generator, exponentiated by its own small eigendecomposition,
 and the product's blocks are placed in the full matrix by index arithmetic.
-A phase factor conjugates a state elementwise, as a vector (:func:`evolve`).
+:func:`parity_blocks` hands out a single-mode squeezer's two parity blocks
+from the same walk, unplaced, for the lossy pass to conjugate a state by.
+A phase factor conjugates a state elementwise, as a vector (:func:`evolve`,
+:func:`phase_vector`).
 :func:`expm`, the dense eigendecomposition on the full space, stays as the
 oracle for these products and for the beam splitter.
 
@@ -269,7 +272,7 @@ def evolve(rho: DensityMatrix, U, validate: bool = True) -> DensityMatrix:
     not re-symmetrized: apply_mode_loss and fidelity symmetrize what they
     read."""
     if not isinstance(U, Operator):
-        u = _phase_vector(rho.layout, [U])
+        u = phase_vector(rho.layout, [U])
         return DensityMatrix(rho.layout, u[:, None] * rho.matrix * u.conj(), validate=validate)
     if U.layout != rho.layout:
         raise OperatorError("layout mismatch between state and unitary")
@@ -412,8 +415,12 @@ class PhaseFactor:
     phase: Callable
 
 
-def _phase_vector(layout: ModeLayout, factors) -> np.ndarray:
-    """exp(i phase(n)) of a product of phase factors, over the flat basis."""
+def phase_vector(layout: ModeLayout, factors) -> np.ndarray:
+    """exp(i phase(n)) of a product of phase factors, over the flat basis;
+    a factor's modes, where it names them, are checked against layout."""
+    for f in factors:
+        for mode in getattr(f, "modes", ()):
+            layout.check_mode(mode)
     n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
     phase = np.zeros(layout.total_dim)
     for f in factors:
@@ -521,7 +528,9 @@ def _place_blocks(layout: ModeLayout, modes, spectators: dict, walked):
     return U
 
 
-def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work, leakage=True):
+def _sector_blocks(
+    layout: ModeLayout, factors, modes, spectators: dict, work, leakage=True, eigs=None
+):
     """Blocks of the factor product on the working ladders `work` (one
     length per squeezed mode), and their leakage (0.0 with leakage=False).
 
@@ -531,18 +540,22 @@ def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work, l
     modes' Fock indices, or S = 1 while no phase factor has told them
     apart; only the sector's columns inside the box are propagated.  Each
     ladder's eigenbasis serves every squeezer and spectator value of its
-    sectors.  The leakage is the largest 2-norm a propagated column puts on
-    the ladder's top tenth (a Fock index of at least TAIL_FRACTION * work on
-    a squeezed mode, a contiguous tail of the sector ladder) at the end of
-    any squeezer.  Along one squeezer a column's mean photon number is a
-    cosh-sinh combination of the squeeze parameter, so its spread peaks at a
-    stage boundary; a later squeezer may pull it back, hence the maximum
-    over stages.
+    sectors.  Only the current ladder's is kept, unless eigs is a dict: then
+    every ladder's eigenbasis is kept there by sector key, for the next walk
+    on the same ladders.  The leakage is the largest 2-norm a propagated
+    column puts on the ladder's top tenth (a Fock index of at least
+    TAIL_FRACTION * work on a squeezed mode, a contiguous tail of the sector
+    ladder) at the end of any squeezer.  Along one squeezer a column's mean
+    photon number is a cosh-sinh combination of the squeeze parameter, so
+    its spread peaks at a stage boundary; a later squeezer may pull it back,
+    hence the maximum over stages.
     """
     n_spec = math.prod(layout.dims[j] for j in spectators)
     box = tuple(layout.dims[m] for m in modes)
     edge = [tail_index(w) for w in work]
-    eig_key, walked, worst = None, [], 0.0
+    shared = eigs is not None
+    eigs = eigs if shared else {}
+    walked, worst = [], 0.0
     for key, inside, numbers, coupling in _sectors(box, work):
         size = len(numbers[0])
         if leakage:  # first state past the edge on any squeezed mode; the top one at least
@@ -554,9 +567,11 @@ def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work, l
                 phase = np.broadcast_to(f.phase(n), (size, n_spec))
                 V = V * np.exp(1j * phase)[:, :, None]
                 continue
-            if key != eig_key:
-                eig, eig_key = _ladder_eig(coupling), key
-            V = _ladder_exp(eig, f.theta, V)
+            if key not in eigs:
+                if not shared:
+                    eigs.clear()
+                eigs[key] = _ladder_eig(coupling)
+            V = _ladder_exp(eigs[key], f.theta, V)
             if leakage:
                 worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
         walked.append(([nj[:inside] for nj in numbers], V[:inside]))
@@ -589,11 +604,31 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     """
     modes = _squeezed_modes(layout, factors)
     if modes is None:
-        return Operator(layout, np.diag(_phase_vector(layout, factors)), unitary=True)
+        return Operator(layout, np.diag(phase_vector(layout, factors)), unitary=True)
     box = tuple(layout.dims[m] for m in modes)
     spectators = _spectators(layout, modes)
     walked, _ = _sector_blocks(layout, factors, modes, spectators, box, leakage=False)
     return Operator(layout, _place_blocks(layout, modes, spectators, walked), unitary=True)
+
+
+def parity_blocks(layout: ModeLayout, squeezers) -> dict:
+    """The blocks of single-mode squeezers truncated to layout, all on one
+    mode: per squeezer, its blocks on the even and on the odd Fock indices
+    of that mode (the same for every spectator Fock index).
+
+    The sector walk of truncated_product without the placement, one
+    eigenbasis per parity ladder serving every squeezer.
+    """
+    modes = _squeezed_modes(layout, squeezers)
+    if modes is None or len(modes) != 1:
+        raise OperatorError("parity blocks need single-mode squeezers")
+    box = (layout.dims[modes[0]],)
+    spectators = _spectators(layout, modes)
+    eigs, blocks = {}, {}
+    for s in squeezers:
+        walked, _ = _sector_blocks(layout, [s], modes, spectators, box, leakage=False, eigs=eigs)
+        blocks[s] = tuple(np.ascontiguousarray(block[:, 0, :]) for _, block in walked)
+    return blocks
 
 
 def compress_product(layout: ModeLayout, factors) -> Operator:

@@ -7,6 +7,13 @@ the gates of circuits.two_mode_plan, the same plan the lossless builder
 composes, and after each nonlinear gate applies the beam splitters that
 SPLITTERS_AFTER_GATE lists for the gate's position in the plan.
 
+The pass runs in three N x N buffers allocated once per ladder, and builds
+no N x N gate matrix.  A single-mode squeezer on b is block-diagonal in the
+parity of n_b and the same for both n_a, so S rho S† is four products of
+parity blocks, S_p rho_pq S_q†, each batched over the n_a blocks.  The Kerr
+and phase gates multiply the state by their phase vectors, and the loss
+channel below writes its intermediates into the pass's other two buffers.
+
 With the ancilla in vacuum, the attach-evolve-trace step is amplitude
 damping, whose Kraus operators have the closed form
 E_k |n> = sqrt(C(n, k) R^k (1 - R)^(n - k)) |n - k>
@@ -145,15 +152,29 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
     _check_reflectance(reflectance)
     if reflectance == 0.0:
         return rho
-    dims = rho.layout.dims
+    out = _damp(rho.matrix, rho.layout.dims, mode, reflectance)
+    return DensityMatrix(rho.layout, out, validate=False)
+
+
+def _damp(matrix, dims, mode, reflectance, skew=None, product=None, out=None) -> np.ndarray:
+    """The loss channel of apply_mode_loss on a state matrix, 0 < R <= 1.
+
+    skew, product and out are N x N complex buffers, each allocated here
+    when not given; out may be matrix itself, which is read only before the
+    product, and is returned.
+    """
     d = dims[mode]
     if d > MAX_LOSS_LADDER:
         raise fock.TruncationError(
             f"lost mode's ladder {d} exceeds {MAX_LOSS_LADDER}, the largest whose "
             "loss rescaling stays in float range"
         )
+    skew, product, out = (
+        np.empty(matrix.shape, dtype=complex) if buf is None else buf
+        for buf in (skew, product, out)
+    )
     pre, post = math.prod(dims[:mode]), math.prod(dims[mode + 1 :])
-    r = rho.matrix.reshape(pre, d, post, pre, d, post)
+    r = matrix.reshape(pre, d, post, pre, d, post)
     n = np.arange(d)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
     # g_n = sqrt(n!) lambda^n with lambda^2 = e / d, centred: |log g_n| <~ d / 4e
@@ -169,12 +190,14 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
     F += np.lib.stride_tricks.sliding_window_view(log_c, d)[::-1]
     np.exp(F, out=F)
     # skew: buf[.., j, .., delta, ..] = rho[.., j, .., j + delta, ..] g_{j+delta} / g_j
-    buf = np.zeros(r.shape, dtype=complex)
+    buf = skew.reshape(r.shape)
+    buf[...] = 0.0
     for j in range(d):
         np.multiply(
             r[:, j, :, :, j:, :], (g[j:] / g[j])[:, None], out=buf[:, j, :, :, : d - j, :]
         )
-    x = np.matmul(F, buf.view(float).reshape(pre, d, -1)).view(complex).reshape(r.shape)
+    x = product.reshape(r.shape)
+    np.matmul(F, buf.view(float).reshape(pre, d, -1), out=x.view(float).reshape(pre, d, -1))
     del F
     # unskew into the upper triangle U, its m = m' blocks halved; out = U + U†
     half = np.exp(0.5 * n_log_t)
@@ -186,11 +209,9 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
             (g[m] * half[: d - m] / g[m:])[:, None],
             out=buf[:, m, :, :, m:, :],
         )
-    del x
-    upper = buf.reshape(rho.matrix.shape)
-    lower = upper.T.copy()  # a C-order copy: the sum below reads both in order
-    upper += np.conjugate(lower, out=lower)
-    return DensityMatrix(rho.layout, upper, validate=False)
+    np.conjugate(skew.T, out=out)  # read once, transposed: the sum reads both in order
+    out += skew
+    return out
 
 
 def lossy_stage(rho: DensityMatrix, unitary, loss_modes) -> DensityMatrix:
@@ -269,15 +290,43 @@ def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
     return DensityMatrix(new, out, validate=False)
 
 
+def _squeeze_b(state, blocks, adjoints, out, work) -> None:
+    """out = S rho S† for a state on (a: 2, b: D) and a squeezer S on b given
+    by its parity blocks S_p (fock.parity_blocks) and their adjoints.  S is
+    block-diagonal in the parity of n_b and the same for both n_a, so the
+    (p, q) parity block of every (n_a, n_a') block is S_p rho_pq S_q†: four
+    products, each batched over the four n_a blocks.  work holds a gathered
+    block and its half product."""
+    d = state.shape[0] // 2
+    rho, res = state.reshape(2, d, 2, d), out.reshape(2, d, 2, d)
+    for p, s_p in enumerate(blocks):
+        for q, s_q_dag in enumerate(adjoints):
+            shape = (2, 2, len(s_p), len(s_q_dag))
+            size = math.prod(shape)
+            x, y = (work.reshape(-1)[k * size : (k + 1) * size].reshape(shape) for k in (0, 1))
+            np.copyto(x, rho[:, p::2, :, q::2].transpose(0, 2, 1, 3))
+            np.matmul(s_p, x, out=y)
+            np.matmul(y, s_q_dag, out=x)
+            res[:, p::2, :, q::2] = x.transpose(0, 2, 1, 3)
+
+
 def _run_fixed_dim(
     rho_in: DensityMatrix, params: CircuitParams, loss: LossConfig
 ) -> tuple[DensityMatrix, DensityMatrix, float]:
     """One pass of the lossy circuit at the input truncation: the gates of
     circuits.two_mode_plan in order, each followed by the beam splitters
-    SPLITTERS_AFTER_GATE lists for its position.  Each distinct squeezer
-    is truncated to an Operator once; the Kerr and phase gates, and the ideal
-    reference K(2 gamma), act as phase vectors (fock.evolve), so the ideal
-    output keeps the exact zeros that fix the support fock.fidelity reads.
+    SPLITTERS_AFTER_GATE lists for its position.
+
+    The pass runs in three N x N buffers allocated once: the state, a spare
+    and a work buffer.  Each squeezer conjugates the state by its two
+    parity blocks (_squeeze_b) into the spare, which then becomes the state;
+    the blocks come from one sector walk per squeezer, sharing one
+    eigenbasis per parity ladder, and no N x N gate matrix is built.  The
+    Kerr and phase gates multiply the state in place by their phase
+    vectors, as fock.evolve does, and so does the ideal reference
+    K(2 gamma), which keeps the exact zeros that fix the support
+    fock.fidelity reads.  The loss channel writes its intermediates into
+    the spare and the work buffer and its output over the state.
 
     Returns (output, ideal output, leakage), the leakage being the largest
     population on the top tenth of the b ladder after any stage, read off
@@ -285,19 +334,29 @@ def _run_fixed_dim(
     """
     layout = rho_in.layout
     gates = circuits.two_mode_plan(params, layout).gates
-    squeezers = dict.fromkeys(g for g in gates if isinstance(g, fock.PairSqueeze))
-    ops = {gate: circuits.gate_operator(layout, gate) for gate in squeezers}
+    squeezers = fock.parity_blocks(layout, [g for g in gates if isinstance(g, fock.PairSqueeze)])
+    adjoints = {gate: [s.conj().T for s in blocks] for gate, blocks in squeezers.items()}
     tail = fock.tail_index(layout.dims[1])
-    rho, leakage = rho_in, 0.0
+    state = rho_in.matrix.astype(complex, order="C")  # a copy
+    spare, product = np.empty_like(state), np.empty_like(state)
+    leakage = 0.0
     for position, gate in enumerate(gates):
-        splitters = SPLITTERS_AFTER_GATE.get(position, ())
-        rho = lossy_stage(
-            rho, ops.get(gate, gate), [(mode, loss.reflectance(name)) for name, mode in splitters]
-        )
-        populations = np.real(np.diagonal(rho.matrix)).reshape(layout.dims)
+        if gate in squeezers:
+            _squeeze_b(state, squeezers[gate], adjoints[gate], spare, product)
+            state, spare = spare, state
+        else:
+            u = fock.phase_vector(layout, [gate])
+            # u rho, not rho u: fock.evolve's (u rho) u*, rounded alike
+            np.multiply(u[:, None], state, out=state)
+            state *= u.conj()
+        for name, mode in SPLITTERS_AFTER_GATE.get(position, ()):
+            r = loss.reflectance(name)
+            if r:
+                _damp(state, layout.dims, mode, r, spare, product, out=state)
+        populations = np.real(np.diagonal(state)).reshape(layout.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
     rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp), validate=False)
-    return rho, rho_ideal, leakage
+    return DensityMatrix(layout, state, validate=False), rho_ideal, leakage
 
 
 def run_lossy_amplifier(

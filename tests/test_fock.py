@@ -255,6 +255,22 @@ class TestEvolve:
         with pytest.raises(fock.OperatorError):
             fock.evolve(rho, fock.identity(fock.make_layout([3, 2])))
 
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            circuits.Kerr(0, 2, 0.1),
+            circuits.Kerr(-1, 1, 0.1),
+            circuits.PhaseShift(((2, 0.3),)),
+            circuits.PhaseShift(((1, 0.3), (-1, 0.2))),
+        ],
+    )
+    def test_phase_factor_mode_out_of_range_rejected(self, factor):
+        # the mode check circuits.kerr and circuits.phase_shift make; a
+        # negative mode would otherwise index the last mode silently
+        rho = loss.make_plus_plus(fock.make_layout([2, 6]))
+        with pytest.raises(fock.LayoutError, match="out of range for 2 modes"):
+            fock.evolve(rho, factor)
+
 
 class TestDiagonalOperators:
     """Phase factors conjugate a state elementwise by their phase vectors,

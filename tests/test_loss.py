@@ -70,6 +70,23 @@ def slice_loop_oracle(rho_mat, dims, mode, R):
     return (out + out.conj().T) / 2
 
 
+def dense_pass_oracle(rho, params, config):
+    """The lossy pass with every gate a dense Operator (circuits.gate_operator)
+    conjugating the state (fock.evolve), then each splitter's loss channel
+    (loss.apply_mode_loss): (output, leakage on the b ladder's top tenth,
+    the largest over stages)."""
+    layout = rho.layout
+    tail = fock.tail_index(layout.dims[1])
+    leakage = 0.0
+    for position, gate in enumerate(circuits.two_mode_plan(params, layout).gates):
+        rho = fock.evolve(rho, circuits.gate_operator(layout, gate), validate=False)
+        for name, mode in loss.SPLITTERS_AFTER_GATE.get(position, ()):
+            rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
+        populations = np.real(np.diagonal(rho.matrix)).reshape(layout.dims)
+        leakage = max(leakage, float(populations[:, tail:].sum()))
+    return rho, leakage
+
+
 def coherent_amplitudes(dim, mean_photons, phase):
     """<n|alpha> for |alpha|^2 = mean_photons, arg alpha = phase, n < dim."""
     n = np.arange(dim)
@@ -471,26 +488,47 @@ class TestLossyCircuitPlan:
         assert report.fidelity == pytest.approx(self.SPLITTER_FIDELITY[name], abs=1e-12)
 
     def test_phase_gates_build_no_matrix(self, monkeypatch):
-        # only the squeezers become truncated Operators; the Kerr and phase
-        # gates and the ideal K(2 gamma) act on the state as phase vectors
+        # no gate becomes an N x N matrix: the squeezers act by their parity
+        # blocks, the Kerr and phase gates and the ideal K(2 gamma) as phase
+        # vectors
         calls = []
-        truncated_product = fock.truncated_product
+        for name in ("truncated_product", "_place_blocks"):
 
-        def spy(layout, factors):
-            calls.append(list(factors))
-            return truncated_product(layout, factors)
+            def spy(*args, _name=name, _original=getattr(fock, name)):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(fock, "truncated_product", spy)
+            monkeypatch.setattr(fock, name, spy)
         rho = loss.make_plus_plus(fock.make_layout([2, 20]))
         loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig(0.1, 0.1))
-        assert len(calls) == 2  # S1 and S2, each built once
-        for factors in calls:
-            assert any(isinstance(f, fock.PairSqueeze) for f in factors)
+        assert calls == []
 
     def test_lossless_pass_is_the_composed_plan(self):
-        layout = fock.make_layout([2, 16])
-        rho = loss.make_werner(layout, 0.6)
-        rho_out, _, _ = loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig())
-        U = circuits.compose(circuits.two_mode_plan(self.PARAMS, layout))
-        want = fock.evolve(rho, U)
+        for dim in (3, 16, 21):
+            layout = fock.make_layout([2, dim])
+            U = circuits.compose(circuits.two_mode_plan(self.PARAMS, layout))
+            for rho in (loss.make_plus_plus(layout), loss.make_werner(layout, 0.6)):
+                rho_out, _, _ = loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig())
+                want = fock.evolve(rho, U)
+                assert np.max(np.abs(rho_out.matrix - want.matrix)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "dim, theta1", [(3, 0.5), (20, 0.5), (21, 0.7), (160, 1.5)]
+    )  # 21: unequal parity ladders
+    @pytest.mark.parametrize("state", ["plus-plus", "werner"])
+    @pytest.mark.parametrize(
+        "config",
+        [loss.LossConfig(overrides={name: 0.3}) for name in loss.BS_NAMES]
+        + [loss.LossConfig(1.0, 1.0)],
+        ids=[f"{name}=0.3" for name in loss.BS_NAMES] + ["all=1"],
+    )
+    def test_pass_matches_dense_oracle(self, dim, theta1, state, config):
+        layout = fock.make_layout([2, dim])
+        rho = loss.make_plus_plus(layout) if state == "plus-plus" else loss.make_werner(layout, 0.6)
+        params = su11.solve_params(0.5, theta1)
+        rho_out, rho_ideal, leakage = loss._run_fixed_dim(rho, params, config)
+        want, want_leakage = dense_pass_oracle(rho, params, config)
         assert np.max(np.abs(rho_out.matrix - want.matrix)) < 1e-12
+        assert leakage == pytest.approx(want_leakage, abs=1e-12)
+        ideal = fock.evolve(rho, circuits.kerr(layout, 0, 1, params.dphi_amp))
+        assert np.max(np.abs(rho_ideal.matrix - ideal.matrix)) < 1e-12
