@@ -127,22 +127,21 @@ def swap(layout: ModeLayout, mode_b: int, mode_c: int) -> Operator:
     return Operator(layout, M, unitary=True)
 
 
-def _factor(layout: ModeLayout, gate: Gate, where=None):
-    """A squeezer or diagonal gate, checked, as a factor of the fock sector
-    walk; with where, its mode j is relabelled to mode where[j]."""
-    if isinstance(gate, (Kerr, PhaseShift)):
-        for mode in gate.modes:
-            layout.check_mode(mode)
-        if isinstance(gate, Kerr) and gate.mode_a == gate.mode_b:
-            raise fock.LayoutError("cross-Kerr needs two distinct modes")
-        if where is not None:
-            return fock.PhaseFactor(lambda n: gate.phase([n[w] for w in where]))
-    elif isinstance(gate, fock.PairSqueeze):
-        if where is not None:
-            return fock.PairSqueeze(tuple(where[m] for m in gate.modes), gate.theta)
-    else:
+def _factor(layout: ModeLayout, gate: Gate, where):
+    """A squeezer or diagonal gate, its modes checked against layout, as the
+    same gate with each mode j relabelled to mode where[j]: a factor of the
+    fock sector walk."""
+    if not isinstance(gate, (fock.PairSqueeze, Kerr, PhaseShift)):
         raise TypeError(f"unknown gate {gate!r}")
-    return gate
+    for mode in gate.modes:
+        layout.check_mode(mode)
+    if isinstance(gate, Kerr):
+        if gate.mode_a == gate.mode_b:
+            raise fock.LayoutError("cross-Kerr needs two distinct modes")
+        return Kerr(where[gate.mode_a], where[gate.mode_b], gate.dphi)
+    if isinstance(gate, PhaseShift):
+        return PhaseShift(tuple((where[m], c) for m, c in gate.coeffs), gate.constant)
+    return fock.PairSqueeze(tuple(where[m] for m in gate.modes), gate.theta)
 
 
 def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
@@ -150,7 +149,7 @@ def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
     truncated to the layout (fock.truncated_product)."""
     if isinstance(gate, Swap):
         return swap(layout, gate.mode_b, gate.mode_c)
-    return fock.truncated_product(layout, [_factor(layout, gate)])
+    return fock.truncated_product(layout, [_factor(layout, gate, range(layout.num_modes))])
 
 
 def compose(plan: CircuitPlan) -> Operator:
@@ -178,7 +177,7 @@ def compress(plan: CircuitPlan) -> Operator:
             _check_swap(layout, gate.mode_b, gate.mode_c)
             where[gate.mode_b], where[gate.mode_c] = where[gate.mode_c], where[gate.mode_b]
         else:
-            factors.append(_factor(layout, gate, tuple(where)))
+            factors.append(_factor(layout, gate, where))
     U = fock.compress_product(layout, factors)
     if where != list(range(layout.num_modes)):
         rows = U.matrix.reshape(layout.dims + (-1,)).transpose(where + [layout.num_modes])

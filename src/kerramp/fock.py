@@ -11,8 +11,9 @@ therefore builds a product of truncated squeezers and diagonal phases
 sector by sector: each parity or index-difference ladder is a real
 tridiagonal generator, exponentiated by its own small eigendecomposition,
 and the product's blocks are placed in the full matrix by index arithmetic.
-:func:`parity_blocks` hands out a single-mode squeezer's two parity blocks
-from the same walk, unplaced, for the lossy pass to conjugate a state by.
+:func:`parity_blocks` hands out a single-mode squeezer's two parity blocks,
+each its parity ladder's exponential, for the lossy pass to conjugate a
+state by.
 A phase factor conjugates a state elementwise, as a vector (:func:`evolve`,
 :func:`phase_vector`).
 :func:`expm`, the dense eigendecomposition on the full space, stays as the
@@ -528,11 +529,9 @@ def _place_blocks(layout: ModeLayout, modes, spectators: dict, walked):
     return U
 
 
-def _sector_blocks(
-    layout: ModeLayout, factors, modes, spectators: dict, work, leakage=True, eigs=None
-):
+def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
     """Blocks of the factor product on the working ladders `work` (one
-    length per squeezed mode), and their leakage (0.0 with leakage=False).
+    length per squeezed mode), and their leakage.
 
     Returns (walked, leakage), walked holding per sector its states inside
     the layout's box (the Fock indices of each squeezed mode) and its
@@ -540,26 +539,22 @@ def _sector_blocks(
     modes' Fock indices, or S = 1 while no phase factor has told them
     apart; only the sector's columns inside the box are propagated.  Each
     ladder's eigenbasis serves every squeezer and spectator value of its
-    sectors.  Only the current ladder's is kept, unless eigs is a dict: then
-    every ladder's eigenbasis is kept there by sector key, for the next walk
-    on the same ladders.  The leakage is the largest 2-norm a propagated
-    column puts on the ladder's top tenth (a Fock index of at least
-    TAIL_FRACTION * work on a squeezed mode, a contiguous tail of the sector
-    ladder) at the end of any squeezer.  Along one squeezer a column's mean
-    photon number is a cosh-sinh combination of the squeeze parameter, so
-    its spread peaks at a stage boundary; a later squeezer may pull it back,
-    hence the maximum over stages.
+    sectors, and only the current ladder's is kept.  The leakage is the
+    largest 2-norm a propagated column puts on the ladder's top tenth (a
+    Fock index of at least TAIL_FRACTION * work on a squeezed mode, a
+    contiguous tail of the sector ladder) at the end of any squeezer.  Along
+    one squeezer a column's mean photon number is a cosh-sinh combination of
+    the squeeze parameter, so its spread peaks at a stage boundary; a later
+    squeezer may pull it back, hence the maximum over stages.
     """
     n_spec = math.prod(layout.dims[j] for j in spectators)
     box = tuple(layout.dims[m] for m in modes)
     edge = [tail_index(w) for w in work]
-    shared = eigs is not None
-    eigs = eigs if shared else {}
-    walked, worst = [], 0.0
+    walked, worst, eigs = [], 0.0, {}
     for key, inside, numbers, coupling in _sectors(box, work):
         size = len(numbers[0])
-        if leakage:  # first state past the edge on any squeezed mode; the top one at least
-            tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
+        # first state past the edge on any squeezed mode; the top one at least
+        tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
         n = _numbers(layout.num_modes, modes, numbers, spectators)
         V = np.eye(size, inside, dtype=complex)[:, None]
         for f in factors:
@@ -568,12 +563,10 @@ def _sector_blocks(
                 V = V * np.exp(1j * phase)[:, :, None]
                 continue
             if key not in eigs:
-                if not shared:
-                    eigs.clear()
+                eigs.clear()  # the previous ladder's eigenbasis goes first
                 eigs[key] = _ladder_eig(coupling)
             V = _ladder_exp(eigs[key], f.theta, V)
-            if leakage:
-                worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
+            worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
         walked.append(([nj[:inside] for nj in numbers], V[:inside]))
     return walked, worst
 
@@ -607,28 +600,30 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
         return Operator(layout, np.diag(phase_vector(layout, factors)), unitary=True)
     box = tuple(layout.dims[m] for m in modes)
     spectators = _spectators(layout, modes)
-    walked, _ = _sector_blocks(layout, factors, modes, spectators, box, leakage=False)
+    walked, _ = _sector_blocks(layout, factors, modes, spectators, box)
     return Operator(layout, _place_blocks(layout, modes, spectators, walked), unitary=True)
 
 
 def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     """The blocks of single-mode squeezers truncated to layout, all on one
-    mode: per squeezer, its blocks on the even and on the odd Fock indices
-    of that mode (the same for every spectator Fock index).
+    mode: per distinct squeezer, its blocks on the even and on the odd Fock
+    indices of that mode (the same for every spectator Fock index).
 
-    The sector walk of truncated_product without the placement, one
-    eigenbasis per parity ladder serving every squeezer.
+    Each block is its parity ladder's exponential, one eigenbasis per ladder
+    serving every squeezer.
     """
     modes = _squeezed_modes(layout, squeezers)
     if modes is None or len(modes) != 1:
         raise OperatorError("parity blocks need single-mode squeezers")
     box = (layout.dims[modes[0]],)
-    spectators = _spectators(layout, modes)
-    eigs, blocks = {}, {}
-    for s in squeezers:
-        walked, _ = _sector_blocks(layout, [s], modes, spectators, box, leakage=False, eigs=eigs)
-        blocks[s] = tuple(np.ascontiguousarray(block[:, 0, :]) for _, block in walked)
-    return blocks
+    ladders = [
+        (_ladder_eig(coupling), np.eye(size, dtype=complex))
+        for _, size, _, coupling in _sectors(box, box)
+    ]
+    return {
+        s: tuple(_ladder_exp(eig, s.theta, eye) for eig, eye in ladders)
+        for s in dict.fromkeys(squeezers)
+    }
 
 
 def compress_product(layout: ModeLayout, factors) -> Operator:

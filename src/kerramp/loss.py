@@ -214,20 +214,6 @@ def _damp(matrix, dims, mode, reflectance, skew=None, product=None, out=None) ->
     return out
 
 
-def lossy_stage(rho: DensityMatrix, unitary, loss_modes) -> DensityMatrix:
-    """One circuit stage: apply the unitary, then lose each listed mode.
-
-    unitary is None or what fock.evolve takes; loss_modes is a list of
-    (mode, reflectance) pairs; each loss attaches a fresh vacuum ancilla,
-    mixes it in on a beam splitter, and traces it out.
-    """
-    if unitary is not None:
-        rho = fock.evolve(rho, unitary, validate=False)
-    for mode, r in loss_modes:
-        rho = apply_mode_loss(rho, mode, r)
-    return rho
-
-
 @dataclass(frozen=True)
 class LossyRunReport:
     """Outcome of a lossy amplifier run at converged truncation.
@@ -320,13 +306,13 @@ def _run_fixed_dim(
     The pass runs in three N x N buffers allocated once: the state, a spare
     and a work buffer.  Each squeezer conjugates the state by its two
     parity blocks (_squeeze_b) into the spare, which then becomes the state;
-    the blocks come from one sector walk per squeezer, sharing one
-    eigenbasis per parity ladder, and no N x N gate matrix is built.  The
-    Kerr and phase gates multiply the state in place by their phase
-    vectors, as fock.evolve does, and so does the ideal reference
-    K(2 gamma), which keeps the exact zeros that fix the support
-    fock.fidelity reads.  The loss channel writes its intermediates into
-    the spare and the work buffer and its output over the state.
+    the blocks are the parity ladders' exponentials (fock.parity_blocks),
+    and no N x N gate matrix is built.  The Kerr and phase gates multiply
+    the state in place by their phase vectors, as fock.evolve does, and so
+    does the ideal reference K(2 gamma), which keeps the exact zeros that
+    fix the support fock.fidelity reads.  The loss channel writes its
+    intermediates into the spare and the work buffer and its output over
+    the state.
 
     Returns (output, ideal output, leakage), the leakage being the largest
     population on the top tenth of the b ladder after any stage, read off

@@ -283,7 +283,8 @@ def test_criterion_8_property_suite():
     # trace preservation through a lossy stage
     rho = loss.make_plus_plus(fock.make_layout([2, 20]))
     S = circuits.squeeze_single(rho.layout, 1, 0.4)
-    out = loss.lossy_stage(rho, S, [(1, 0.3), (0, 0.2)])
+    out = fock.evolve(rho, S, validate=False)
+    out = loss.apply_mode_loss(loss.apply_mode_loss(out, 1, 0.3), 0, 0.2)
     checks.append(
         (
             abs(np.trace(out.matrix).real - 1.0) < 1e-10,

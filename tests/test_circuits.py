@@ -369,6 +369,27 @@ class TestDiagonalGates:
         with pytest.raises(fock.LayoutError, match="two distinct modes"):
             circuits.compose(plan)
 
+    @pytest.mark.parametrize(
+        "dims, gate",
+        [
+            ([2, 8], fock.PairSqueeze((-1,), 0.3)),
+            ([2, 8], fock.PairSqueeze((2,), 0.3)),
+            ([2, 6, 6], fock.PairSqueeze((1, -1), 0.3)),
+            ([2, 6, 6], fock.PairSqueeze((1, 3), 0.3)),
+            ([2, 6], circuits.Kerr(0, 2, 0.3)),
+            ([2, 6], circuits.PhaseShift(((-1, 0.3),))),
+        ],
+        ids=["squeeze-neg", "squeeze-past", "pair-neg", "pair-past", "kerr-past", "phase-neg"],
+    )
+    def test_compress_refuses_out_of_range_modes(self, dims, gate):
+        # a negative mode must not index the last mode, nor a squeezer's
+        # mode pass unchecked into the sector walk
+        plan = circuits.CircuitPlan(fock.make_layout(dims), (gate,))
+        with pytest.raises(fock.LayoutError, match="out of range"):
+            circuits.compress(plan)
+        with pytest.raises(fock.LayoutError, match="out of range"):
+            circuits.compose(plan)
+
     def test_compress_relabels_diagonal_gates_across_swaps(self):
         # SWAP K_ab(d) P_b SWAP = K_ac(d) P_c, each gate's phase evaluated on
         # the modes the pending swaps moved it to

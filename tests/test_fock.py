@@ -424,6 +424,40 @@ class TestTruncatedProduct:
             fock.truncated_product(layout, factors)
 
 
+class TestParityBlocks:
+    """A single-mode squeezer's even and odd n_b blocks, taken straight off
+    the two parity ladders, against the placed sector-walk product."""
+
+    @pytest.mark.parametrize("dim", [20, 21])  # 21: unequal parity ladders
+    def test_blocks_are_the_truncated_product_blocks(self, dim):
+        layout = fock.make_layout([2, dim])
+        squeezers = [fock.PairSqueeze((1,), 0.7), fock.PairSqueeze((1,), -1.3)]
+        blocks = fock.parity_blocks(layout, squeezers)
+        assert list(blocks) == squeezers
+        for s in squeezers:
+            U = fock.truncated_product(layout, [s]).matrix.reshape(2, dim, 2, dim)
+            for p, block in enumerate(blocks[s]):
+                for na in (0, 1):
+                    assert np.array_equal(block, U[na, p::2, na, p::2])
+
+    def test_one_entry_per_distinct_squeezer(self):
+        # the plan holds S1 twice: its blocks are taken once
+        layout = fock.make_layout([2, 20])
+        params = su11.solve_params(0.5, 0.5)
+        gates = circuits.two_mode_plan(params, layout).gates
+        squeezers = [g for g in gates if isinstance(g, fock.PairSqueeze)]
+        assert len(squeezers) == 3
+        blocks = fock.parity_blocks(layout, squeezers)
+        assert len(blocks) == 2
+        for parities in blocks.values():
+            assert [b.shape for b in parities] == [(10, 10), (10, 10)]
+
+    def test_rejects_two_mode_squeezer(self):
+        layout = fock.make_layout([2, 4, 4])
+        with pytest.raises(fock.OperatorError, match="single-mode"):
+            fock.parity_blocks(layout, [fock.PairSqueeze((1, 2), 0.3)])
+
+
 class TestSqrtmPsd:
     def test_identity_root(self):
         layout = fock.make_layout([3])

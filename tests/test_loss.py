@@ -252,22 +252,13 @@ class TestLossKernel:
 
 
 class TestLossyStage:
-    def test_no_loss_is_pure_unitary(self):
-        rng = np.random.default_rng(36)
-        layout = fock.make_layout([2, 8])
-        rho = random_density(rng, layout)
-        U = circuits.kerr(layout, 0, 1, 0.4)
-        got = loss.lossy_stage(rho, U, [])
-        want = fock.evolve(rho, U)
-        assert np.allclose(got.matrix, want.matrix)
-
     def test_identity_unitary_reduces_to_channel(self):
         rng = np.random.default_rng(37)
         layout = fock.make_layout([2, 10])
         for _ in range(5):
             rho = random_density(rng, layout)
             R = rng.uniform(0.05, 0.95)
-            got = loss.lossy_stage(rho, None, [(1, R)])
+            got = loss.apply_mode_loss(rho, 1, R)
             # channel acts on mode b only: apply the oracle blockwise over
             # the qubit indices
             blocks = rho.matrix.reshape(2, 10, 2, 10)
@@ -281,7 +272,8 @@ class TestLossyStage:
         layout = fock.make_layout([2, 12])
         rho = loss.make_plus_plus(layout)
         S = circuits.squeeze_single(layout, 1, 0.5)
-        out = loss.lossy_stage(rho, S, [(1, 0.3), (0, 0.1)])
+        out = fock.evolve(rho, S, validate=False)
+        out = loss.apply_mode_loss(loss.apply_mode_loss(out, 1, 0.3), 0, 0.1)
         assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-10
         assert np.trace(out.matrix) == pytest.approx(1.0, abs=1e-8)
         assert np.linalg.eigvalsh(out.matrix)[0] > -1e-8
@@ -427,11 +419,9 @@ class TestLossyLeakage:
         populations = []
         for position, gate in enumerate(circuits.two_mode_plan(params, layout).gates):
             splitters = loss.SPLITTERS_AFTER_GATE.get(position, ())
-            rho = loss.lossy_stage(
-                rho,
-                circuits.gate_operator(layout, gate),
-                [(mode, config.reflectance(name)) for name, mode in splitters],
-            )
+            rho = fock.evolve(rho, circuits.gate_operator(layout, gate), validate=False)
+            for name, mode in splitters:
+                rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
             populations.append(np.real(np.diagonal(rho.matrix)).reshape(2, 20)[:, 18:].sum())
         _, _, leakage = loss._run_fixed_dim(loss.make_plus_plus(layout), params, config)
         assert leakage == pytest.approx(max(populations), rel=1e-12)
@@ -489,10 +479,10 @@ class TestLossyCircuitPlan:
 
     def test_phase_gates_build_no_matrix(self, monkeypatch):
         # no gate becomes an N x N matrix: the squeezers act by their parity
-        # blocks, the Kerr and phase gates and the ideal K(2 gamma) as phase
-        # vectors
+        # blocks, taken straight off the parity ladders, the Kerr and phase
+        # gates and the ideal K(2 gamma) as phase vectors
         calls = []
-        for name in ("truncated_product", "_place_blocks"):
+        for name in ("truncated_product", "_place_blocks", "_sector_blocks", "_spectators"):
 
             def spy(*args, _name=name, _original=getattr(fock, name)):
                 calls.append(_name)
