@@ -7,8 +7,8 @@ the gates of circuits.two_mode_plan, the same plan the lossless builder
 composes, and after each nonlinear gate applies the beam splitters that
 SPLITTERS_AFTER_GATE lists for the gate's position in the plan.
 
-The pass runs in three N x N buffers allocated once per ladder, and builds
-no N x N gate matrix.  A single-mode squeezer on b is block-diagonal in the
+The pass runs in three buffers allocated once per ladder, and builds no
+N x N gate matrix.  A single-mode squeezer on b is block-diagonal in the
 parity of n_b and the same for both n_a, so S rho S† is four products of
 parity blocks, S_p rho_pq S_q†, each batched over the n_a blocks.  The Kerr
 and phase gates multiply the state by their phase vectors, and the loss
@@ -18,25 +18,42 @@ With the ancilla in vacuum, the attach-evolve-trace step is amplitude
 damping, whose Kraus operators have the closed form
 E_k |n> = sqrt(C(n, k) R^k (1 - R)^(n - k)) |n - k>
 (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)), that is
-E_k = sqrt(R^k / k!) T a^k with T = (1 - R)^(n / 2).
+E_k = sqrt(R^k / k!) T a^k with T = (1 - R)^(n / 2).  On the two-level
+mode a only E_0 = diag(1, sqrt(1 - R)) and E_1 = sqrt(R) |0><1| remain,
+so the pass applies loss on a as block arithmetic on the n_a blocks: R of
+the (1, 1) block moves to (0, 0), and the off-diagonal blocks scale by
+sqrt(1 - R).
 
-The channel sum_k E_k rho E_k† is applied as one real matrix product,
-without building the extended space or any Kraus matrix.  With the plain
-shift S |n> = |n - 1> and G = diag(g_n), g_n = sqrt(n!) lambda^n, the
-lowering operator is a = lambda^-1 G^-1 S G, so
+The channel sum_k E_k rho E_k† on any other mode is applied as one real
+matrix product, without building the extended space or any Kraus matrix.
+With the plain shift S |n> = |n - 1> and G = diag(g_n),
+g_n = sqrt(n!) lambda^n, the lowering operator is a = lambda^-1 G^-1 S G, so
 sum_k (R^k / k!) a^k rho a†^k = G^-1 [sum_k f_k S^k (G rho G) S†^k] G^-1,
 f_k = (R / lambda^2)^k / k!: a Toeplitz sum along the diagonals of G rho G.
 Skewing its upper diagonals into columns, Q[j, delta] = (G rho G)[j, j + delta],
 makes the whole sum one product F @ Q over the lost mode's ladder, batched
-over the modes before it, F being the upper-triangular Toeplitz matrix of
-f.  Moving the row scale (T G^-1)^2 and the summed index's G^2 into F makes
-it F[m, m + k] = w_k[m]^2 = C(m + k, k) R^k (1 - R)^m, and leaves ratios:
-Q[j, delta] = rho[j, j + delta] g_{j+delta} / g_j before the product and
-(1 - R)^(delta / 2) g_m / g_{m+delta} on out[m, m + delta] after it.  The
-real F acts on the real and imaginary parts at once.  Hermiticity gives the
-lower triangle: the m = m' blocks are halved and out = U + U†.  With
-lambda^2 = e / d every ratio stays within exp(+-d / 2e) on a d-level
-ladder, inside the float range up to MAX_LOSS_LADDER levels.
+over the other modes, F being the upper-triangular Toeplitz matrix of f.
+Moving the row scale (T G^-1)^2 and the summed index's G^2 into F makes it
+F[m, m + k] = w_k[m]^2 = C(m + k, k) R^k (1 - R)^m, and leaves ratios:
+A[j, c] = g_c / g_j on rho[j, c] before the product and
+S[m, delta] = (1 - R)^(delta / 2) g_m / g_{m+delta} on out[m, m + delta]
+after it.  The real F acts on the real and imaginary parts at once.
+Hermiticity gives the lower triangle: the m = m' blocks are halved and
+out = U + U†.  F, A and S are d x d tables, built once per ladder and
+reflectance (_loss_tables).  With lambda^2 = e / d every ratio stays within
+exp(+-d / 2e) on a d-level ladder, inside the float range up to
+MAX_LOSS_LADDER levels.
+
+The skew and unskew are reshapes.  With the lost mode moved last in rows
+and columns, the state is a (P, d, N) array, P d = N, whose rows
+(p, j) run over the columns (p', c).  Written with the triangular mask A
+into the (P, d, N) head of a (P, d (N + 1)) buffer whose tail is zero, it
+reads back through the (P, d, N + 1)[..., :N] reshape as Q: row j starts j
+places further on, and what lands at j + delta >= d is a masked entry of
+the next block or the zero tail.  The product goes into the same view of a
+second buffer, with its padding column zero, and the (P, d, N) reshape of
+that buffer shifts row m back by m: the upper triangle of every block
+holds U, and exact zeros lie below it.
 """
 
 from __future__ import annotations
@@ -152,29 +169,31 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
     _check_reflectance(reflectance)
     if reflectance == 0.0:
         return rho
-    out = _damp(rho.matrix, rho.layout.dims, mode, reflectance)
+    tables = _loss_tables(rho.layout.dims[mode], reflectance)
+    n = rho.layout.total_dim
+    skew, product = (np.empty(n * (n + 1), dtype=complex) for _ in range(2))
+    out = np.empty((n, n), dtype=complex)
+    _damp(rho.matrix, rho.layout.dims, mode, tables, skew, product, out)
     return DensityMatrix(rho.layout, out, validate=False)
 
 
-def _damp(matrix, dims, mode, reflectance, skew=None, product=None, out=None) -> np.ndarray:
-    """The loss channel of apply_mode_loss on a state matrix, 0 < R <= 1.
-
-    skew, product and out are N x N complex buffers, each allocated here
-    when not given; out may be matrix itself, which is read only before the
-    product, and is returned.
-    """
-    d = dims[mode]
+def _check_lost_ladder(d: int) -> None:
     if d > MAX_LOSS_LADDER:
         raise fock.TruncationError(
             f"lost mode's ladder {d} exceeds {MAX_LOSS_LADDER}, the largest whose "
             "loss rescaling stays in float range"
         )
-    skew, product, out = (
-        np.empty(matrix.shape, dtype=complex) if buf is None else buf
-        for buf in (skew, product, out)
-    )
-    pre, post = math.prod(dims[:mode]), math.prod(dims[mode + 1 :])
-    r = matrix.reshape(pre, d, post, pre, d, post)
+
+
+def _loss_tables(d: int, reflectance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The d x d tables of the loss channel on a d-level lost mode at
+    0 < R <= 1 (module docstring): the weights F[m, m + k] =
+    C(m + k, k) R^k (1 - R)^m, the skew scales A[j, c] = g_c / g_j and the
+    unskew scales S[m, delta] = (1 - R)^(delta / 2) g_m / g_{m+delta}, halved
+    at delta = 0.  F and A are zero below the diagonal, S where
+    m + delta >= d.  A ladder above MAX_LOSS_LADDER raises
+    fock.TruncationError."""
+    _check_lost_ladder(d)
     n = np.arange(d)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
     # g_n = sqrt(n!) lambda^n with lambda^2 = e / d, centred: |log g_n| <~ d / 4e
@@ -182,36 +201,74 @@ def _damp(matrix, dims, mode, reflectance, skew=None, product=None, out=None) ->
     with np.errstate(divide="ignore"):
         log_t = np.log1p(-reflectance)  # -inf at R = 1
     n_log_t = np.multiply(n, log_t, out=np.zeros(d), where=n > 0)  # 0 log 0 = 0
-    # F[m, m + k] = w_k[m]^2 = C(m + k, k) R^k (1 - R)^m, built in log space
-    # in one d x d buffer: the k-dependent part is a Toeplitz view, -inf below
-    # the diagonal
+    # F built in log space in one d x d buffer: the k-dependent part is a
+    # Toeplitz view, -inf below the diagonal
     log_c = np.concatenate((np.full(d - 1, -np.inf), n * math.log(reflectance) - log_fact))
     F = np.add.outer(n_log_t - log_fact, log_fact)
     F += np.lib.stride_tricks.sliding_window_view(log_c, d)[::-1]
     np.exp(F, out=F)
-    # skew: buf[.., j, .., delta, ..] = rho[.., j, .., j + delta, ..] g_{j+delta} / g_j
-    buf = skew.reshape(r.shape)
-    buf[...] = 0.0
-    for j in range(d):
-        np.multiply(
-            r[:, j, :, :, j:, :], (g[j:] / g[j])[:, None], out=buf[:, j, :, :, : d - j, :]
-        )
-    x = product.reshape(r.shape)
-    np.matmul(F, buf.view(float).reshape(pre, d, -1), out=x.view(float).reshape(pre, d, -1))
-    del F
-    # unskew into the upper triangle U, its m = m' blocks halved; out = U + U†
+    A = np.triu(g / g[:, None])
     half = np.exp(0.5 * n_log_t)
     half[0] = 0.5
-    buf[...] = 0.0
-    for m in range(d):
-        np.multiply(
-            x[:, m, :, :, : d - m, :],
-            (g[m] * half[: d - m] / g[m:])[:, None],
-            out=buf[:, m, :, :, m:, :],
-        )
-    np.conjugate(skew.T, out=out)  # read once, transposed: the sum reads both in order
-    out += skew
+    # g_{m+delta} as a Hankel view, infinite past the ladder: S = 0 there
+    g_shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((g, np.full(d - 1, np.inf))), d
+    )
+    S = g[:, None] * half / g_shifted
+    return F, A, S
+
+
+def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
+    """The loss channel of apply_mode_loss on an N x N state matrix, with
+    the tables _loss_tables built for its lost mode's ladder and reflectance.
+
+    skew and product are flat complex buffers of at least N^2 + N elements,
+    whose contents are never read before they are written; out is N x N and
+    may be matrix itself, which is read only before the product.  The skew
+    and the unskew are reshapes of the padded buffers (module docstring), so
+    the call makes the same few numpy calls on every ladder.  Returns out.
+    """
+    F, A, S = tables
+    d = dims[mode]
+    pre, post = math.prod(dims[:mode]), math.prod(dims[mode + 1 :])
+    n = matrix.shape[0]
+    p = n // d
+    # (pre, d, post) rows and columns, viewed with the lost mode last
+    last = (0, 2, 1, 3, 5, 4)
+    skew = skew[: n * (n + 1)].reshape(p, d * (n + 1))
+    product = product[: n * (n + 1)].reshape(p, d, n + 1)
+    # rho A into the (P, d, N) head, zero tail: the (P, d, N + 1)[..., :N]
+    # reshape is Q[p, j, (p', delta)] = rho[p, j, p', j + delta] g_{j+delta} / g_j
+    np.multiply(
+        matrix.reshape(pre, d, post, pre, d, post).transpose(last),
+        A.reshape(d, 1, 1, d),
+        out=skew[:, : d * n].reshape(pre, post, d, pre, post, d),
+    )
+    skew[:, d * n :] = 0.0
+    x = product[..., :n]
+    np.matmul(F, skew.reshape(p, d, n + 1)[..., :n].view(float), out=x.view(float))
+    x.reshape(p, d, p, d)[...] *= S[:, None, :]
+    product[..., n] = 0.0
+    # the (P, d, N) reshape shifts row m back by m: U, zero below each block's diagonal
+    u = product.reshape(p, -1)[:, : d * n].reshape(pre, post, d, pre, post, d).transpose(last)
+    out6 = out.reshape(u.shape)
+    np.conjugate(u.transpose(3, 4, 5, 0, 1, 2), out=out6)  # U†
+    out6 += u
     return out
+
+
+def _damp_first_qubit(state, reflectance) -> None:
+    """apply_mode_loss on mode a of a (a: 2, b: D) state matrix, in place:
+    with E_0 = diag(1, sqrt(1 - R)) and E_1 = sqrt(R) |0><1|, R of the
+    (1, 1) n_a block moves to (0, 0) and the off-diagonal blocks scale by
+    sqrt(1 - R)."""
+    d = state.shape[0] // 2
+    blocks = state.reshape(2, d, 2, d)
+    blocks[0, :, 0] += reflectance * blocks[1, :, 1]
+    blocks[1, :, 1] *= 1.0 - reflectance
+    t = math.sqrt(1.0 - reflectance)
+    blocks[0, :, 1] *= t
+    blocks[1, :, 0] *= t
 
 
 @dataclass(frozen=True)
@@ -303,46 +360,61 @@ def _run_fixed_dim(
     circuits.two_mode_plan in order, each followed by the beam splitters
     SPLITTERS_AFTER_GATE lists for its position.
 
-    The pass runs in three N x N buffers allocated once: the state, a spare
-    and a work buffer.  Each squeezer conjugates the state by its two
+    The pass runs in three flat buffers of N^2 + N elements, allocated
+    once: the state, a spare and a work buffer, the state and the spare
+    being their N x N heads.  Each squeezer conjugates the state by its two
     parity blocks (_squeeze_b) into the spare, which then becomes the state;
     the blocks are the parity ladders' exponentials (fock.parity_blocks),
     and no N x N gate matrix is built.  The Kerr and phase gates multiply
     the state in place by their phase vectors, as fock.evolve does, and so
     does the ideal reference K(2 gamma), which keeps the exact zeros that
-    fix the support fock.fidelity reads.  The loss channel writes its
-    intermediates into the spare and the work buffer and its output over
-    the state.
+    fix the support fock.fidelity reads.  Loss on a is block arithmetic on
+    the state (_damp_first_qubit).  Loss on b (_damp) skews into the whole
+    spare, multiplies into the whole work buffer and writes its output over
+    the state, with the tables _loss_tables builds once per reflectance;
+    they are dropped with the pass.
 
     Returns (output, ideal output, leakage), the leakage being the largest
     population on the top tenth of the b ladder after any stage, read off
     the diagonal: S2 pulls the mid-circuit spread back down.
     """
     layout = rho_in.layout
+    n, d = layout.total_dim, layout.dims[1]
     gates = circuits.two_mode_plan(params, layout).gates
     squeezers = fock.parity_blocks(layout, [g for g in gates if isinstance(g, fock.PairSqueeze)])
     adjoints = {gate: [s.conj().T for s in blocks] for gate, blocks in squeezers.items()}
-    tail = fock.tail_index(layout.dims[1])
-    state = rho_in.matrix.astype(complex, order="C")  # a copy
-    spare, product = np.empty_like(state), np.empty_like(state)
+    tail = fock.tail_index(d)
+    state, spare, work = (np.empty(n * (n + 1), dtype=complex) for _ in range(3))
+
+    def head(buf):
+        return buf[: n * n].reshape(n, n)
+
+    rho = head(state)
+    np.copyto(rho, rho_in.matrix)
+    tables = {}
     leakage = 0.0
     for position, gate in enumerate(gates):
         if gate in squeezers:
-            _squeeze_b(state, squeezers[gate], adjoints[gate], spare, product)
+            _squeeze_b(rho, squeezers[gate], adjoints[gate], head(spare), work)
             state, spare = spare, state
+            rho = head(state)
         else:
             u = fock.phase_vector(layout, [gate])
             # u rho, not rho u: fock.evolve's (u rho) u*, rounded alike
-            np.multiply(u[:, None], state, out=state)
-            state *= u.conj()
+            np.multiply(u[:, None], rho, out=rho)
+            rho *= u.conj()
         for name, mode in SPLITTERS_AFTER_GATE.get(position, ()):
             r = loss.reflectance(name)
-            if r:
-                _damp(state, layout.dims, mode, r, spare, product, out=state)
-        populations = np.real(np.diagonal(state)).reshape(layout.dims)
+            if r and mode == 0:
+                _damp_first_qubit(rho, r)
+            elif r:
+                if r not in tables:
+                    tables[r] = _loss_tables(d, r)
+                _damp(rho, layout.dims, mode, tables[r], spare, work, out=rho)
+        populations = np.real(np.diagonal(rho)).reshape(layout.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
     rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp), validate=False)
-    return DensityMatrix(layout, state, validate=False), rho_ideal, leakage
+    return DensityMatrix(layout, rho, validate=False), rho_ideal, leakage
 
 
 def run_lossy_amplifier(
@@ -359,12 +431,24 @@ def run_lossy_amplifier(
     between lossy and ideal outputs changes by less than tol under doubling
     and the pass's leakage onto the top tenth of the b ladder is below tol
     too.  A non-convergent run returns the best estimate with
-    converged=False; a D above max_dim raises fock.TruncationError.
+    converged=False; a D above max_dim raises fock.TruncationError, and so
+    does, before the first pass, a schedule that can reach a b ladder above
+    MAX_LOSS_LADDER while a splitter on b has R > 0.
     """
     if rho_in.layout.num_modes != 2 or rho_in.layout.dims[0] != 2:
         raise fock.LayoutError(
             "expected layout (a: 2, b: D), got " + str(rho_in.layout.dims)
         )
+    lossy_b = any(
+        loss.reflectance(name)
+        for splitters in SPLITTERS_AFTER_GATE.values()
+        for name, mode in splitters
+        if mode == 1
+    )
+    dim = rho_in.layout.dims[1]
+    while lossy_b and dim <= max_dim:
+        _check_lost_ladder(dim)
+        dim *= 2
 
     def run(dim):
         rho = embed_state(rho_in, fock.make_layout([2, dim]))

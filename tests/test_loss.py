@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import binom
 
-from kerramp import circuits, fock, loss, su11
+from kerramp import circuits, cli, fock, loss, su11
 
 
 def damping_kraus_oracle(dim, R):
@@ -211,7 +211,8 @@ class TestLossKernel:
     REFLECTANCES = (1e-9, 0.03, 0.1, 0.5, 0.9, 1.0)
 
     @pytest.mark.parametrize(
-        "dims, mode", [([2, 160], 1), ([2, 160], 0), ([3, 40, 4], 1), ([320], 0)]
+        "dims, mode",
+        [([2, 160], 1), ([2, 160], 0), ([3, 40, 4], 1), ([320], 0), ([2, 3], 1), ([3, 5, 4], 2)],
     )
     def test_matches_slice_loop(self, dims, mode):
         rng = np.random.default_rng(39)
@@ -223,6 +224,21 @@ class TestLossKernel:
             assert np.max(np.abs(got - want)) <= 1e-14, R
             assert np.array_equal(got, got.conj().T), R
             assert abs(np.trace(got) - 1.0) <= 1e-12, R
+
+    def test_stale_buffers_are_never_read(self):
+        # the skew and product buffers start as NaN and are reused from a
+        # [2, 20] call for a [3, 5, 4] one: the padding must be rewritten
+        rng = np.random.default_rng(40)
+        size = 60 * 61
+        skew, product = np.full(size, np.nan, dtype=complex), np.full(size, np.nan, dtype=complex)
+        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2)):
+            rho = random_density(rng, fock.make_layout(dims)).matrix
+            n = len(rho)
+            tables = loss._loss_tables(dims[mode], 0.1)
+            got = loss._damp(rho, dims, mode, tables, skew, product, np.empty((n, n), dtype=complex))
+            want = slice_loop_oracle(rho, dims, mode, 0.1)
+            assert np.max(np.abs(got - want)) <= 1e-14, dims
+            assert np.array_equal(got, got.conj().T), dims
 
     @pytest.mark.parametrize("R", [1e-9, 0.9, 1.0])
     def test_long_ladder_matches_closed_form(self, R):
@@ -249,6 +265,57 @@ class TestLossKernel:
         rho = fock.DensityMatrix(layout, zero, validate=False)
         with pytest.raises(fock.TruncationError, match=f"ladder {d} exceeds"):
             loss.apply_mode_loss(rho, 0, 0.1)
+
+
+class TestLossOnA:
+    """The lossy pass applies loss on the two-level mode a as block
+    arithmetic and builds the loss tables of b once per reflectance."""
+
+    @pytest.mark.parametrize("dim", [20, 21])
+    @pytest.mark.parametrize("R", [1e-9, 0.1, 0.5, 1.0])
+    def test_block_update_is_the_channel(self, dim, R):
+        rho = random_density(np.random.default_rng(41), fock.make_layout([2, dim]))
+        got = rho.matrix.copy()
+        loss._damp_first_qubit(got, R)
+        want = loss.apply_mode_loss(rho, 0, R).matrix
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_pass_damps_b_only_with_tables_built_once(self, monkeypatch):
+        calls = {"_damp": [], "_loss_tables": []}
+
+        def spy(name, original):
+            def wrapped(*args, **kwargs):
+                calls[name].append(args)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(loss, name, spy(name, getattr(loss, name)))
+        rho = loss.make_plus_plus(fock.make_layout([2, 20]))
+        loss._run_fixed_dim(rho, su11.solve_params(0.5, 0.5), loss.LossConfig(0.1, 0.1))
+        assert [args[2] for args in calls["_damp"]] == [1] * 5
+        assert calls["_loss_tables"] == [(20, 0.1)]
+
+    def test_over_cap_schedule_is_refused_before_the_first_pass(self, monkeypatch, capsys):
+        passes = []
+        run_fixed_dim = loss._run_fixed_dim
+
+        def spy(*args):
+            passes.append(args)
+            return run_fixed_dim(*args)
+
+        monkeypatch.setattr(loss, "MAX_LOSS_LADDER", 50)
+        monkeypatch.setattr(loss, "_run_fixed_dim", spy)
+        code = cli.main(["lossy", "--theta1", "1.5", "--dim", "40", "--max-dim", "80"])
+        assert code == 1
+        assert passes == []
+        assert "lost mode's ladder 80 exceeds 50" in capsys.readouterr().err
+        # loss on a alone never reaches the kernel's cap
+        rho = loss.make_plus_plus(fock.make_layout([2, 40]))
+        config = loss.LossConfig(overrides={"R2p": 0.1})
+        report = loss.run_lossy_amplifier(rho, su11.solve_params(0.5, 0.5), config, max_dim=80)
+        assert len(passes) >= 1 and report.truncation <= 80
 
 
 class TestLossyStage:
