@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -342,14 +343,14 @@ def cmd_verify(args):
 
 
 def _meta(args) -> dict:
-    skip = {"func"}
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip
-    }
+    config = dict(sorted(vars(args).items()))
     return {"version": __version__, "command": args.command, "config": config}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it
+    unchanged, and main dispatches to the command's cmd_<name> function."""
     parser = argparse.ArgumentParser(
         prog="kerramp",
         description="Cross-Kerr phase-shift amplification via quadrature squeezing",
@@ -377,14 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=float, default=None)
     p.add_argument("--db", type=float, default=None, help="squeezing level in dB (<= 0)")
     common(p)
-    p.set_defaults(func=cmd_amplify)
 
     p = command("table1", "amplified-shift table over dB levels")
     p.add_argument(
         "--db-list", default=None, help="comma-separated dB levels (default: 6 rows)"
     )
     common(p)
-    p.set_defaults(func=cmd_table1)
 
     p = command("figure2", "amplified-shift curves")
     p.add_argument(
@@ -395,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", type=float, default=2.5)
     p.add_argument("--points", type=int, default=200)
     common(p)
-    p.set_defaults(func=cmd_figure2)
 
     p = command("lossy", "lossy amplifier fidelity run")
     angle_flags(p)
@@ -410,13 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=160)
     p.add_argument("--tol", type=float, default=1e-3, help="convergence tolerance")
     common(p)
-    p.set_defaults(func=cmd_lossy)
 
     p = command("verify", "identity and equivalence verification")
     p.add_argument("--dim", type=int, default=100, help="Fock truncation")
     p.add_argument("--block", type=int, default=40, help="interior-block bound")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -429,7 +425,9 @@ def main(argv=None) -> int:
         if args.config is not None:
             # file values go ahead of the command line, so a given flag wins
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
-        return args.func(args)
+        # looked up per call, not stored in the cached parser, so that a
+        # cmd_<name> replaced on the module after the first build still runs
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (UsageError, ValueError, ArithmeticError, TypeError, OSError) as exc:

@@ -31,9 +31,11 @@ elements.  :func:`compress_product` composes such products on a working
 ladder that doubles from D, with the same sector ladders, until the
 propagated box columns put less than SETTLE_TOL on the top tenth of the
 ladder after every squeezer: a leakage certificate read off the ladder in
-hand, not a confirming doubling.  At the `kerramp verify` defaults that
-stops on ladders 400 (single-mode identity, D=100), 320 (two-mode circuit,
-D=40) and 112 (three-mode circuit, D=14).
+hand, not a confirming doubling.  A ladder that will not settle is
+abandoned at its first column past SETTLE_TOL (1e-12); only the kept
+ladder, or the cap's, is walked in full.  At the `kerramp verify` defaults
+that stops on ladders 400 (single-mode identity, D=100), 320 (two-mode
+circuit, D=40) and 112 (three-mode circuit, D=14).
 """
 
 from __future__ import annotations
@@ -529,7 +531,9 @@ def _place_blocks(layout: ModeLayout, modes, spectators: dict, walked):
     return U
 
 
-def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
+def _sector_blocks(
+    layout: ModeLayout, factors, modes, spectators: dict, work, stop: float = math.inf
+):
     """Blocks of the factor product on the working ladders `work` (one
     length per squeezed mode), and their leakage.
 
@@ -546,6 +550,10 @@ def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
     one squeezer a column's mean photon number is a cosh-sinh combination of
     the squeeze parameter, so its spread peaks at a stage boundary; a later
     squeezer may pull it back, hence the maximum over stages.
+
+    The walk stops, incomplete, as soon as the leakage reaches `stop`, so
+    a ladder that will not settle is abandoned at its first column past it;
+    with no `stop` (the default) it is walked in full.
     """
     n_spec = math.prod(layout.dims[j] for j in spectators)
     box = tuple(layout.dims[m] for m in modes)
@@ -567,6 +575,8 @@ def _sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
                 eigs[key] = _ladder_eig(coupling)
             V = _ladder_exp(eigs[key], f.theta, V)
             worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
+            if worst >= stop:
+                return walked, worst
         walked.append(([nj[:inside] for nj in numbers], V[:inside]))
     return walked, worst
 
@@ -635,8 +645,11 @@ def compress_product(layout: ModeLayout, factors) -> Operator:
     squeezed mode (at most MAX_WORK_FACTOR * D, at least 2D) until the box
     columns' leakage onto the ladder's top tenth (_sector_blocks) falls
     below SETTLE_TOL; the returned Operator's work_dim is that ladder and
-    its leakage the certified figure.  Raises TruncationError, naming the
-    last ladder and its leakage, when the cap is reached first.  A
+    its leakage the certified figure.  A ladder below the cap that will not
+    settle is abandoned at its first column past SETTLE_TOL, so only the
+    kept ladder is walked in full.  Raises TruncationError, naming the last
+    ladder and its leakage, when the cap is reached first; the cap ladder
+    is walked in full, so that leakage is the whole figure.  A
     compression of a unitary is in general not unitary, so the result
     carries no unitary flag.
     """
@@ -647,8 +660,15 @@ def compress_product(layout: ModeLayout, factors) -> Operator:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     dim = layout.dims[modes[0]]
     spectators = _spectators(layout, modes)
+
+    def evaluate(work):
+        # below the cap a ladder is kept only if it settles, so its walk may
+        # stop at SETTLE_TOL; the cap's leakage goes into the error in full
+        stop = SETTLE_TOL if 2 * work <= MAX_WORK_FACTOR * dim else math.inf
+        return _sector_blocks(layout, factors, modes, spectators, (work,) * len(modes), stop)
+
     settled = double_until_settled(
-        lambda work: _sector_blocks(layout, factors, modes, spectators, (work,) * len(modes)),
+        evaluate,
         start_dim=dim,
         max_dim=MAX_WORK_FACTOR * dim,
         tol=SETTLE_TOL,

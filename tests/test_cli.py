@@ -519,6 +519,35 @@ class TestConfigFile:
         assert code in (0, 1)
         capsys.readouterr()
 
+    def test_successive_calls_share_no_state(self, capsys, tmp_path):
+        # main reuses one parser per process; each call starts from its defaults
+        assert cli.build_parser() is cli.build_parser()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta1 = 0.3\nstate = werner\n")
+        configs = []
+        for extra in ([], ["--config", str(cfg)], []):
+            code, out = run_cli(capsys, "lossy", "--format", "json", *extra)
+            assert code == 0
+            configs.append(json.loads(out)["meta"]["config"])
+        plain, from_file, plain_again = configs
+        assert plain_again == plain
+        assert (plain["theta1"], plain["state"], plain["config"]) == (0.5, "plus-plus", None)
+        assert (from_file["theta1"], from_file["state"]) == (0.3, "werner")
+
+    def test_dispatch_finds_a_replaced_command(self, capsys, monkeypatch):
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_table1", lambda args: calls.append(args.command) or 0)
+        assert cli.main(["table1"]) == 0
+        assert calls == ["table1"]
+
+    def test_usage_error_leaves_next_call_clean(self, capsys):
+        assert cli.main(["lossy", "--theta1", "abc"]) == 1
+        code, out = run_cli(capsys, "amplify", "--delta", "0.5", "--theta1", "0.5")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert float(row["gamma"]) == pytest.approx(0.7004095884, abs=1e-9)
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _ = run_cli(capsys, "table1", "--out", str(out_path))

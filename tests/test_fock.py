@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -755,7 +756,75 @@ class TestLeakageCertificate:
         ):
             fock.compress_product(layout, [fock.PairSqueeze((1,), 3.0)])
 
+    def test_cap_leakage_is_the_full_walk(self):
+        # the cap ladder is walked in full, so its error names the whole figure
+        layout = fock.make_layout([2, 4])
+        factors = [fock.PairSqueeze((1,), 3.0)]
+        with pytest.raises(fock.TruncationError) as err:
+            fock.compress_product(layout, factors)
+        spectators = fock._spectators(layout, (1,))
+        _, full = fock._sector_blocks(layout, factors, (1,), spectators, (128,))
+        assert re.search(r"ladder 128: leakage (\S+) >=", str(err.value))[1] == f"{full:.2e}"
+
     def test_tail_index_is_the_top_tenth(self):
         assert [fock.tail_index(w) for w in (2, 10, 20, 112, 224, 400)] == [
             1, 9, 18, 101, 202, 360,
         ]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Records each _sector_blocks call: its arguments and its number of
+    squeezer applications (_ladder_exp calls)."""
+    seen = []
+    sector_blocks, ladder_exp = fock._sector_blocks, fock._ladder_exp
+
+    def blocks_spy(layout, factors, modes, spectators, work, *stop):
+        seen.append({"args": (layout, factors, modes, spectators), "work": work, "exps": 0})
+        return sector_blocks(layout, factors, modes, spectators, work, *stop)
+
+    def exp_spy(*args):
+        seen[-1]["exps"] += 1
+        return ladder_exp(*args)
+
+    monkeypatch.setattr(fock, "_sector_blocks", blocks_spy)
+    monkeypatch.setattr(fock, "_ladder_exp", exp_spy)
+    return seen
+
+
+class TestEarlyExit:
+    """A ladder that will not settle is abandoned at its first column past
+    SETTLE_TOL; only the ladder compress_product keeps is walked in full."""
+
+    def test_unsettled_ladders_stop_at_their_first_squeezer(self, walks):
+        layout = fock.make_layout([2, 14, 14])
+        circuits.build_three_mode_amplifier(su11.solve_params(0.5, 0.5), layout)
+        assert [w["work"] for w in walks] == [(14, 14), (28, 28), (56, 56), (112, 112)]
+        assert [w["exps"] for w in walks[:3]] == [1, 1, 1]
+        # the kept ladder: three squeezers in every sector that meets the box
+        sectors = list(fock._sectors((14, 14), (112, 112)))
+        assert walks[3]["exps"] == 3 * len(sectors)
+
+    @pytest.mark.parametrize(
+        "case, dims",
+        [("three-mode", [2, 14, 14]), ("two-mode", [2, 40]), ("fock-single", [2, 100])],
+    )
+    def test_kept_ladder_equals_the_full_walk(self, walks, case, dims):
+        U = TestLeakageCertificate.build(case, dims)
+        layout, factors, modes, spectators = walks[-1]["args"]
+        assert walks[-1]["work"] == (U.work_dim,) * len(modes)
+        walked, leakage = fock._sector_blocks(
+            layout, factors, modes, spectators, walks[-1]["work"]
+        )
+        assert walks[-1]["exps"] == walks[-2]["exps"]
+        assert np.array_equal(U.matrix, fock._place_blocks(layout, modes, spectators, walked))
+        assert U.leakage == leakage
+
+    @pytest.mark.parametrize(
+        "case, dims", [("fock-single", [2, 20]), ("two-mode", [2, 20]), ("three-mode", [2, 6, 6])]
+    )
+    def test_next_doubling_walks_in_full(self, next_doubling, case, dims):
+        # the ladder past a settled one settles too, so the certificate's
+        # comparison with the next doubling sees every sector
+        TestLeakageCertificate.build(case, dims)
+        assert len(next_doubling["doubled"]) == len(next_doubling["certified"])
