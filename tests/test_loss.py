@@ -212,7 +212,18 @@ class TestLossKernel:
 
     @pytest.mark.parametrize(
         "dims, mode",
-        [([2, 160], 1), ([2, 160], 0), ([3, 40, 4], 1), ([320], 0), ([2, 3], 1), ([3, 5, 4], 2)],
+        [
+            ([2, 160], 1),
+            ([2, 160], 0),
+            ([3, 40, 4], 1),
+            ([320], 0),
+            ([2, 3], 1),
+            ([3, 5, 4], 2),
+            # odd ladders above the split by halves: ceil(d / 2), not floor
+            ([2, 65], 1),
+            ([2, 81], 1),
+            ([3, 65, 2], 1),
+        ],
     )
     def test_matches_slice_loop(self, dims, mode):
         rng = np.random.default_rng(39)
@@ -227,11 +238,12 @@ class TestLossKernel:
 
     def test_stale_buffers_are_never_read(self):
         # the skew and product buffers start as NaN and are reused from a
-        # [2, 20] call for a [3, 5, 4] one: the padding must be rewritten
+        # [2, 20] call for a [3, 5, 4] one, then on ladders split by halves:
+        # the padding and the split's zero quadrant must be rewritten
         rng = np.random.default_rng(40)
-        size = 60 * 61
+        size = 320 * 321
         skew, product = np.full(size, np.nan, dtype=complex), np.full(size, np.nan, dtype=complex)
-        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2)):
+        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2), ([2, 65], 1), ([2, 160], 1)):
             rho = random_density(rng, fock.make_layout(dims)).matrix
             n = len(rho)
             tables = loss._loss_tables(dims[mode], 0.1)
@@ -316,6 +328,50 @@ class TestLossOnA:
         config = loss.LossConfig(overrides={"R2p": 0.1})
         report = loss.run_lossy_amplifier(rho, su11.solve_params(0.5, 0.5), config, max_dim=80)
         assert len(passes) >= 1 and report.truncation <= 80
+
+
+def complex_squeeze_oracle(state, blocks):
+    """S rho S† from complex parity blocks S_p, as the lossy pass formed it
+    before its squeezer went real: the (p, q) parity block of every
+    (n_a, n_a') block is S_p rho_pq S_q† (reference implementation)."""
+    d = state.shape[0] // 2
+    rho, out = state.reshape(2, d, 2, d), np.empty_like(state).reshape(2, d, 2, d)
+    for p, s_p in enumerate(blocks):
+        for q, s_q in enumerate(blocks):
+            x = rho[:, p::2, :, q::2].transpose(0, 2, 1, 3)
+            out[:, p::2, :, q::2] = (s_p @ x @ s_q.conj().T).transpose(0, 2, 1, 3)
+    return out.reshape(state.shape)
+
+
+class TestRealSqueezer:
+    """The lossy pass squeezes with the real parts of the parity blocks,
+    as S (S rho)†."""
+
+    def test_parity_blocks_are_real(self):
+        thetas = (0.1, 1.5, 2.5)
+        for dim in (3, 20, 21, 160, 640):
+            squeezers = [fock.PairSqueeze((1,), theta) for theta in thetas]
+            for blocks in fock.parity_blocks(fock.make_layout([2, dim]), squeezers).values():
+                for s in blocks:
+                    assert np.max(np.abs(s.imag)) <= 1e-15 * np.max(np.abs(s)), dim
+
+    @pytest.mark.parametrize("dim", [3, 20, 21, 160])
+    def test_matches_complex_blocks(self, dim):
+        # a mid-pass state: S1, K and their splitters, each gate a dense
+        # Operator; then the pass's S2
+        layout = fock.make_layout([2, dim])
+        params, config = su11.solve_params(0.5, 0.7), loss.LossConfig(0.1, 0.1)
+        gates = circuits.two_mode_plan(params, layout).gates
+        rho = loss.make_werner(layout, 0.6)
+        for position, gate in enumerate(gates[:2]):
+            rho = fock.evolve(rho, circuits.gate_operator(layout, gate), validate=False)
+            for name, mode in loss.SPLITTERS_AFTER_GATE[position]:
+                rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
+        blocks = fock.parity_blocks(layout, [gates[3]])[gates[3]]
+        state, out = rho.matrix.copy(), np.empty_like(rho.matrix)
+        loss._squeeze_b(state, tuple(np.ascontiguousarray(s.real) for s in blocks), out)
+        want = complex_squeeze_oracle(rho.matrix, blocks)
+        assert np.max(np.abs(out - want)) <= 1e-15
 
 
 class TestLossyStage:
