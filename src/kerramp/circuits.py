@@ -4,8 +4,10 @@ Gates: single- and two-mode squeezers (fock.PairSqueeze), cross-Kerr and
 diagonal phase shifters (phase factors with their own phase(n)), SWAP: all
 but SWAP are factors of the fock sector walk as they stand.  Circuits: the
 two-mode squeeze-Kerr-squeeze amplifier and its three-mode analogue built
-on two-mode squeezing, each returned together with the equivalent single
-amplified-Kerr unitary for verification.
+on two-mode squeezing, each returned together with the amplified Kerr it
+must equal.  That right side is diagonal, so it is kept as its phase
+vector (fock.phase_vector), and equivalence_residual compares the circuit
+with it on the interior block (fock.diagonal_residual).
 
 Two products of a plan's gates are on offer.  compose(plan) multiplies the
 gates truncated to the plan's layout; intermediate states leak past the top
@@ -245,11 +247,11 @@ def build_two_mode_amplifier(params: CircuitParams, layout: ModeLayout):
     unitary K(2 gamma).
 
     Returns (plan, lhs, rhs); lhs = compress(plan) is the compression of
-    the untruncated circuit to the layout, rhs the single Kerr gate it must
-    equal on the interior block.
+    the untruncated circuit to the layout, rhs the phase vector of the
+    Kerr gate it must equal on the interior block.
     """
     plan = two_mode_plan(params, layout)
-    rhs = kerr(layout, 0, 1, params.dphi_amp)
+    rhs = fock.phase_vector(layout, [Kerr(0, 1, params.dphi_amp)])
     return plan, compress(plan), rhs
 
 
@@ -260,25 +262,23 @@ def build_three_mode_amplifier(
     Kerr unitary K_ab(2 gamma) K_ac(2 gamma).
 
     Returns (plan, lhs, rhs); lhs = compress(plan) is the compression of
-    the untruncated circuit to the layout, rhs the pair of amplified Kerr
-    gates as one diagonal, which lhs must equal on the interior block.
+    the untruncated circuit to the layout, rhs the phase vector of the pair
+    of amplified Kerr gates, which lhs must equal on the interior block.
     """
     plan = three_mode_plan(params, layout, use_swap_decomposition)
     g2 = params.dphi_amp
-    rhs = compress(CircuitPlan(layout, (Kerr(0, 1, g2), Kerr(0, 2, g2))))
+    rhs = fock.phase_vector(layout, [Kerr(0, 1, g2), Kerr(0, 2, g2)])
     return plan, compress(plan), rhs
 
 
-def equivalence_residual(lhs: Operator, rhs: Operator, block: int) -> float:
-    """Max-norm of lhs - rhs on the interior block (bosonic indices <= block).
+def equivalence_residual(lhs: Operator, rhs: np.ndarray, block: int) -> float:
+    """Max-norm of lhs - diag(rhs) on the interior block (bosonic indices
+    <= block), rhs being a builder's phase vector.
 
     With lhs from a builder (compress) this measures the circuit itself; with
     lhs = compose(plan) it also holds the truncation leakage of the gates.
     """
-    layout = lhs.layout
-    idx = layout.interior_indices(block, modes=range(1, layout.num_modes))
-    block_ix = np.ix_(idx, idx)
-    return float(np.max(np.abs(lhs.matrix[block_ix] - rhs.matrix[block_ix])))
+    return fock.diagonal_residual(lhs, rhs, block)
 
 
 def conditional_phase(U: Operator, n_b: int = 1) -> float:

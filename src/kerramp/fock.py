@@ -15,7 +15,8 @@ and the product's blocks are placed in the full matrix by index arithmetic.
 each its parity ladder's exponential, for the lossy pass to conjugate a
 state by.
 A phase factor conjugates a state elementwise, as a vector (:func:`evolve`,
-:func:`phase_vector`).
+:func:`phase_vector`), and a diagonal right side is checked as its vector
+(:func:`diagonal_residual`).
 :func:`expm`, the dense eigendecomposition on the full space, stays as the
 oracle for these products and for the beam splitter.
 
@@ -429,6 +430,20 @@ def phase_vector(layout: ModeLayout, factors) -> np.ndarray:
     for f in factors:
         phase = phase + f.phase(n)
     return np.exp(1j * phase)
+
+
+def diagonal_residual(U: Operator, u: np.ndarray, block: int | None = None) -> float:
+    """max |U - diag(u)| on the interior block, the flat indices whose Fock
+    index is <= block on every mode but mode 0 (all of them when block is
+    None); u is a diagonal right side kept as its vector (phase_vector)."""
+    layout = U.layout
+    if block is None:
+        idx = np.arange(layout.total_dim)
+    else:
+        idx = layout.interior_indices(block, modes=range(1, layout.num_modes))
+    diff = U.matrix[np.ix_(idx, idx)]
+    diff.flat[:: len(idx) + 1] -= u[idx]
+    return float(np.max(np.abs(diff)))
 
 
 def _sectors(box, work):

@@ -7,13 +7,13 @@ the gates of circuits.two_mode_plan, the same plan the lossless builder
 composes, and after each nonlinear gate applies the beam splitters that
 SPLITTERS_AFTER_GATE lists for the gate's position in the plan.
 
-The pass runs in three buffers allocated once per ladder, and builds no
+The pass runs in two buffers allocated once per ladder, and builds no
 N x N gate matrix.  A single-mode squeezer on b is real, block-diagonal in
 the parity of n_b and the same for both n_a, so S rho S† = S (S rho)† is
 two rounds of real products of parity blocks and rows, batched over n_a.
 The Kerr and phase gates multiply the state by their phase vectors, and the
-loss channel below writes its intermediates into the pass's other two
-buffers.
+loss channel below writes its intermediates into the two buffers, like a
+squeezer leaving its output in the spare one.
 
 With the ancilla in vacuum, the attach-evolve-trace step is amplitude
 damping, whose Kraus operators have the closed form
@@ -181,7 +181,7 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
     tables = _loss_tables(rho.layout.dims[mode], reflectance)
     n = rho.layout.total_dim
     skew, product = (np.empty(n * (n + 1), dtype=complex) for _ in range(2))
-    out = np.empty((n, n), dtype=complex)
+    out = skew[: n * n].reshape(n, n)  # the skew is dead once the product is formed
     _damp(rho.matrix, rho.layout.dims, mode, tables, skew, product, out)
     return DensityMatrix(rho.layout, out, validate=False)
 
@@ -232,10 +232,12 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
     the tables _loss_tables built for its lost mode's ladder and reflectance.
 
     skew and product are flat complex buffers of at least N^2 + N elements,
-    whose contents are never read before they are written; out is N x N and
-    may be matrix itself, which is read only before the product.  The skew
-    and the unskew are reshapes of the padded buffers (module docstring), so
-    the call makes the same few numpy calls on every ladder.  Returns out.
+    whose contents are never read before they are written; out is N x N.
+    matrix is read only before the product and skew only up to it, so
+    product may be the buffer whose head is matrix, and out may be matrix
+    itself or the head of skew.  The skew and the unskew are reshapes of
+    the padded buffers (module docstring), so the call makes the same few
+    numpy calls on every ladder.  Returns out.
 
     From _SPLIT_LADDER levels up the product is split (module docstring).
     The GEMM at [2, d], whole / split (one OpenBLAS thread, 2-core Xeon):
@@ -378,10 +380,10 @@ def _run_fixed_dim(
     circuits.two_mode_plan in order, each followed by the beam splitters
     SPLITTERS_AFTER_GATE lists for its position.
 
-    The pass runs in three flat buffers of N^2 + N elements, allocated
-    once: the state, a spare and a work buffer, the state and the spare
-    being their N x N heads.  Each squeezer conjugates the state by its two
-    parity blocks (_squeeze_b) into the spare, which then becomes the state;
+    The pass runs in two flat buffers of N^2 + N elements, allocated once:
+    the state and a spare, each matrix being a buffer's N x N head.  Each
+    squeezer conjugates the state by its two parity blocks (_squeeze_b)
+    into the spare, which then becomes the state;
     the blocks are the real parts of the parity ladders' exponentials
     (fock.parity_blocks), whose imaginary parts are rounding residue, and
     no N x N gate matrix is built.  The Kerr and phase gates multiply
@@ -389,9 +391,10 @@ def _run_fixed_dim(
     does the ideal reference K(2 gamma), which keeps the exact zeros that
     fix the support fock.fidelity reads.  Loss on a is block arithmetic on
     the state (_damp_first_qubit).  Loss on b (_damp) skews into the whole
-    spare, multiplies into the whole work buffer and writes its output over
-    the state, with the tables _loss_tables builds once per reflectance;
-    they are dropped with the pass.
+    spare, multiplies into the whole state buffer and writes its output
+    into the spare's head, which then becomes the state, with the tables
+    _loss_tables builds once per reflectance; they are dropped with the
+    pass.
 
     Returns (output, ideal output, leakage), the leakage being the largest
     population on the top tenth of the b ladder after any stage, read off
@@ -407,7 +410,7 @@ def _run_fixed_dim(
         ).items()
     }
     tail = fock.tail_index(d)
-    state, spare, work = (np.empty(n * (n + 1), dtype=complex) for _ in range(3))
+    state, spare = (np.empty(n * (n + 1), dtype=complex) for _ in range(2))
 
     def head(buf):
         return buf[: n * n].reshape(n, n)
@@ -433,7 +436,9 @@ def _run_fixed_dim(
             elif r:
                 if r not in tables:
                     tables[r] = _loss_tables(d, r)
-                _damp(rho, layout.dims, mode, tables[r], spare, work, out=rho)
+                _damp(rho, layout.dims, mode, tables[r], spare, state, out=head(spare))
+                state, spare = spare, state
+                rho = head(state)
         populations = np.real(np.diagonal(rho)).reshape(layout.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
     rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp), validate=False)

@@ -16,8 +16,10 @@ representations verify_identity therefore checks the compression of the
 exact left side to the layout, composed on a working ladder that doubles
 until a leakage certificate holds (see fock.compress_product), while
 identity_factors gives the product of the factors truncated to the layout,
-leakage past the ladder top included.  G1 and G2 are placed by index
-arithmetic, one nonzero per row of each ladder term.
+leakage past the ladder top included.  No Fock generator is built as a
+matrix: exp(i theta G2) is the squeezer fock.PairSqueeze, exp(i c G3) a
+phase factor, and the right side exp(i gamma G3), diagonal, is compared as
+its phase vector.
 """
 
 from __future__ import annotations
@@ -148,14 +150,16 @@ def db_to_theta(db: float) -> float:
 class Su11Generators:
     """Generator triple (G1, G2, G3) in one representation.
 
-    For the Fock representations the generators are Operators over the
-    layout; for matrix-2x2 they are bare 2x2 arrays and layout is None.
+    For matrix-2x2 the generators are bare 2x2 arrays and layout is None.
+    A Fock representation is its layout alone: the identity's factors are
+    squeezers and phase factors over it (_left_factors), and g1, g2 and g3
+    are None.  commutator_residual reads a triple that holds arrays.
     """
 
     representation: str
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
+    g1: np.ndarray | None = None
+    g2: np.ndarray | None = None
+    g3: np.ndarray | None = None
     layout: ModeLayout | None = None
 
 
@@ -167,40 +171,20 @@ def _g3_values(representation: str, n) -> np.ndarray:
     return (n[1] + n[2] + 1.0) * z
 
 
-def _pair_lowering(layout: ModeLayout, representation: str, n) -> np.ndarray:
-    """A = b b / 2 (fock-single) or b c (fock-two-mode) as a dense matrix.
-
-    A has one nonzero per row, <n|A|n + step> with step the flat-index
-    shift of the lowered levels, so each is placed at its index directly.
-    """
-    dims = layout.dims
-    stride = [math.prod(dims[j + 1 :]) for j in range(len(dims))]
-    if representation == "fock-single":
-        rows = np.flatnonzero(n[1] + 2 < dims[1])
-        values = 0.5 * np.sqrt((n[1][rows] + 1.0) * (n[1][rows] + 2.0))
-        step = 2 * stride[1]
-    else:
-        rows = np.flatnonzero((n[1] + 1 < dims[1]) & (n[2] + 1 < dims[2]))
-        values = np.sqrt((n[1][rows] + 1.0) * (n[2][rows] + 1.0))
-        step = stride[1] + stride[2]
-    A = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    A[rows, rows + step] = values
-    return A
-
-
 def generators(layout: ModeLayout | None, representation: str) -> Su11Generators:
     """Build the SU(1,1) generator triple in the requested representation.
 
     fock-single needs layout (a: 2, b: D); fock-two-mode needs
     (a: 2, b: D, c: D); matrix-2x2 ignores the layout.  In both Fock
     representations G1 = (A + A†) Z_a and G2 = i (A - A†), with
-    A = b b / 2 or b c (_pair_lowering) and Z_a = 2 n_a - 1.
+    A = b b / 2 or b c and Z_a = 2 n_a - 1, and G3 is diagonal
+    (_g3_values); the returned triple holds the layout, not the matrices.
     """
     if representation == "matrix-2x2":
         g1 = np.array([[0, 1], [-1, 0]], dtype=complex)
         g2 = np.array([[0, -1j], [-1j, 0]], dtype=complex)
         g3 = np.array([[1, 0], [0, -1]], dtype=complex)
-        return Su11Generators(representation, g1, g2, g3, layout=None)
+        return Su11Generators(representation, g1, g2, g3)
 
     if layout is None:
         raise fock.LayoutError(f"representation {representation} requires a layout")
@@ -217,14 +201,7 @@ def generators(layout: ModeLayout | None, representation: str) -> Su11Generators
             )
     else:
         raise ValueError(f"unknown representation {representation!r}")
-    n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
-    A = _pair_lowering(layout, representation, n)
-    g1 = A + A.T  # A is real
-    g1 *= 2.0 * n[0] - 1.0  # times diag(Z_a): scale the columns
-    g2 = A - A.T
-    g2 *= 1j
-    g3 = np.diag(_g3_values(representation, n))
-    return Su11Generators(representation, g1, g2, g3, layout=layout)
+    return Su11Generators(representation, layout=layout)
 
 
 def commutator_residual(gens: Su11Generators, block: int | None = None) -> float:
@@ -234,6 +211,8 @@ def commutator_residual(gens: Su11Generators, block: int | None = None) -> float
     indices <= block).
     """
     g1, g2, g3 = gens.g1, gens.g2, gens.g3
+    if g1 is None:
+        raise ValueError(f"{gens.representation} generators hold no matrices")
     residuals = [
         g1 @ g2 - g2 @ g1 + 2j * g3,
         g2 @ g3 - g3 @ g2 - 2j * g1,
@@ -265,8 +244,8 @@ def _left_factors(params: CircuitParams, gens: Su11Generators) -> tuple:
 
 
 def _right_side(params: CircuitParams, gens: Su11Generators) -> np.ndarray:
-    """exp(i gamma G3) in a Fock representation."""
-    return fock.truncated_product(gens.layout, [_g3_factor(gens, params.gamma)]).matrix
+    """exp(i gamma G3) in a Fock representation, as its phase vector."""
+    return fock.phase_vector(gens.layout, [_g3_factor(gens, params.gamma)])
 
 
 def _expm_2x2(M: np.ndarray) -> np.ndarray:
@@ -290,13 +269,14 @@ def identity_factors(params: CircuitParams, gens: Su11Generators):
 
     In the Fock representations left is the product of the factors each
     truncated to the layout (fock.truncated_product), truncation leakage
-    included; see compress_identity for the compression of the exact left
-    side.  The 2x2 representation is non-Hermitian (a boost); its factors
-    come from the closed-form exponential _expm_2x2.
+    included, and right the diagonal exp(i gamma G3); see compress_identity
+    for the compression of the exact left side.  The 2x2 representation is
+    non-Hermitian (a boost); its factors come from the closed-form
+    exponential _expm_2x2.
     """
     if gens.layout is not None:
         left = fock.truncated_product(gens.layout, _left_factors(params, gens))
-        return left.matrix, _right_side(params, gens)
+        return left.matrix, np.diag(_right_side(params, gens))
     eg2_1 = _expm_2x2(1j * params.theta1 * gens.g2)
     eg3 = _expm_2x2(0.5j * params.delta * gens.g3)
     left = eg2_1 @ eg3 @ _expm_2x2(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1
@@ -325,15 +305,10 @@ def identity_residual(
     """
     if gens.layout is None:
         left, right = identity_factors(params, gens)
-        work_dim = leakage = None
-    else:
-        compressed = compress_identity(params, gens)
-        left, work_dim, leakage = compressed.matrix, compressed.work_dim, compressed.leakage
-        right = _right_side(params, gens)
-    if block is not None and gens.layout is not None:
-        idx = gens.layout.interior_indices(block, modes=range(1, gens.layout.num_modes))
-        left, right = left[np.ix_(idx, idx)], right[np.ix_(idx, idx)]
-    return float(np.max(np.abs(left - right))), work_dim, leakage
+        return float(np.max(np.abs(left - right))), None, None
+    left = compress_identity(params, gens)
+    residual = fock.diagonal_residual(left, _right_side(params, gens), block)
+    return residual, left.work_dim, left.leakage
 
 
 def verify_identity(

@@ -166,7 +166,7 @@ class TestTwoModeAmplifier:
         params = su11.solve_params(0.4, 0.0)
         layout = fock.make_layout([2, 12])
         _, lhs, rhs = circuits.build_two_mode_amplifier(params, layout)
-        assert np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-10
+        assert np.max(np.abs(lhs.matrix - np.diag(rhs))) < 1e-10
 
     def test_conditional_phase_is_two_gamma(self):
         params = su11.solve_params(0.5, 0.5)
@@ -234,7 +234,7 @@ class TestThreeModeAmplifier:
         params = su11.solve_params(0.4, 0.0)
         layout = fock.make_layout([2, 8, 8])
         _, lhs, rhs = circuits.build_three_mode_amplifier(params, layout)
-        assert np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-10
+        assert np.max(np.abs(lhs.matrix - np.diag(rhs))) < 1e-10
 
     def test_swap_decomposition_is_exact(self):
         params = su11.solve_params(0.5, 0.5)
@@ -314,7 +314,7 @@ class TestCompress:
         params = su11.solve_params(0.5, 0.5)
         layout = fock.make_layout([2, 20])
         _, lhs, rhs = circuits.build_two_mode_amplifier(params, layout)
-        assert np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-12
+        assert np.max(np.abs(lhs.matrix - np.diag(rhs))) < 1e-12
 
     def test_trailing_swap_applies_to_compression(self):
         layout = fock.make_layout([2, 4, 4])
@@ -349,6 +349,28 @@ class TestCompress:
         params = su11.solve_params(0.5, 1.5)
         with pytest.raises(fock.TruncationError, match=r"working ladder 256: leakage"):
             circuits.build_two_mode_amplifier(params, fock.make_layout([2, 8]))
+
+
+class TestRightSides:
+    """The builders' right sides are phase vectors holding exactly the
+    diagonals of the dense gates they replace."""
+
+    PARAMS = su11.solve_params(0.5, 0.5)
+
+    def test_two_mode_rhs_is_the_amplified_kerr(self):
+        layout = fock.make_layout([2, 12])
+        _, _, rhs = circuits.build_two_mode_amplifier(self.PARAMS, layout)
+        assert rhs.shape == (layout.total_dim,)
+        kerr = circuits.Kerr(0, 1, self.PARAMS.dphi_amp)
+        assert np.array_equal(np.diag(rhs), circuits.gate_operator(layout, kerr).matrix)
+
+    def test_three_mode_rhs_is_the_amplified_kerr_pair(self):
+        layout = fock.make_layout([2, 6, 6])
+        _, _, rhs = circuits.build_three_mode_amplifier(self.PARAMS, layout)
+        assert rhs.shape == (layout.total_dim,)
+        g2 = self.PARAMS.dphi_amp
+        pair = circuits.CircuitPlan(layout, (circuits.Kerr(0, 1, g2), circuits.Kerr(0, 2, g2)))
+        assert np.array_equal(np.diag(rhs), circuits.compress(pair).matrix)
 
 
 class TestDiagonalGates:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import pair_lowering
 
 from kerramp import circuits, fock, loss, su11
 
@@ -39,11 +40,7 @@ def full_space_fidelity(root1, root2):
 def dense_squeezer(layout, modes, theta):
     """fock.expm of the kron-embedded generator -theta (A - A†), A = b b / 2
     or b c."""
-    b = fock.annihilation(layout, modes[0]).matrix
-    if len(modes) == 1:
-        A = b @ b / 2
-    else:
-        A = b @ fock.annihilation(layout, modes[1]).matrix
+    A = pair_lowering(layout, modes)
     return fock.expm(fock.Operator(layout, -theta * (A - A.conj().T))).matrix
 
 
@@ -310,6 +307,22 @@ class TestDiagonalOperators:
             dense = left.matrix @ right.matrix
             assert np.max(np.abs(product.matrix - dense)) <= 1e-14
             assert product.unitary
+
+    @pytest.mark.parametrize("block", [None, 0, 1, 5])
+    def test_diagonal_residual_matches_dense_difference(self, block):
+        # a diagonal right side kept as its vector: the same max-norm as the
+        # dense difference on the interior block, caller's matrix untouched
+        rng = np.random.default_rng(23)
+        layout = fock.make_layout([2, 4, 3])
+        n = layout.total_dim
+        u = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        M = np.diag(u + 0.5) + 0.01 * noise
+        U = fock.Operator(layout, M.copy())
+        idx = np.arange(n) if block is None else layout.interior_indices(block, modes=[1, 2])
+        want = np.max(np.abs((M - np.diag(u))[np.ix_(idx, idx)]))
+        assert fock.diagonal_residual(U, u, block) == want
+        assert np.array_equal(U.matrix, M)
 
 
 def ladder_coupling(kind, size):

@@ -252,6 +252,27 @@ class TestLossKernel:
             assert np.max(np.abs(got - want)) <= 1e-14, dims
             assert np.array_equal(got, got.conj().T), dims
 
+    def test_product_over_the_state_output_over_the_skew(self):
+        # the lossy pass's aliasing: the product goes into the buffer whose
+        # head is the state matrix and the output into the skew buffer's
+        # head, then the two swap; both start as NaN and go on stale, as in
+        # the pass, from a [2, 20] ladder to ladders split by halves
+        rng = np.random.default_rng(42)
+        size = 320 * 321
+        state, spare = np.full(size, np.nan, dtype=complex), np.full(size, np.nan, dtype=complex)
+        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2), ([2, 65], 1), ([2, 160], 1)):
+            rho = random_density(rng, fock.make_layout(dims)).matrix
+            n = len(rho)
+            matrix, out = (buf[: n * n].reshape(n, n) for buf in (state, spare))
+            np.copyto(matrix, rho)
+            tables = loss._loss_tables(dims[mode], 0.1)
+            got = loss._damp(matrix, dims, mode, tables, spare, state, out)
+            assert got is out
+            want = slice_loop_oracle(rho, dims, mode, 0.1)
+            assert np.max(np.abs(got - want)) <= 1e-14, dims
+            assert np.array_equal(got, got.conj().T), dims
+            state, spare = spare, state
+
     @pytest.mark.parametrize("R", [1e-9, 0.9, 1.0])
     def test_long_ladder_matches_closed_form(self, R):
         # (|alpha><alpha| + |d-1><d-1|) / 2: loss maps the coherent state to

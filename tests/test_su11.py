@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import dense_generators
 
 from kerramp import fock, su11
 
@@ -174,19 +176,32 @@ class TestGenerators:
 
     def test_fock_single_commutators_on_interior(self):
         layout = fock.make_layout([2, 10])
-        g = su11.generators(layout, "fock-single")
+        g = dense_generators(layout, "fock-single")
         assert su11.commutator_residual(g, block=5) < 1e-10
 
     def test_fock_two_mode_commutators_on_interior(self):
         layout = fock.make_layout([2, 8, 8])
-        g = su11.generators(layout, "fock-two-mode")
+        g = dense_generators(layout, "fock-two-mode")
         assert su11.commutator_residual(g, block=3) < 1e-10
 
     def test_two_mode_g3_eigenvalue(self):
         layout = fock.make_layout([2, 4, 4])
-        g = su11.generators(layout, "fock-two-mode")
+        g = dense_generators(layout, "fock-two-mode")
         ket = layout.basis_vector((1, 0, 0))
         assert np.allclose(g.g3 @ ket, ket)
+
+    @pytest.mark.parametrize(
+        "rep, dims", [("fock-single", [2, 200]), ("fock-two-mode", [2, 28, 28])]
+    )
+    def test_fock_generators_hold_no_matrix(self, rep, dims):
+        layout = fock.make_layout(dims)
+        g = su11.generators(layout, rep)
+        assert (g.representation, g.layout) == (rep, layout)
+        assert (g.g1, g.g2, g.g3) == (None, None, None)
+        fields = [getattr(g, f.name) for f in dataclasses.fields(g)]
+        assert not any(isinstance(v, np.ndarray) for v in fields)
+        with pytest.raises(ValueError, match="hold no matrices"):
+            su11.commutator_residual(g)
 
     def test_incompatible_layout(self):
         with pytest.raises(fock.LayoutError):
@@ -198,8 +213,10 @@ class TestGenerators:
 
 
 class TestGeneratorsByIndex:
-    """G1 and G2 placed by index arithmetic against the kron-embedded
-    ladder products G1 = (A + A†) Z_a, G2 = i (A - A†)."""
+    """The SU(1,1) algebra of the dense generators built from the
+    kron-embedded ladders (oracles.dense_generators) on the largest interior
+    block where the truncation leaves it intact: A† = b† b† / 2 raises n_b
+    by 2, and b† c† raises n_b and n_c by 1 each."""
 
     @pytest.mark.parametrize(
         "rep, dims",
@@ -213,12 +230,10 @@ class TestGeneratorsByIndex:
     )
     def test_matches_embedded_ladders(self, rep, dims):
         layout = fock.make_layout(dims)
-        b = fock.annihilation(layout, 1).matrix
-        A = b @ b / 2 if rep == "fock-single" else b @ fock.annihilation(layout, 2).matrix
-        z = 2.0 * np.unravel_index(np.arange(layout.total_dim), layout.dims)[0] - 1.0
-        g = su11.generators(layout, rep)
-        assert np.max(np.abs(g.g1 - (A + A.conj().T) @ np.diag(z))) < 1e-14
-        assert np.max(np.abs(g.g2 - 1j * (A - A.conj().T))) < 1e-14
+        g = dense_generators(layout, rep)
+        block = dims[1] - 3 if rep == "fock-single" else min(dims[1], dims[2]) - 2
+        assert su11.commutator_residual(g, block=block) < 1e-10
+        assert su11.commutator_residual(g, block=block + 1) > 0.5
 
 
 class TestVerifyIdentity:
@@ -283,7 +298,7 @@ class TestIdentityFactors:
         # in the identity's order
         p = su11.solve_params(0.5, 0.4)
         layout = fock.make_layout(dims)
-        g = su11.generators(layout, rep)
+        g = dense_generators(layout, rep)
 
         def factor(coeff, gen):
             return fock.expm(fock.Operator(layout, 1j * coeff * gen)).matrix
@@ -294,6 +309,18 @@ class TestIdentityFactors:
         left, right = su11.identity_factors(p, g)
         assert np.max(np.abs(left - want)) <= 1e-13
         assert np.max(np.abs(right - factor(p.gamma, g.g3))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "rep, dims", [("fock-single", [2, 14]), ("fock-two-mode", [2, 6, 6])]
+    )
+    def test_fock_right_side_is_the_g3_phase_vector(self, rep, dims):
+        p = su11.solve_params(0.5, 0.4)
+        g = su11.generators(fock.make_layout(dims), rep)
+        right = su11._right_side(p, g)
+        assert right.shape == (g.layout.total_dim,)
+        dense = fock.truncated_product(g.layout, [su11._g3_factor(g, p.gamma)]).matrix
+        assert np.array_equal(np.diag(right), dense)
+        assert np.array_equal(su11.identity_factors(p, g)[1], dense)
 
     @pytest.mark.parametrize("theta1", [0.0, 0.5, 5.0])
     @pytest.mark.parametrize("delta", [0.0, 0.5])
