@@ -16,7 +16,9 @@ circuit's.  compress(plan), which the builders return as lhs, is the
 compression of the untruncated circuit to the layout: its elements are the
 exact operator's, composed on a working ladder (its work_dim) that doubles
 until the box columns' leakage onto the ladder's top tenth (its leakage)
-is below fock.SETTLE_TOL.
+is below fock.SETTLE_TOL.  It is kept as its conserved-sector blocks
+(fock.Compression), which equivalence_residual reads one by one; its
+N x N matrix is built only when .matrix is read.
 
 Operator products written left-to-right in the builders act right-to-left
 on states, i.e. the rightmost factor is applied first.
@@ -162,14 +164,15 @@ def compose(plan: CircuitPlan) -> Operator:
     return U
 
 
-def compress(plan: CircuitPlan) -> Operator:
-    """Compression to plan.layout of the untruncated circuit.
+def compress(plan: CircuitPlan) -> fock.Compression:
+    """Compression to plan.layout of the untruncated circuit, kept as its
+    sector blocks (fock.Compression).
 
     See fock.compress_product for the working ladder (reported as the
     result's work_dim), the leakage that certifies it and the cap.  A SWAP
     maps the layout's box onto itself, so every SWAP is moved to the end of
     the circuit, relabelling the modes of the gates it passes, and applied
-    to the compression as one relabelling of its rows.
+    to the compression as one relabelling of each block's row states.
     """
     layout = plan.layout
     where = list(range(layout.num_modes))  # gate mode -> mode after pending swaps
@@ -181,10 +184,14 @@ def compress(plan: CircuitPlan) -> Operator:
         else:
             factors.append(_factor(layout, gate, where))
     U = fock.compress_product(layout, factors)
-    if where != list(range(layout.num_modes)):
-        rows = U.matrix.reshape(layout.dims + (-1,)).transpose(where + [layout.num_modes])
-        U = replace(U, matrix=rows.reshape(U.matrix.shape))
-    return U
+    if where == list(range(layout.num_modes)):
+        return U
+
+    def moved(rows):  # row state n goes to the state whose mode j holds n[where[j]]
+        n = np.unravel_index(rows, layout.dims)
+        return np.ravel_multi_index([n[j] for j in where], layout.dims)
+
+    return replace(U, blocks=tuple(b._replace(rows=moved(b.rows)) for b in U.blocks))
 
 
 def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:
@@ -271,12 +278,15 @@ def build_three_mode_amplifier(
     return plan, compress(plan), rhs
 
 
-def equivalence_residual(lhs: Operator, rhs: np.ndarray, block: int) -> float:
+def equivalence_residual(
+    lhs: Operator | fock.Compression, rhs: np.ndarray, block: int
+) -> float:
     """Max-norm of lhs - diag(rhs) on the interior block (bosonic indices
     <= block), rhs being a builder's phase vector.
 
-    With lhs from a builder (compress) this measures the circuit itself; with
-    lhs = compose(plan) it also holds the truncation leakage of the gates.
+    With lhs from a builder (compress) this measures the circuit itself, read
+    block by block; with lhs = compose(plan) it also holds the truncation
+    leakage of the gates.
     """
     return fock.diagonal_residual(lhs, rhs, block)
 

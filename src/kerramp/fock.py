@@ -6,17 +6,17 @@ as the tensor product of per-mode truncated Fock ladders.
 Gates keep the structure the physics gives them.  Every squeezer here
 conserves the Fock index of each mode it does not squeeze; a single-mode
 squeezer also conserves the parity of its mode, and a two-mode squeezer the
-difference of its two modes' indices.  :func:`truncated_product`
-therefore builds a product of truncated squeezers and diagonal phases
-sector by sector: each parity or index-difference ladder is a real
-tridiagonal generator, exponentiated by its own small eigendecomposition,
-and the product's blocks are placed in the full matrix by index arithmetic.
-:func:`parity_blocks` hands out a single-mode squeezer's two parity blocks,
-each its parity ladder's exponential, for the lossy pass to conjugate a
-state by.
+difference of its two modes' indices.  A product of truncated squeezers and
+diagonal phases is therefore walked sector by sector: each parity or
+index-difference ladder is a real tridiagonal generator, exponentiated by
+its own small eigendecomposition, and each sector's block is kept at the
+flat indices of its states (Block).  :func:`truncated_product` places the
+blocks in the full matrix; :func:`parity_blocks` hands out a single-mode
+squeezer's two parity blocks, each its parity ladder's exponential, for the
+lossy pass to conjugate a state by.
 A phase factor conjugates a state elementwise, as a vector (:func:`evolve`,
-:func:`phase_vector`), and a diagonal right side is checked as its vector
-(:func:`diagonal_residual`).
+:func:`phase_vector`), and a diagonal right side is checked as its vector,
+block by block (:func:`diagonal_residual`).
 :func:`expm`, the dense eigendecomposition on the full space, stays as the
 oracle for these products and for the beam splitter.
 
@@ -36,14 +36,18 @@ hand, not a confirming doubling.  A ladder that will not settle is
 abandoned at its first column past SETTLE_TOL (1e-12); only the kept
 ladder, or the cap's, is walked in full.  At the `kerramp verify` defaults
 that stops on ladders 400 (single-mode identity, D=100), 320 (two-mode
-circuit, D=40) and 112 (three-mode circuit, D=14).
+circuit, D=40) and 112 (three-mode circuit, D=14).  The compression keeps
+the kept ladder's sector blocks (Compression); its N x N matrix is built
+only when read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,21 +136,25 @@ def make_layout(dims) -> ModeLayout:
     return ModeLayout(tuple(int(d) for d in dims))
 
 
+class Block(NamedTuple):
+    """Part of an operator held at flat indices: values[i, s, j] is the
+    element at row rows[i, s] and column cols[j, s].  rows and cols are
+    (r, S) and (c, S) arrays; values is (r, S, c), or (r, 1, c) when one
+    block serves every s.  In a sector walk s runs over the spectator (not
+    squeezed) modes' Fock indices."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix over a ModeLayout with optional structure hints.
-
-    work_dim is the working ladder the matrix elements were composed on
-    before compression to the layout, and leakage the weight the box
-    columns put on its top tenth (see :func:`compress_product`); both are
-    None when the elements were computed on the layout itself.
-    """
+    """Dense complex matrix over a ModeLayout with optional structure hints."""
 
     layout: ModeLayout
     matrix: np.ndarray
     unitary: bool = False
-    work_dim: int | None = None
-    leakage: float | None = None
 
     def __post_init__(self):
         n = self.layout.total_dim
@@ -156,6 +164,12 @@ class Operator:
             )
 
     @property
+    def blocks(self) -> tuple[Block, ...]:
+        """The matrix as one Block over every flat index."""
+        flat = np.arange(self.layout.total_dim)[:, None]
+        return (Block(flat, flat, self.matrix[:, None, :]),)
+
+    @property
     def dag(self) -> np.ndarray:
         return self.matrix.conj().T
 
@@ -163,6 +177,33 @@ class Operator:
         if other.layout != self.layout:
             raise OperatorError("layout mismatch in operator product")
         return Operator(self.layout, self.matrix @ other.matrix, self.unitary and other.unitary)
+
+
+@dataclass(frozen=True, eq=False)
+class Compression:
+    """Compression to a layout of an untruncated product (compress_product),
+    kept as its sector blocks; the elements no block holds are zero.
+
+    work_dim is the working ladder the blocks were composed on and leakage
+    the weight the box columns put on its top tenth; both are None for a
+    diagonal product, exact on the layout itself.  The N x N matrix is built
+    (_place_blocks) when .matrix is first read, and then kept; dense algebra
+    (.dag, @) reads it as an Operator's.  A compression of a unitary is in
+    general not unitary, so it carries no unitary flag.
+    """
+
+    layout: ModeLayout
+    blocks: tuple[Block, ...]
+    work_dim: int | None = None
+    leakage: float | None = None
+    unitary = False
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return _place_blocks(self.layout, self.blocks)
+
+    dag = Operator.dag
+    __matmul__ = Operator.__matmul__
 
 
 @dataclass(frozen=True)
@@ -432,18 +473,42 @@ def phase_vector(layout: ModeLayout, factors) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def diagonal_residual(U: Operator, u: np.ndarray, block: int | None = None) -> float:
+def diagonal_residual(
+    U: Operator | Compression, u: np.ndarray, block: int | None = None
+) -> float:
     """max |U - diag(u)| on the interior block, the flat indices whose Fock
     index is <= block on every mode but mode 0 (all of them when block is
-    None); u is a diagonal right side kept as its vector (phase_vector)."""
+    None); u is a diagonal right side kept as its vector (phase_vector).
+
+    U is read block by block (U.blocks): a Compression's sector blocks, or
+    a dense Operator as one block.  U is zero off its blocks, so a diagonal
+    element no block holds counts as |u|.
+    """
     layout = U.layout
     if block is None:
-        idx = np.arange(layout.total_dim)
+        inner = np.ones(layout.total_dim, dtype=bool)
+    elif block < 0:
+        raise ValueError(f"interior block bound must be >= 0, got block={block}")
     else:
-        idx = layout.interior_indices(block, modes=range(1, layout.num_modes))
-    diff = U.matrix[np.ix_(idx, idx)]
-    diff.flat[:: len(idx) + 1] -= u[idx]
-    return float(np.max(np.abs(diff)))
+        inner = np.zeros(layout.total_dim, dtype=bool)
+        inner[layout.interior_indices(block, modes=range(1, layout.num_modes))] = True
+    worst, held = 0.0, np.zeros(layout.total_dim, dtype=bool)
+    for rows, cols, values in U.blocks:
+        # only the rows and columns inside the interior for some s are read
+        i, j = inner[rows].any(axis=1), inner[cols].any(axis=1)
+        rows, cols = rows[i], cols[j]
+        values = values[np.ix_(i, np.arange(values.shape[1]), j)]
+        interior = inner[rows][:, :, None] & inner[cols].T[None]
+        if not interior.any():
+            continue
+        on = rows[:, :, None] == cols.T[None]  # the diagonal elements
+        diff = np.where(on, values - u[rows][:, :, None], values)
+        worst = max(worst, float(np.max(np.abs(diff[interior]))))
+        held[np.broadcast_to(rows[:, :, None], on.shape)[on & interior]] = True
+    missed = inner & ~held
+    if missed.any():
+        worst = max(worst, float(np.max(np.abs(u[missed]))))
+    return worst
 
 
 def _sectors(box, work):
@@ -503,17 +568,26 @@ def _ladder_eig(coupling: np.ndarray):
     return w, Q, z
 
 
-def _ladder_exp(eig, theta: float, V: np.ndarray) -> np.ndarray:
+def _ladder_exp(eig, theta: float, V) -> np.ndarray:
     """exp(theta T) V for the ladder whose eigenbasis is eig (_ladder_eig);
-    the first axis of V runs along the ladder."""
+    the first axis of V runs along the ladder.
+
+    An int V = k stands for the identity's first k columns over one
+    spectator slot, eye(size, k)[:, None]: Q^T Z* V is then the first k
+    columns of Q^T scaled by conj(z), read off with no product.
+    """
     w, Q, z = eig
     size = len(w)
-    z = z.reshape((size,) + (1,) * (V.ndim - 1))
-    # real Q acts on the real and imaginary parts at once
-    X = np.ascontiguousarray(z.conj() * V).view(float).reshape(size, -1)
-    X = (Q.T @ X).view(complex).reshape(V.shape)
-    X *= np.exp(1j * theta * w).reshape(z.shape)
-    return z * (Q @ X.view(float).reshape(size, -1)).view(complex).reshape(V.shape)
+    if isinstance(V, int):
+        X = np.ascontiguousarray(Q.T[:, :V] * z[:V].conj())[:, None]
+    else:
+        # real Q acts on the real and imaginary parts at once
+        X = np.ascontiguousarray(z.conj().reshape((size,) + (1,) * (V.ndim - 1)) * V)
+        X = (Q.T @ X.view(float).reshape(size, -1)).view(complex).reshape(V.shape)
+    column = (size,) + (1,) * (X.ndim - 1)
+    X *= np.exp(1j * theta * w).reshape(column)
+    X = (Q @ X.view(float).reshape(size, -1)).view(complex).reshape(X.shape)
+    return z.reshape(column) * X
 
 
 def _spectators(layout: ModeLayout, modes) -> dict:
@@ -534,15 +608,12 @@ def _numbers(num_modes: int, modes, numbers, spectators: dict) -> list:
     return n
 
 
-def _place_blocks(layout: ModeLayout, modes, spectators: dict, walked):
-    """Full matrix holding each walked sector's (inside, S, inside) block at
-    the sector's states inside the layout; S = 1 broadcasts one block over
-    every spectator value."""
+def _place_blocks(layout: ModeLayout, blocks) -> np.ndarray:
+    """Full matrix holding each Block at its rows and columns, zero
+    elsewhere."""
     U = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for states, block in walked:
-        n = _numbers(layout.num_modes, modes, states, spectators)
-        idx = np.ravel_multi_index(np.broadcast_arrays(*n), layout.dims)
-        U[idx[:, :, None], idx.T[None, :, :]] = block
+    for rows, cols, values in blocks:
+        U[rows[:, :, None], cols.T[None, :, :]] = values
     return U
 
 
@@ -552,10 +623,10 @@ def _sector_blocks(
     """Blocks of the factor product on the working ladders `work` (one
     length per squeezed mode), and their leakage.
 
-    Returns (walked, leakage), walked holding per sector its states inside
-    the layout's box (the Fock indices of each squeezed mode) and its
-    (inside, S, inside) block, S running over the spectator (unsqueezed)
-    modes' Fock indices, or S = 1 while no phase factor has told them
+    Returns (walked, leakage), walked holding per sector its Block: the
+    flat indices of the sector's states inside the layout's box, for every
+    spectator (unsqueezed) modes' Fock index, and its (inside, S, inside)
+    values, with S = 1 while no phase factor has told the spectator values
     apart; only the sector's columns inside the box are propagated.  Each
     ladder's eigenbasis serves every squeezer and spectator value of its
     sectors, and only the current ladder's is kept.  The leakage is the
@@ -579,9 +650,11 @@ def _sector_blocks(
         # first state past the edge on any squeezed mode; the top one at least
         tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
         n = _numbers(layout.num_modes, modes, numbers, spectators)
-        V = np.eye(size, inside, dtype=complex)[:, None]
+        V = inside  # the box's identity columns (an int V, see _ladder_exp)
         for f in factors:
             if not isinstance(f, PairSqueeze):
+                if isinstance(V, int):
+                    V = np.eye(size, inside, dtype=complex)[:, None]
                 phase = np.broadcast_to(f.phase(n), (size, n_spec))
                 V = V * np.exp(1j * phase)[:, :, None]
                 continue
@@ -592,7 +665,9 @@ def _sector_blocks(
             worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
             if worst >= stop:
                 return walked, worst
-        walked.append(([nj[:inside] for nj in numbers], V[:inside]))
+        states = np.broadcast_arrays(*(nj[:inside] for nj in n))
+        flat = np.ravel_multi_index(states, layout.dims)
+        walked.append(Block(flat, flat, V[:inside].copy()))
     return walked, worst
 
 
@@ -617,8 +692,8 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     first, and every PairSqueeze must act on the same modes.
 
     Walked sector by sector on the layout's own ladders (_sector_blocks),
-    each block placed at its states for every spectator Fock index.  With no
-    squeezer the product is diagonal, and exact on any ladder.
+    and the blocks placed in the full matrix.  With no squeezer the product
+    is diagonal, and exact on any ladder.
     """
     modes = _squeezed_modes(layout, factors)
     if modes is None:
@@ -626,7 +701,7 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     box = tuple(layout.dims[m] for m in modes)
     spectators = _spectators(layout, modes)
     walked, _ = _sector_blocks(layout, factors, modes, spectators, box)
-    return Operator(layout, _place_blocks(layout, modes, spectators, walked), unitary=True)
+    return Operator(layout, _place_blocks(layout, walked), unitary=True)
 
 
 def parity_blocks(layout: ModeLayout, squeezers) -> dict:
@@ -651,26 +726,29 @@ def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     }
 
 
-def compress_product(layout: ModeLayout, factors) -> Operator:
-    """Compression to layout of the untruncated product of factors.
+def compress_product(layout: ModeLayout, factors) -> Compression:
+    """Compression to layout of the untruncated product of factors, kept as
+    its sector blocks.
 
     factors[0] is applied first.  Every PairSqueeze must act on the same
     modes, of equal dimension D.  The product is walked as in
     truncated_product, on a working ladder of D, 2D, 4D, ... levels per
     squeezed mode (at most MAX_WORK_FACTOR * D, at least 2D) until the box
     columns' leakage onto the ladder's top tenth (_sector_blocks) falls
-    below SETTLE_TOL; the returned Operator's work_dim is that ladder and
-    its leakage the certified figure.  A ladder below the cap that will not
-    settle is abandoned at its first column past SETTLE_TOL, so only the
-    kept ladder is walked in full.  Raises TruncationError, naming the last
-    ladder and its leakage, when the cap is reached first; the cap ladder
-    is walked in full, so that leakage is the whole figure.  A
-    compression of a unitary is in general not unitary, so the result
-    carries no unitary flag.
+    below SETTLE_TOL; the returned Compression holds that ladder's blocks,
+    its work_dim is the ladder and its leakage the certified figure.  A
+    ladder below the cap that will not settle is abandoned at its first
+    column past SETTLE_TOL, so only the kept ladder is walked in full.
+    Raises TruncationError, naming the last ladder and its leakage, when the
+    cap is reached first; the cap ladder is walked in full, so that leakage
+    is the whole figure.  With no squeezer the product is its phase vector,
+    held as one Block of 1 x 1 blocks, exact on any ladder.
     """
     modes = _squeezed_modes(layout, factors)
-    if modes is None:  # diagonal factors are exact on any ladder
-        return truncated_product(layout, factors)
+    if modes is None:
+        flat = np.arange(layout.total_dim)[None, :]
+        u = phase_vector(layout, factors)[None, :, None]
+        return Compression(layout, (Block(flat, flat, u),))
     if len({layout.dims[m] for m in modes}) != 1:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     dim = layout.dims[modes[0]]
@@ -695,5 +773,4 @@ def compress_product(layout: ModeLayout, factors) -> Operator:
             f"compression did not settle by working ladder {settled.dim}: "
             f"leakage {leakage:.2e} >= tol {SETTLE_TOL:.0e}"
         )
-    U = _place_blocks(layout, modes, spectators, walked)
-    return Operator(layout, U, work_dim=settled.dim, leakage=leakage)
+    return Compression(layout, tuple(walked), settled.dim, leakage)

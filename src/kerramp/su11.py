@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import ModeLayout, Operator
+from .fock import ModeLayout
 
 REPRESENTATIONS = ("matrix-2x2", "fock-single", "fock-two-mode")
 
@@ -283,10 +283,11 @@ def identity_factors(params: CircuitParams, gens: Su11Generators):
     return left, _expm_2x2(1j * params.gamma * gens.g3)
 
 
-def compress_identity(params: CircuitParams, gens: Su11Generators) -> Operator:
+def compress_identity(params: CircuitParams, gens: Su11Generators) -> fock.Compression:
     """Compression to gens.layout of the untruncated left side of the
-    five-factor identity in a Fock representation; its work_dim is the
-    working ladder it was composed on (see fock.compress_product)."""
+    five-factor identity in a Fock representation, kept as its sector
+    blocks; its work_dim is the working ladder it was composed on (see
+    fock.compress_product)."""
     if gens.layout is None:
         raise ValueError("compress_identity needs a Fock representation")
     return fock.compress_product(gens.layout, _left_factors(params, gens))
@@ -299,9 +300,10 @@ def identity_residual(
 
     The residual is the max-norm of left - right, restricted to the interior
     block for Fock representations (block = max bosonic index), with left
-    the compression of the exact product (compress_identity); work_dim is
-    the working ladder it was composed on and leakage the figure that
-    certified it, both None for matrix-2x2.
+    the compression of the exact product (compress_identity), read block by
+    block (fock.diagonal_residual); work_dim is the working ladder it was
+    composed on and leakage the figure that certified it, both None for
+    matrix-2x2.
     """
     if gens.layout is None:
         left, right = identity_factors(params, gens)

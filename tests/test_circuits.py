@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,103 @@ class TestCompress:
         params = su11.solve_params(0.5, 1.5)
         with pytest.raises(fock.TruncationError, match=r"working ladder 256: leakage"):
             circuits.build_two_mode_amplifier(params, fock.make_layout([2, 8]))
+
+
+def _three_mode_with_trailing_swap(layout):
+    """A compression whose SWAP is left to relabel its block rows, and the
+    rhs of the gates before it."""
+    gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.4), circuits.Swap(1, 2))
+    rhs = fock.phase_vector(layout, [circuits.Kerr(0, 1, 0.4)])
+    return circuits.compress(circuits.CircuitPlan(layout, gates)), rhs
+
+
+@pytest.fixture
+def placed(monkeypatch):
+    """Records each fock._place_blocks call, the one build of a dense
+    matrix from blocks."""
+    calls = []
+    place = fock._place_blocks
+
+    def spy(*args):
+        calls.append(args)
+        return place(*args)
+
+    monkeypatch.setattr(fock, "_place_blocks", spy)
+    return calls
+
+
+class TestCompressionBlocks:
+    """A compression is kept as its sector blocks: the residual reads them,
+    and the N x N matrix is built only when .matrix is read."""
+
+    PARAMS = su11.solve_params(0.5, 0.5)
+
+    @classmethod
+    def build(cls, case):
+        if case == "two-mode":
+            layout = fock.make_layout([2, 40])
+            _, lhs, rhs = circuits.build_two_mode_amplifier(cls.PARAMS, layout)
+        elif case == "three-mode":
+            layout = fock.make_layout([2, 14, 14])
+            _, lhs, rhs = circuits.build_three_mode_amplifier(cls.PARAMS, layout)
+        elif case == "three-mode-swap":
+            layout = fock.make_layout([2, 8, 8])
+            _, lhs, rhs = circuits.build_three_mode_amplifier(cls.PARAMS, layout, True)
+        elif case == "trailing-swap":
+            lhs, rhs = _three_mode_with_trailing_swap(fock.make_layout([2, 6, 6]))
+        else:
+            params = su11.solve_params(0.3, 0.4)
+            gens = su11.generators(fock.make_layout([2, 100]), "fock-single")
+            lhs, rhs = su11.compress_identity(params, gens), su11._right_side(params, gens)
+        return lhs, rhs
+
+    @pytest.mark.parametrize(
+        "case, blocks",
+        [
+            ("two-mode", (15, None, 40, 41)),
+            ("three-mode", (5, None, 14)),
+            ("three-mode-swap", (3, None, 8)),
+            ("trailing-swap", (0, 2, None, 6)),
+            ("fock-single", (40, None, 100)),
+        ],
+    )
+    def test_residual_equals_dense_residual(self, case, blocks):
+        lhs, rhs = self.build(case)
+        dense = fock.Operator(lhs.layout, lhs.matrix)
+        for block in blocks:
+            assert fock.diagonal_residual(lhs, rhs, block) == fock.diagonal_residual(
+                dense, rhs, block
+            )
+
+    def test_swap_relabels_rows_as_the_dense_transpose(self):
+        # a three-cycle of modes: row state n goes to the state whose mode j
+        # holds n[where[j]], as the dense rows' reshape and transpose give
+        layout = fock.make_layout([2, 3, 3, 3])
+        gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 3, 0.4))
+        plain = circuits.compress(circuits.CircuitPlan(layout, gates))
+        swaps = (circuits.Swap(1, 2), circuits.Swap(2, 3))
+        swapped = circuits.compress(circuits.CircuitPlan(layout, gates + swaps))
+        rows = plain.matrix.reshape(layout.dims + (-1,)).transpose([0, 2, 3, 1, 4])
+        assert np.array_equal(swapped.matrix, rows.reshape(plain.matrix.shape))
+
+    def test_residual_builds_no_dense_matrix(self, placed):
+        # the circuit-verify three-mode op; its dense lhs alone is 39.3 MB
+        tracemalloc.start()
+        try:
+            layout = fock.make_layout([2, 28, 28])
+            _, lhs, rhs = circuits.build_three_mode_amplifier(self.PARAMS, layout)
+            assert circuits.equivalence_residual(lhs, rhs, block=5) < 1e-6
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert placed == []
+        assert peak < 8e6
+
+    def test_matrix_is_built_once(self, placed):
+        lhs, _ = _three_mode_with_trailing_swap(fock.make_layout([2, 4, 4]))
+        assert placed == []
+        assert lhs.matrix is lhs.matrix
+        assert len(placed) == 1
 
 
 class TestRightSides:

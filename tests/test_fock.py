@@ -324,6 +324,16 @@ class TestDiagonalOperators:
         assert fock.diagonal_residual(U, u, block) == want
         assert np.array_equal(U.matrix, M)
 
+    def test_diagonal_residual_refuses_a_negative_block(self):
+        # an empty interior would read as a residual of 0.0, a pass
+        layout = fock.make_layout([2, 4])
+        u = fock.phase_vector(layout, [circuits.Kerr(0, 1, 0.3)])
+        dense = fock.Operator(layout, np.diag(u))
+        compressed = fock.compress_product(layout, [fock.PairSqueeze((1,), 0.2)])
+        for U in (dense, compressed):
+            with pytest.raises(ValueError, match=r"block=-1"):
+                fock.diagonal_residual(U, u, -1)
+
 
 def ladder_coupling(kind, size):
     """Couplings of a squeezer sector ladder with `size` states: <n|bb/2|n+2>
@@ -335,6 +345,27 @@ def ladder_coupling(kind, size):
         n = k + 2 * m
         return 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
     return np.sqrt((m + k + 1.0) * (m + 1.0))
+
+
+class TestLadderExp:
+    @pytest.mark.parametrize(
+        "kind, size, inside",
+        [
+            (("parity", 0), 224, 28),
+            (("parity", 1), 223, 27),
+            (("parity", 0), 400, 100),
+            (("two-mode", 3), 112, 14),
+            (("two-mode", 0), 21, 10),
+            (("parity", 1), 800, 200),
+        ],
+    )
+    def test_identity_columns_need_no_product(self, kind, size, inside):
+        # an int V stands for the box's identity columns eye(size, inside):
+        # the same bits as the product against those columns
+        eig = fock._ladder_eig(ladder_coupling(kind, size))
+        eye = np.eye(size, inside, dtype=complex)[:, None]
+        short = fock._ladder_exp(eig, 0.7, inside)
+        assert np.array_equal(short, fock._ladder_exp(eig, 0.7, eye))
 
 
 class TestLadderEig:
@@ -738,7 +769,7 @@ class TestLeakageCertificate:
         assert U.work_dim >= 2 * dims[1]
         gap = max(
             float(np.max(np.abs(a - b)))
-            for (_, a), (_, b) in zip(next_doubling["certified"], next_doubling["doubled"])
+            for (*_, a), (*_, b) in zip(next_doubling["certified"], next_doubling["doubled"])
         )
         assert gap < 1e-12
 
@@ -759,7 +790,7 @@ class TestLeakageCertificate:
         walked, leakage = fock._sector_blocks(layout, pair, (1,), spectators, (16,))
         _, first = fock._sector_blocks(layout, pair[:1], (1,), spectators, (16,))
         assert leakage == first > 1e-3
-        assert max(float(np.max(np.abs(b[:, 0] - np.eye(len(b))))) for _, b in walked) < 1e-12
+        assert max(float(np.max(np.abs(b[:, 0] - np.eye(len(b))))) for *_, b in walked) < 1e-12
 
     def test_cap_names_the_leakage(self):
         layout = fock.make_layout([2, 4])
@@ -830,7 +861,7 @@ class TestEarlyExit:
             layout, factors, modes, spectators, walks[-1]["work"]
         )
         assert walks[-1]["exps"] == walks[-2]["exps"]
-        assert np.array_equal(U.matrix, fock._place_blocks(layout, modes, spectators, walked))
+        assert np.array_equal(U.matrix, fock._place_blocks(layout, walked))
         assert U.leakage == leakage
 
     @pytest.mark.parametrize(
