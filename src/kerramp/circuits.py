@@ -298,6 +298,9 @@ def conditional_phase(U: Operator, n_b: int = 1) -> float:
     linear phase shifts by
 
         arg[<1,n|U|1,n> <0,n|U|0,n>* <1,0|U|1,0>* <0,0|U|0,0>] / n.
+
+    The four elements are read off U.blocks (a builder's sector blocks, or
+    a dense Operator as one block); an element no block holds is zero.
     """
     if n_b < 1:
         raise ValueError("probe level n_b must be >= 1")
@@ -305,7 +308,12 @@ def conditional_phase(U: Operator, n_b: int = 1) -> float:
 
     def amp(na, nb):
         i = layout.flat_index((na, nb) + (0,) * (layout.num_modes - 2))
-        return U.matrix[i, i]
+        for rows, cols, values in U.blocks:
+            for r, s in zip(*np.nonzero(rows == i)):
+                (c,) = np.nonzero(cols[:, s] == i)
+                if len(c):
+                    return values[r, s if values.shape[1] > 1 else 0, c[0]]
+        return 0.0
 
     z = amp(1, n_b) * np.conj(amp(0, n_b)) * np.conj(amp(1, 0)) * amp(0, 0)
     return float(np.angle(z)) / n_b

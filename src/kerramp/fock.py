@@ -13,7 +13,8 @@ its own small eigendecomposition, and each sector's block is kept at the
 flat indices of its states (Block).  :func:`truncated_product` places the
 blocks in the full matrix; :func:`parity_blocks` hands out a single-mode
 squeezer's two parity blocks, each its parity ladder's exponential, for the
-lossy pass to conjugate a state by.
+lossy pass to conjugate a state by; a ladder's parity eigenbases, like a
+layout's Fock index grid, are built once per process and shared read-only.
 A phase factor conjugates a state elementwise, as a vector (:func:`evolve`,
 :func:`phase_vector`), and a diagonal right side is checked as its vector,
 block by block (:func:`diagonal_residual`).
@@ -94,7 +95,7 @@ class ModeLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.num_modes:
@@ -124,7 +125,7 @@ class ModeLayout:
         if modes is None:
             modes = range(self.num_modes)
         modes = set(modes)
-        grids = np.unravel_index(np.arange(self.total_dim), self.dims)
+        grids = _fock_grid(self.dims)
         mask = np.ones(self.total_dim, dtype=bool)
         for m in modes:
             mask &= grids[m] <= bound
@@ -134,6 +135,16 @@ class ModeLayout:
 def make_layout(dims) -> ModeLayout:
     """Build a ModeLayout from a list of per-mode truncation dimensions."""
     return ModeLayout(tuple(int(d) for d in dims))
+
+
+@functools.lru_cache(maxsize=8)
+def _fock_grid(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per-mode Fock indices of the flat basis states of dims, read-only and
+    built once per dims: the n that phase_vector hands a phase factor."""
+    grid = np.unravel_index(np.arange(math.prod(dims)), dims)
+    for n in grid:
+        n.flags.writeable = False
+    return grid
 
 
 class Block(NamedTuple):
@@ -318,7 +329,9 @@ def evolve(rho: DensityMatrix, U, validate: bool = True) -> DensityMatrix:
     read."""
     if not isinstance(U, Operator):
         u = phase_vector(rho.layout, [U])
-        return DensityMatrix(rho.layout, u[:, None] * rho.matrix * u.conj(), validate=validate)
+        out = u[:, None] * rho.matrix
+        out *= u.conj()
+        return DensityMatrix(rho.layout, out, validate=validate)
     if U.layout != rho.layout:
         raise OperatorError("layout mismatch between state and unitary")
     if not U.unitary:
@@ -466,7 +479,7 @@ def phase_vector(layout: ModeLayout, factors) -> np.ndarray:
     for f in factors:
         for mode in getattr(f, "modes", ()):
             layout.check_mode(mode)
-    n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
+    n = _fock_grid(layout.dims)
     phase = np.zeros(layout.total_dim)
     for f in factors:
         phase = phase + f.phase(n)
@@ -704,24 +717,33 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     return Operator(layout, _place_blocks(layout, walked), unitary=True)
 
 
+@functools.lru_cache(maxsize=4)
+def _parity_eigs(dim: int) -> tuple:
+    """Eigenbases (_ladder_eig) of a dim-level mode's even and odd parity
+    ladders, read-only and built once per ladder."""
+    eigs = tuple(_ladder_eig(coupling) for _, _, _, coupling in _sectors((dim,), (dim,)))
+    for eig in eigs:
+        for a in eig:
+            a.flags.writeable = False
+    return eigs
+
+
 def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     """The blocks of single-mode squeezers truncated to layout, all on one
     mode: per distinct squeezer, its blocks on the even and on the odd Fock
     indices of that mode (the same for every spectator Fock index).
 
-    Each block is its parity ladder's exponential, one eigenbasis per ladder
-    serving every squeezer.
+    Each block is its parity ladder's exponential, read off the ladder's
+    eigenbasis with no product against an identity (_ladder_exp's int
+    path).  The two eigenbases are built once per ladder (_parity_eigs) and
+    serve every squeezer and every later call on that ladder.
     """
     modes = _squeezed_modes(layout, squeezers)
     if modes is None or len(modes) != 1:
         raise OperatorError("parity blocks need single-mode squeezers")
-    box = (layout.dims[modes[0]],)
-    ladders = [
-        (_ladder_eig(coupling), np.eye(size, dtype=complex))
-        for _, size, _, coupling in _sectors(box, box)
-    ]
+    eigs = _parity_eigs(layout.dims[modes[0]])
     return {
-        s: tuple(_ladder_exp(eig, s.theta, eye) for eig, eye in ladders)
+        s: tuple(_ladder_exp(eig, s.theta, len(eig[0]))[:, 0] for eig in eigs)
         for s in dict.fromkeys(squeezers)
     }
 

@@ -40,8 +40,10 @@ A[j, c] = g_c / g_j on rho[j, c] before the product and
 S[m, delta] = (1 - R)^(delta / 2) g_m / g_{m+delta} on out[m, m + delta]
 after it.  The real F acts on the real and imaginary parts at once.
 Hermiticity gives the lower triangle: the m = m' blocks are halved and
-out = U + U†.  F, A and S are d x d tables, built once per ladder and
-reflectance (_loss_tables).  With lambda^2 = e / d every ratio stays within
+out = U + U†.  F, A and S are d x d tables.  A, with log n! and g, depends
+on the ladder alone and is built once per ladder per process
+(_ladder_tables); F and S are built once per ladder and reflectance in a
+pass (_loss_tables).  With lambda^2 = e / d every ratio stays within
 exp(+-d / 2e) on a d-level ladder, inside the float range up to
 MAX_LOSS_LADDER levels.
 
@@ -64,6 +66,7 @@ zeros: F[h:, :h] = 0, Q[j, delta] = 0 for j, delta >= h, and the output is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -194,19 +197,34 @@ def _check_lost_ladder(d: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _ladder_tables(d: int) -> tuple:
+    """The reflectance-free part of _loss_tables on a d-level lost mode,
+    read-only and built once per ladder: n, log n!, g, the skew scales A
+    and g_{m+delta} as a Hankel view."""
+    n = np.arange(d)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    # g_n = sqrt(n!) lambda^n with lambda^2 = e / d, centred: |log g_n| <~ d / 4e
+    g = np.exp(0.5 * (log_fact + n * (1.0 - math.log(d))) + d / (4 * math.e))
+    A = np.triu(g / g[:, None])
+    # g_{m+delta} as a Hankel view, infinite past the ladder: S = 0 there
+    padded = np.concatenate((g, np.full(d - 1, np.inf)))
+    for a in (n, log_fact, g, A, padded):
+        a.flags.writeable = False
+    return n, log_fact, g, A, np.lib.stride_tricks.sliding_window_view(padded, d)
+
+
 def _loss_tables(d: int, reflectance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The d x d tables of the loss channel on a d-level lost mode at
     0 < R <= 1 (module docstring): the weights F[m, m + k] =
     C(m + k, k) R^k (1 - R)^m, the skew scales A[j, c] = g_c / g_j and the
     unskew scales S[m, delta] = (1 - R)^(delta / 2) g_m / g_{m+delta}, halved
     at delta = 0.  F and A are zero below the diagonal, S where
-    m + delta >= d.  A ladder above MAX_LOSS_LADDER raises
-    fock.TruncationError."""
+    m + delta >= d.  A is the ladder's own (_ladder_tables), shared and
+    read-only; F and S are built here.  A ladder above MAX_LOSS_LADDER
+    raises fock.TruncationError."""
     _check_lost_ladder(d)
-    n = np.arange(d)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
-    # g_n = sqrt(n!) lambda^n with lambda^2 = e / d, centred: |log g_n| <~ d / 4e
-    g = np.exp(0.5 * (log_fact + n * (1.0 - math.log(d))) + d / (4 * math.e))
+    n, log_fact, g, A, g_shifted = _ladder_tables(d)
     with np.errstate(divide="ignore"):
         log_t = np.log1p(-reflectance)  # -inf at R = 1
     n_log_t = np.multiply(n, log_t, out=np.zeros(d), where=n > 0)  # 0 log 0 = 0
@@ -216,13 +234,8 @@ def _loss_tables(d: int, reflectance: float) -> tuple[np.ndarray, np.ndarray, np
     F = np.add.outer(n_log_t - log_fact, log_fact)
     F += np.lib.stride_tricks.sliding_window_view(log_c, d)[::-1]
     np.exp(F, out=F)
-    A = np.triu(g / g[:, None])
     half = np.exp(0.5 * n_log_t)
     half[0] = 0.5
-    # g_{m+delta} as a Hankel view, infinite past the ladder: S = 0 there
-    g_shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((g, np.full(d - 1, np.inf))), d
-    )
     S = g[:, None] * half / g_shifted
     return F, A, S
 
@@ -352,10 +365,8 @@ def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
     ):
         raise fock.LayoutError(f"cannot embed {old.dims} into {new.dims}")
     out = np.zeros((new.total_dim, new.total_dim), dtype=complex)
-    idx = np.ravel_multi_index(
-        np.unravel_index(np.arange(old.total_dim), old.dims), new.dims
-    )
-    out[np.ix_(idx, idx)] = rho.matrix
+    box = tuple(slice(d) for d in old.dims)
+    out.reshape(new.dims + new.dims)[box + box] = rho.matrix.reshape(old.dims + old.dims)
     return DensityMatrix(new, out, validate=False)
 
 
@@ -395,6 +406,12 @@ def _run_fixed_dim(
     into the spare's head, which then becomes the state, with the tables
     _loss_tables builds once per reflectance; they are dropped with the
     pass.
+
+    What the ladder alone fixes is not rebuilt per pass: the Fock index
+    grid phase_vector reads, the parity eigenbases and the loss tables'
+    ladder part are built once per ladder per process and shared
+    read-only, so a pass on a ladder seen before builds only what its
+    parameters set.
 
     Returns (output, ideal output, leakage), the leakage being the largest
     population on the top tenth of the b ladder after any stage, read off

@@ -29,3 +29,17 @@ def dense_generators(layout, representation):
         g2=1j * (A - A.conj().T),
         g3=np.diag(su11._g3_values(representation, n)),
     )
+
+
+def eye_parity_blocks(layout, squeezers):
+    """fock.parity_blocks as each parity ladder's exponential times the
+    identity: a product of the ladder's eigenbasis against np.eye(size)."""
+    box = (layout.dims[squeezers[0].modes[0]],)
+    ladders = [
+        (fock._ladder_eig(coupling), np.eye(size, dtype=complex))
+        for _, size, _, coupling in fock._sectors(box, box)
+    ]
+    return {
+        s: tuple(fock._ladder_exp(eig, s.theta, eye) for eig, eye in ladders)
+        for s in dict.fromkeys(squeezers)
+    }

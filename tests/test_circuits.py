@@ -178,6 +178,23 @@ class TestTwoModeAmplifier:
             params.dphi_amp, abs=1e-10
         )
 
+    def test_conditional_phase_reads_the_blocks(self, monkeypatch):
+        params = su11.solve_params(0.5, 0.5)
+        layout = fock.make_layout([2, 40])
+        _, lhs, _ = circuits.build_two_mode_amplifier(params, layout)
+        builds = []
+        place_blocks = fock._place_blocks
+
+        def spy(*args):
+            builds.append(args)
+            return place_blocks(*args)
+
+        monkeypatch.setattr(fock, "_place_blocks", spy)
+        phase = circuits.conditional_phase(lhs)
+        assert builds == []
+        assert phase == circuits.conditional_phase(fock.Operator(layout, lhs.matrix))
+        assert len(builds) == 1
+
     def test_phase_uniform_across_probe_levels(self):
         params = su11.solve_params(0.3, 0.4)
         layout = fock.make_layout([2, 80])

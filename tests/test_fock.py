@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import pair_lowering
+from oracles import eye_parity_blocks, pair_lowering
 
 from kerramp import circuits, fock, loss, su11
 
@@ -501,6 +501,31 @@ class TestParityBlocks:
         layout = fock.make_layout([2, 4, 4])
         with pytest.raises(fock.OperatorError, match="single-mode"):
             fock.parity_blocks(layout, [fock.PairSqueeze((1, 2), 0.3)])
+
+    @pytest.mark.parametrize("dim", [3, 20, 21, 160])
+    def test_blocks_equal_the_eye_product(self, dim):
+        layout = fock.make_layout([2, dim])
+        squeezers = [fock.PairSqueeze((1,), t) for t in (0.7, -1.3, 2.5)]
+        want = eye_parity_blocks(layout, squeezers)
+        fock._parity_eigs.cache_clear()
+        for _ in ("eigenbases built", "eigenbases cached"):
+            got = fock.parity_blocks(layout, squeezers)
+            assert list(got) == squeezers
+            for s in squeezers:
+                for block, ref in zip(got[s], want[s], strict=True):
+                    assert block.shape == ref.shape and np.array_equal(block, ref)
+
+
+class TestLadderCaches:
+    """What is built once per ladder is handed to every caller read-only."""
+
+    def test_cached_arrays_are_read_only(self):
+        cached = [*fock._fock_grid((2, 20))]
+        cached += [a for eig in fock._parity_eigs(20) for a in eig]
+        assert len(cached) == 2 + 2 * 3
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestSqrtmPsd:

@@ -330,6 +330,34 @@ class TestLossOnA:
         assert [args[2] for args in calls["_damp"]] == [1] * 5
         assert calls["_loss_tables"] == [(20, 0.1)]
 
+    def test_ladder_tables_are_read_only(self):
+        loss._loss_tables(20, 0.1)
+        for a in loss._ladder_tables(20):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    @pytest.mark.parametrize("dim", [20, 21])
+    def test_pass_is_the_same_with_ladder_caches_cold_or_warm(self, dim):
+        # every cache a pass reads: the Fock grid, the parity eigenbases and
+        # the loss tables' ladder part
+        caches = (fock._fock_grid, fock._parity_eigs, loss._ladder_tables)
+        params, config = su11.solve_params(0.5, 0.6), loss.LossConfig(0.1, 0.15)
+
+        def run(d):
+            rho = loss.make_werner(fock.make_layout([2, d]), 0.6)
+            return loss._run_fixed_dim(rho, params, config)
+
+        for cache in caches:
+            cache.cache_clear()
+        cold = run(dim)
+        warm = run(dim)
+        run(2 * dim)
+        after_other = run(dim)
+        for out, ideal, leakage in (warm, after_other):
+            assert np.array_equal(out.matrix, cold[0].matrix)
+            assert np.array_equal(ideal.matrix, cold[1].matrix)
+            assert leakage == cold[2]
+
     def test_over_cap_schedule_is_refused_before_the_first_pass(self, monkeypatch, capsys):
         passes = []
         run_fixed_dim = loss._run_fixed_dim
