@@ -1,4 +1,4 @@
-"""Builders for the physical gates and the amplification circuits.
+"""The physical gates and the builders of the amplification circuits.
 
 Gates: single- and two-mode squeezers (fock.PairSqueeze), cross-Kerr and
 diagonal phase shifters (phase factors with their own phase(n)), SWAP: all
@@ -9,18 +9,17 @@ must equal.  That right side is diagonal, so it is kept as its phase
 vector (fock.phase_vector), and equivalence_residual compares the circuit
 with it on the interior block (fock.diagonal_residual).
 
-Two products of a plan's gates are on offer.  compose(plan) multiplies the
-gates truncated to the plan's layout; intermediate states leak past the top
-of the ladder, so even its interior block differs from the untruncated
-circuit's.  compress(plan), which the builders return as lhs, is the
-compression of the untruncated circuit to the layout: its elements are the
+A plan's product is compress(plan), which the builders return as lhs: the
+compression of the untruncated circuit to the layout.  Its elements are the
 exact operator's, composed on a working ladder (its work_dim) that doubles
 until the box columns' leakage onto the ladder's top tenth (its leakage)
 is below fock.SETTLE_TOL.  It is kept as its conserved-sector blocks
-(fock.Compression), which equivalence_residual reads one by one; its
-N x N matrix is built only when .matrix is read.
+(fock.Compression), which equivalence_residual and conditional_phase read
+one by one; its N x N matrix is built only when .matrix is read.  No gate
+is built as a dense matrix here: the gates truncated to the layout and
+their gate-by-gate product are the tests' oracles (tests/oracles.py).
 
-Operator products written left-to-right in the builders act right-to-left
+Gate products written left-to-right in the docstrings act right-to-left
 on states, i.e. the rightmost factor is applied first.
 """
 
@@ -84,51 +83,11 @@ class CircuitPlan:
     gates: tuple[Gate, ...]
 
 
-def squeeze_single(layout: ModeLayout, mode: int, theta: float) -> Operator:
-    """Single-mode quadrature squeezer exp(-(theta/2)(b b - b† b†)),
-    built per parity sector (fock.truncated_product)."""
-    return gate_operator(layout, fock.PairSqueeze((mode,), theta))
-
-
-def squeeze_two_mode(
-    layout: ModeLayout, mode_b: int, mode_c: int, theta: float
-) -> Operator:
-    """Two-mode squeezer exp(-theta (b c - b† c†)), built per n_b - n_c
-    sector (fock.truncated_product)."""
-    return gate_operator(layout, fock.PairSqueeze((mode_b, mode_c), theta))
-
-
-def kerr(layout: ModeLayout, mode_a: int, mode_b: int, dphi: float) -> Operator:
-    """Cross-Kerr unitary exp(i dphi n_a n_b), diagonal in the Fock basis."""
-    return gate_operator(layout, Kerr(mode_a, mode_b, dphi))
-
-
-def phase_shift(layout: ModeLayout, coeffs, constant: float = 0.0) -> Operator:
-    """Diagonal unitary exp(-i (sum_j c_j n_j + constant)).
-
-    coeffs maps mode index -> coefficient (dict or iterable of pairs).
-    """
-    if isinstance(coeffs, dict):
-        coeffs = coeffs.items()
-    return gate_operator(layout, PhaseShift(tuple(coeffs), constant))
-
-
 def _check_swap(layout: ModeLayout, mode_b: int, mode_c: int) -> None:
     layout.check_mode(mode_b)
     layout.check_mode(mode_c)
     if layout.dims[mode_b] != layout.dims[mode_c]:
         raise fock.LayoutError("SWAP requires equal mode dimensions")
-
-
-def swap(layout: ModeLayout, mode_b: int, mode_c: int) -> Operator:
-    """Permutation exchanging the Fock indices of two equal-dimension modes."""
-    _check_swap(layout, mode_b, mode_c)
-    perm = (
-        np.arange(layout.total_dim).reshape(layout.dims).swapaxes(mode_b, mode_c).ravel()
-    )
-    M = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    M[perm, np.arange(layout.total_dim)] = 1.0
-    return Operator(layout, M, unitary=True)
 
 
 def _factor(layout: ModeLayout, gate: Gate, where):
@@ -146,22 +105,6 @@ def _factor(layout: ModeLayout, gate: Gate, where):
     if isinstance(gate, PhaseShift):
         return PhaseShift(tuple((where[m], c) for m, c in gate.coeffs), gate.constant)
     return fock.PairSqueeze(tuple(where[m] for m in gate.modes), gate.theta)
-
-
-def gate_operator(layout: ModeLayout, gate: Gate) -> Operator:
-    """One gate as an Operator: a SWAP as its permutation, any other gate
-    truncated to the layout (fock.truncated_product)."""
-    if isinstance(gate, Swap):
-        return swap(layout, gate.mode_b, gate.mode_c)
-    return fock.truncated_product(layout, [_factor(layout, gate, range(layout.num_modes))])
-
-
-def compose(plan: CircuitPlan) -> Operator:
-    """Product of all gates; plan.gates[0] is applied first (rightmost)."""
-    U = fock.identity(plan.layout)
-    for gate in plan.gates:
-        U = gate_operator(plan.layout, gate) @ U
-    return U
 
 
 def compress(plan: CircuitPlan) -> fock.Compression:
@@ -285,13 +228,13 @@ def equivalence_residual(
     <= block), rhs being a builder's phase vector.
 
     With lhs from a builder (compress) this measures the circuit itself, read
-    block by block; with lhs = compose(plan) it also holds the truncation
-    leakage of the gates.
+    block by block; with a dense product of the gates truncated to the
+    layout, as the tests build it, it also holds their truncation leakage.
     """
     return fock.diagonal_residual(lhs, rhs, block)
 
 
-def conditional_phase(U: Operator, n_b: int = 1) -> float:
+def conditional_phase(U: Operator | fock.Compression, n_b: int = 1) -> float:
     """Cross-Kerr coefficient of a circuit diagonal in n_a, per unit n_b.
 
     For a diagonal-in-number circuit the n_a n_b cross term is isolated from
@@ -301,6 +244,8 @@ def conditional_phase(U: Operator, n_b: int = 1) -> float:
 
     The four elements are read off U.blocks (a builder's sector blocks, or
     a dense Operator as one block); an element no block holds is zero.
+    It stays in the package, though no command calls it, because it reads
+    the blocks and builds no matrix.
     """
     if n_b < 1:
         raise ValueError("probe level n_b must be >= 1")

@@ -336,7 +336,11 @@ def verify_report(dim=100, block=40):
 def cmd_verify(args):
     if args.block < 0:
         raise UsageError(f"--block must be >= 0, got {args.block}")
-    rows = verify_report(dim=args.dim, block=args.block)
+    try:
+        rows = verify_report(dim=args.dim, block=args.block)
+    except fock.TruncationError as exc:  # a compression that did not settle
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     columns = ["check", "residual", "tolerance", "passed", "work_dim", "leakage"]
     _write_output(_out_path(args), args.format, _meta(args), columns, rows)
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_VERIFY

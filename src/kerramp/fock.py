@@ -1,25 +1,26 @@
 """Truncated multimode Fock-space backbone.
 
-Dense operators and density matrices over a composite Hilbert space built
-as the tensor product of per-mode truncated Fock ladders.
+Mode layouts, density matrices and the structured operators of a
+composite Hilbert space built as the tensor product of per-mode truncated
+Fock ladders.
 
 Gates keep the structure the physics gives them.  Every squeezer here
 conserves the Fock index of each mode it does not squeeze; a single-mode
 squeezer also conserves the parity of its mode, and a two-mode squeezer the
-difference of its two modes' indices.  A product of truncated squeezers and
-diagonal phases is therefore walked sector by sector: each parity or
+difference of its two modes' indices.  A product of squeezers and diagonal
+phases is therefore walked sector by sector: each parity or
 index-difference ladder is a real tridiagonal generator, exponentiated by
 its own small eigendecomposition, and each sector's block is kept at the
-flat indices of its states (Block).  :func:`truncated_product` places the
-blocks in the full matrix; :func:`parity_blocks` hands out a single-mode
-squeezer's two parity blocks, each its parity ladder's exponential, for the
-lossy pass to conjugate a state by; a ladder's parity eigenbases, like a
-layout's Fock index grid, are built once per process and shared read-only.
-A phase factor conjugates a state elementwise, as a vector (:func:`evolve`,
-:func:`phase_vector`), and a diagonal right side is checked as its vector,
-block by block (:func:`diagonal_residual`).
-:func:`expm`, the dense eigendecomposition on the full space, stays as the
-oracle for these products and for the beam splitter.
+flat indices of its states (Block).  :func:`compress_product` keeps such a
+product as its blocks (Compression); :func:`parity_blocks` hands out a
+single-mode squeezer's two parity blocks, each its parity ladder's
+exponential, for the lossy pass to conjugate a state by; a ladder's parity
+eigenbases, like a layout's Fock index grid, are built once per process and
+shared read-only.  A phase factor conjugates a state elementwise, as a
+vector (:func:`evolve`, :func:`phase_vector`), and a diagonal right side is
+checked as its vector, block by block (:func:`diagonal_residual`).  No
+gate is built as a dense N x N matrix: that form, with the kron-embedded
+ladder operators, lives in the tests (tests/oracles.py).
 
 Truncation caveat: on a D-level ladder [b, b†] = 1 holds only away from the
 top level, so identity and unitarity checks for squeezing-like operators are
@@ -161,7 +162,12 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix over a ModeLayout with optional structure hints."""
+    """Dense complex matrix over a ModeLayout with optional structure hints.
+
+    kerramp builds none: it is the form of the tests' dense oracles
+    (tests/oracles.py), and stays here, with expm, because bench/tracer.py
+    patches Operator.__matmul__ and expm by name.
+    """
 
     layout: ModeLayout
     matrix: np.ndarray
@@ -198,23 +204,17 @@ class Compression:
     work_dim is the working ladder the blocks were composed on and leakage
     the weight the box columns put on its top tenth; both are None for a
     diagonal product, exact on the layout itself.  The N x N matrix is built
-    (_place_blocks) when .matrix is first read, and then kept; dense algebra
-    (.dag, @) reads it as an Operator's.  A compression of a unitary is in
-    general not unitary, so it carries no unitary flag.
+    (_place_blocks) when .matrix is first read, and then kept.
     """
 
     layout: ModeLayout
     blocks: tuple[Block, ...]
     work_dim: int | None = None
     leakage: float | None = None
-    unitary = False
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         return _place_blocks(self.layout, self.blocks)
-
-    dag = Operator.dag
-    __matmul__ = Operator.__matmul__
 
 
 @dataclass(frozen=True)
@@ -252,64 +252,13 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def identity(layout: ModeLayout) -> Operator:
-    return Operator(layout, np.eye(layout.total_dim, dtype=complex), unitary=True)
-
-
-def embed(layout: ModeLayout, mode: int, single_mode_matrix: np.ndarray) -> np.ndarray:
-    """Tensor a single-mode matrix with identities on all other modes.
-
-    Dense kron embedding on the full space; it serves the oracles
-    (loss.beam_splitter and the tests), not the structured gates.
-    """
-    layout.check_mode(mode)
-    d = layout.dims[mode]
-    if single_mode_matrix.shape != (d, d):
-        raise OperatorError(
-            f"single-mode matrix shape {single_mode_matrix.shape} "
-            f"does not match mode dimension {d}"
-        )
-    result = np.eye(1, dtype=complex)
-    for m, dim in enumerate(layout.dims):
-        factor = single_mode_matrix if m == mode else np.eye(dim)
-        result = np.kron(result, factor)
-    return result
-
-
-def lowering_matrix(dim: int) -> np.ndarray:
-    """Single-mode annihilation matrix: sqrt(n) on the subdiagonal.
-
-    Serves the oracles (loss.beam_splitter and the tests).
-    """
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def annihilation(layout: ModeLayout, mode: int) -> Operator:
-    """Annihilation operator of the given mode, embedded in the full space.
-
-    Serves the oracles (loss.beam_splitter and the tests).
-    """
-    layout.check_mode(mode)
-    return Operator(layout, embed(layout, mode, lowering_matrix(layout.dims[mode])))
-
-
-def number_op(layout: ModeLayout, mode: int) -> Operator:
-    """Photon-number operator of the given mode.
-
-    Serves the oracles (the tests).
-    """
-    layout.check_mode(mode)
-    n = np.diag(np.arange(layout.dims[mode], dtype=complex))
-    return Operator(layout, embed(layout, mode, n))
-
-
 def expm(generator: Operator) -> Operator:
     """exp(A) for anti-Hermitian A, via eigendecomposition of H = -iA.
 
     Returns the unitary exp(iH).  Raises if A deviates from anti-Hermiticity
-    beyond tolerance.  A dense O(N^3) reference: the gates are built from
-    their sectors (see truncated_product), and this serves as their oracle
-    and as the beam splitter's.
+    beyond tolerance.  A dense O(N^3) reference that kerramp never calls:
+    the tests' oracle for the sector-built squeezers and the beam splitter,
+    kept here because bench/tracer.py patches it by name.
     """
     A = generator.matrix
     dev = np.max(np.abs(A + A.conj().T))
@@ -322,25 +271,21 @@ def expm(generator: Operator) -> Operator:
 
 
 def evolve(rho: DensityMatrix, U, validate: bool = True) -> DensityMatrix:
-    """Unitary conjugation U rho U† by an Operator flagged unitary, or by a
-    phase factor (PhaseFactor) as its phase vector u = exp(i phase(n)):
-    u_i rho_ij conj(u_j).  The result is Hermitian up to round-off and is
-    not re-symmetrized: apply_mode_loss and fidelity symmetrize what they
-    read."""
-    if not isinstance(U, Operator):
-        u = phase_vector(rho.layout, [U])
-        out = u[:, None] * rho.matrix
-        out *= u.conj()
-        return DensityMatrix(rho.layout, out, validate=validate)
-    if U.layout != rho.layout:
-        raise OperatorError("layout mismatch between state and unitary")
-    if not U.unitary:
-        raise OperatorError("operator is not flagged unitary")
-    return DensityMatrix(rho.layout, U.matrix @ rho.matrix @ U.dag, validate=validate)
+    """Unitary conjugation U rho U† by a phase factor (PhaseFactor) as its
+    phase vector u = exp(i phase(n)): u_i rho_ij conj(u_j).  The result is
+    Hermitian up to round-off and is not re-symmetrized: apply_mode_loss and
+    fidelity symmetrize what they read."""
+    u = phase_vector(rho.layout, [U])
+    out = u[:, None] * rho.matrix
+    out *= u.conj()
+    return DensityMatrix(rho.layout, out, validate=validate)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state over the kept modes (order preserved as given)."""
+    """Reduced state over the kept modes (order preserved as given).
+
+    No command calls it; it stays public as a layer to time on its own.
+    """
     keep = list(keep)
     if len(keep) == 0:
         raise LayoutError("keep must be non-empty")
@@ -370,12 +315,6 @@ def _psd_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
         raise StateError(f"matrix is not PSD: eigenvalue {w[0]:.2e}")
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     return (root + root.conj().T) / 2
-
-
-def sqrtm_psd(rho: DensityMatrix) -> Operator:
-    """Hermitian PSD square root via eigendecomposition (see _psd_root)."""
-    H = (rho.matrix + rho.matrix.conj().T) / 2
-    return Operator(rho.layout, _psd_root(*np.linalg.eigh(H)))
 
 
 def fidelity(rho_ideal: DensityMatrix, rho_out: DensityMatrix) -> float:
@@ -700,23 +639,6 @@ def _squeezed_modes(layout: ModeLayout, factors):
     return modes
 
 
-def truncated_product(layout: ModeLayout, factors) -> Operator:
-    """Product of factors, each truncated to layout; factors[0] is applied
-    first, and every PairSqueeze must act on the same modes.
-
-    Walked sector by sector on the layout's own ladders (_sector_blocks),
-    and the blocks placed in the full matrix.  With no squeezer the product
-    is diagonal, and exact on any ladder.
-    """
-    modes = _squeezed_modes(layout, factors)
-    if modes is None:
-        return Operator(layout, np.diag(phase_vector(layout, factors)), unitary=True)
-    box = tuple(layout.dims[m] for m in modes)
-    spectators = _spectators(layout, modes)
-    walked, _ = _sector_blocks(layout, factors, modes, spectators, box)
-    return Operator(layout, _place_blocks(layout, walked), unitary=True)
-
-
 @functools.lru_cache(maxsize=4)
 def _parity_eigs(dim: int) -> tuple:
     """Eigenbases (_ladder_eig) of a dim-level mode's even and odd parity
@@ -753,8 +675,8 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
     its sector blocks.
 
     factors[0] is applied first.  Every PairSqueeze must act on the same
-    modes, of equal dimension D.  The product is walked as in
-    truncated_product, on a working ladder of D, 2D, 4D, ... levels per
+    modes, of equal dimension D.  The product is walked sector by
+    sector (_sector_blocks) on a working ladder of D, 2D, 4D, ... levels per
     squeezed mode (at most MAX_WORK_FACTOR * D, at least 2D) until the box
     columns' leakage onto the ladder's top tenth (_sector_blocks) falls
     below SETTLE_TOL; the returned Compression holds that ladder's blocks,

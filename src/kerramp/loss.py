@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, fock
-from .fock import DensityMatrix, ModeLayout, Operator
+from .fock import DensityMatrix, ModeLayout
 from .su11 import CircuitParams
 
 BS_NAMES = ("R1", "R2", "R2p", "R3", "R4", "R4p", "R5")
@@ -108,23 +108,6 @@ def _check_reflectance(r: float) -> None:
         raise ReflectanceError(f"reflectance must lie in [0, 1], got {r}")
 
 
-def bs_angle(reflectance: float) -> float:
-    """Beam-splitter mixing angle arccos(sqrt(1 - R))."""
-    _check_reflectance(reflectance)
-    return math.acos(math.sqrt(1.0 - reflectance))
-
-
-def master_equation_time(reflectance: float) -> float:
-    """Dimensionless damping time t with R = 1 - exp(-t).
-
-    R = 1 corresponds to infinite time and is rejected.
-    """
-    _check_reflectance(reflectance)
-    if reflectance == 1.0:
-        raise ReflectanceError("R = 1 corresponds to infinite damping time")
-    return -math.log(1.0 - reflectance)
-
-
 @dataclass(frozen=True)
 class LossConfig:
     """Reflectances of the fictitious beam splitters.
@@ -153,21 +136,6 @@ class LossConfig:
         return self.r_s if name in _SQUEEZER_BS else self.r_k
 
 
-def beam_splitter(
-    layout: ModeLayout, signal_mode: int, ancilla_mode: int, reflectance: float
-) -> Operator:
-    """Beam-splitter unitary exp[theta (b v† - b† v)] on the full layout."""
-    layout.check_mode(signal_mode)
-    layout.check_mode(ancilla_mode)
-    if signal_mode == ancilla_mode:
-        raise fock.LayoutError("signal and ancilla modes must differ")
-    theta = bs_angle(reflectance)
-    b = fock.annihilation(layout, signal_mode).matrix
-    v = fock.annihilation(layout, ancilla_mode).matrix
-    gen = Operator(layout, theta * (b @ v.conj().T - b.conj().T @ v))
-    return fock.expm(gen)
-
-
 def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> DensityMatrix:
     """Vacuum beam-splitter loss channel on one mode of a multimode state.
 
@@ -176,6 +144,9 @@ def apply_mode_loss(rho: DensityMatrix, mode: int, reflectance: float) -> Densit
     operators E_k |m + k> = w_k[m] |m>.  Computed as one real matrix product
     along the diagonals of the rescaled state (module docstring); a lost
     mode above MAX_LOSS_LADDER levels raises fock.TruncationError.
+
+    The loss channel's public form, kept as a layer to time on its own; the
+    lossy pass calls _damp on its own buffers instead.
     """
     rho.layout.check_mode(mode)
     _check_reflectance(reflectance)
@@ -229,10 +200,11 @@ def _loss_tables(d: int, reflectance: float) -> tuple[np.ndarray, np.ndarray, np
         log_t = np.log1p(-reflectance)  # -inf at R = 1
     n_log_t = np.multiply(n, log_t, out=np.zeros(d), where=n > 0)  # 0 log 0 = 0
     # F built in log space in one d x d buffer: the k-dependent part is a
-    # Toeplitz view, -inf below the diagonal
+    # Toeplitz view, [m, c] -> log_c[d - 1 - m + c], -inf below the diagonal
     log_c = np.concatenate((np.full(d - 1, -np.inf), n * math.log(reflectance) - log_fact))
     F = np.add.outer(n_log_t - log_fact, log_fact)
-    F += np.lib.stride_tricks.sliding_window_view(log_c, d)[::-1]
+    step = log_c.strides[0]
+    F += np.lib.stride_tricks.as_strided(log_c[d - 1 :], (d, d), (-step, step), writeable=False)
     np.exp(F, out=F)
     half = np.exp(0.5 * n_log_t)
     half[0] = 0.5

@@ -14,12 +14,13 @@ representations (single-mode and two-mode squeezing families).
 The identity holds exactly for the untruncated operators.  In the Fock
 representations verify_identity therefore checks the compression of the
 exact left side to the layout, composed on a working ladder that doubles
-until a leakage certificate holds (see fock.compress_product), while
-identity_factors gives the product of the factors truncated to the layout,
-leakage past the ladder top included.  No Fock generator is built as a
-matrix: exp(i theta G2) is the squeezer fock.PairSqueeze, exp(i c G3) a
-phase factor, and the right side exp(i gamma G3), diagonal, is compared as
-its phase vector.
+until a leakage certificate holds (see fock.compress_product).  No Fock
+generator is built as a matrix: exp(i theta G2) is the squeezer
+fock.PairSqueeze, exp(i c G3) a phase factor, and the right side
+exp(i gamma G3), diagonal, is compared as its phase vector.  The dense
+Fock generators, their commutators and the identity's sides truncated to
+the layout are the tests' oracles (tests/oracles.py); identity_factors
+gives the 2x2 representation's sides.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class Su11Generators:
     For matrix-2x2 the generators are bare 2x2 arrays and layout is None.
     A Fock representation is its layout alone: the identity's factors are
     squeezers and phase factors over it (_left_factors), and g1, g2 and g3
-    are None.  commutator_residual reads a triple that holds arrays.
+    are None.
     """
 
     representation: str
@@ -204,26 +205,6 @@ def generators(layout: ModeLayout | None, representation: str) -> Su11Generators
     return Su11Generators(representation, layout=layout)
 
 
-def commutator_residual(gens: Su11Generators, block: int | None = None) -> float:
-    """Max deviation from [G1,G2]=-2iG3, [G2,G3]=2iG1, [G3,G1]=2iG2.
-
-    For Fock representations, restrict to the interior block (bosonic mode
-    indices <= block).
-    """
-    g1, g2, g3 = gens.g1, gens.g2, gens.g3
-    if g1 is None:
-        raise ValueError(f"{gens.representation} generators hold no matrices")
-    residuals = [
-        g1 @ g2 - g2 @ g1 + 2j * g3,
-        g2 @ g3 - g3 @ g2 - 2j * g1,
-        g3 @ g1 - g1 @ g3 - 2j * g2,
-    ]
-    if block is not None and gens.layout is not None:
-        idx = gens.layout.interior_indices(block, modes=range(1, gens.layout.num_modes))
-        residuals = [r[np.ix_(idx, idx)] for r in residuals]
-    return float(max(np.max(np.abs(r)) for r in residuals))
-
-
 def _g3_factor(gens: Su11Generators, coeff: float) -> fock.PhaseFactor:
     """exp(i coeff G3) in a Fock representation, as a diagonal factor."""
     return fock.PhaseFactor(lambda n: coeff * _g3_values(gens.representation, n))
@@ -265,18 +246,16 @@ def _expm_2x2(M: np.ndarray) -> np.ndarray:
 
 
 def identity_factors(params: CircuitParams, gens: Su11Generators):
-    """(left, right) sides of the five-factor identity as matrices.
+    """(left, right) sides of the five-factor identity in the 2x2
+    representation, as matrices.
 
-    In the Fock representations left is the product of the factors each
-    truncated to the layout (fock.truncated_product), truncation leakage
-    included, and right the diagonal exp(i gamma G3); see compress_identity
-    for the compression of the exact left side.  The 2x2 representation is
-    non-Hermitian (a boost); its factors come from the closed-form
-    exponential _expm_2x2.
+    The representation is non-Hermitian (a boost); its factors come from
+    the closed-form exponential _expm_2x2.  A Fock representation is
+    refused: see compress_identity for the compression of its exact left
+    side.
     """
     if gens.layout is not None:
-        left = fock.truncated_product(gens.layout, _left_factors(params, gens))
-        return left.matrix, np.diag(_right_side(params, gens))
+        raise ValueError("identity_factors needs the matrix-2x2 representation")
     eg2_1 = _expm_2x2(1j * params.theta1 * gens.g2)
     eg3 = _expm_2x2(0.5j * params.delta * gens.g3)
     left = eg2_1 @ eg3 @ _expm_2x2(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1

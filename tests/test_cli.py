@@ -6,11 +6,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kerramp import cli, loss
+from kerramp import cli, fock, loss
 
 
 def run_cli(capsys, *argv):
@@ -364,6 +365,16 @@ class TestLossy:
 
 
 class TestVerify:
+    def test_unsettled_compression_exits_as_non_convergence(self, capsys):
+        # a two-level ladder is a valid layout, but its identity compression
+        # does not settle by the working-ladder cap 32 D = 64
+        code = cli.main(["verify", "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: compression did not settle")
+        assert "working ladder 64" in captured.err
+
     def test_report_structure_and_exit_code(self, capsys):
         # smaller dims keep this test quick; the exit code must agree with
         # the per-check pass flags
@@ -402,6 +413,41 @@ class TestVerify:
                 assert r["leakage"] == ""
             else:
                 assert 0.0 <= float(r["leakage"]) < 1e-12
+
+
+class TestDenseFree:
+    def test_commands_build_no_dense_operator(self, capsys, monkeypatch):
+        # the commands run on sector blocks, phase vectors and the lossy
+        # pass's buffers: no dense Operator, full-space exponential or
+        # placed N x N compression
+        calls = []
+
+        def spy(name, original):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            fock.Operator, "__post_init__", spy("Operator", fock.Operator.__post_init__)
+        )
+        monkeypatch.setattr(fock, "expm", spy("expm", fock.expm))
+        monkeypatch.setattr(fock, "_place_blocks", spy("_place_blocks", fock._place_blocks))
+        argvs = (
+            ["verify", "--dim", "60", "--block", "12"],
+            ["lossy", "--theta1", "0.5"],
+            ["lossy", "--state", "werner", "--theta1", "0.7", "--rs", "0.2", "--rk", "0.05"],
+        )
+        codes = [cli.main(argv) for argv in argvs]
+        capsys.readouterr()
+        assert codes == [0, 0, 0]
+        assert calls == []
+        # the spies do see a dense build
+        layout = fock.make_layout([2, 2])
+        fock.compress_product(layout, [fock.PairSqueeze((1,), 0.1)]).matrix
+        fock.expm(fock.Operator(layout, np.zeros((4, 4), dtype=complex)))
+        assert set(calls) == {"Operator", "expm", "_place_blocks"}
 
 
 class TestStartup:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy.special import gammaln
 from scipy.stats import binom
@@ -71,15 +72,15 @@ def slice_loop_oracle(rho_mat, dims, mode, R):
 
 
 def dense_pass_oracle(rho, params, config):
-    """The lossy pass with every gate a dense Operator (circuits.gate_operator)
-    conjugating the state (fock.evolve), then each splitter's loss channel
+    """The lossy pass with every gate a dense Operator (oracles.gate_operator)
+    conjugating the state (oracles.evolve), then each splitter's loss channel
     (loss.apply_mode_loss): (output, leakage on the b ladder's top tenth,
     the largest over stages)."""
     layout = rho.layout
     tail = fock.tail_index(layout.dims[1])
     leakage = 0.0
     for position, gate in enumerate(circuits.two_mode_plan(params, layout).gates):
-        rho = fock.evolve(rho, circuits.gate_operator(layout, gate), validate=False)
+        rho = oracles.evolve(rho, oracles.gate_operator(layout, gate), validate=False)
         for name, mode in loss.SPLITTERS_AFTER_GATE.get(position, ()):
             rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
         populations = np.real(np.diagonal(rho.matrix)).reshape(layout.dims)
@@ -105,33 +106,33 @@ def random_density(rng, layout):
 class TestBeamSplitter:
     def test_zero_reflectance_identity(self):
         layout = fock.make_layout([4, 4])
-        B = loss.beam_splitter(layout, 0, 1, 0.0)
+        B = oracles.beam_splitter(layout, 0, 1, 0.0)
         assert np.allclose(B.matrix, np.eye(16))
 
     def test_full_reflectance_exchanges_photon(self):
         layout = fock.make_layout([3, 3])
-        B = loss.beam_splitter(layout, 0, 1, 1.0)
+        B = oracles.beam_splitter(layout, 0, 1, 1.0)
         out = B.matrix @ layout.basis_vector((1, 0))
         target = layout.basis_vector((0, 1))
         assert abs(abs(out @ target) - 1.0) < 1e-12
 
     def test_angle_relation(self):
         for R in (0.0, 0.3, 0.77, 1.0):
-            assert math.sin(loss.bs_angle(R)) ** 2 == pytest.approx(R, abs=1e-12)
+            assert math.sin(oracles.bs_angle(R)) ** 2 == pytest.approx(R, abs=1e-12)
 
     def test_single_photon_transmission(self):
         R = 0.3
         layout = fock.make_layout([3, 3])
-        B = loss.beam_splitter(layout, 0, 1, R)
+        B = oracles.beam_splitter(layout, 0, 1, R)
         rho = fock.DensityMatrix.from_state_vector(layout, layout.basis_vector((1, 0)))
-        out = fock.partial_trace(fock.evolve(rho, B), keep=[0])
-        n_mean = np.real(np.trace(fock.number_op(out.layout, 0).matrix @ out.matrix))
+        out = fock.partial_trace(oracles.evolve(rho, B), keep=[0])
+        n_mean = np.real(np.trace(oracles.number_op(out.layout, 0).matrix @ out.matrix))
         assert n_mean == pytest.approx(1.0 - R, abs=1e-12)
 
     def test_rejects_bad_reflectance(self):
         layout = fock.make_layout([3, 3])
         with pytest.raises(loss.ReflectanceError):
-            loss.beam_splitter(layout, 0, 1, 1.5)
+            oracles.beam_splitter(layout, 0, 1, 1.5)
 
 
 class TestLossChannel:
@@ -157,8 +158,8 @@ class TestLossChannel:
         vac = np.zeros((6, 6), dtype=complex)
         vac[0, 0] = 1.0
         rho_ext = fock.DensityMatrix(ext, np.kron(rho.matrix, vac), validate=False)
-        B = loss.beam_splitter(ext, 1, 2, R)
-        want = fock.partial_trace(fock.evolve(rho_ext, B, validate=False), keep=[0, 1])
+        B = oracles.beam_splitter(ext, 1, 2, R)
+        want = fock.partial_trace(oracles.evolve(rho_ext, B, validate=False), keep=[0, 1])
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
 
     def test_matches_lindblad_integrator(self):
@@ -166,7 +167,7 @@ class TestLossChannel:
         layout = fock.make_layout([10])
         rho = random_density(rng, layout)
         R = 0.5
-        t = loss.master_equation_time(R)
+        t = oracles.master_equation_time(R)
         got = loss.apply_mode_loss(rho, 0, R).matrix
         want = lindblad_euler_oracle(rho.matrix, t)
         assert np.max(np.abs(got - want)) < 1e-4
@@ -336,6 +337,16 @@ class TestLossOnA:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
+    @pytest.mark.parametrize("dim", [2, 21, 160])
+    def test_tables_equal_the_sliding_window_form(self, dim):
+        # F's Toeplitz view of log_c is an as_strided view; the
+        # sliding_window_view(log_c, d)[::-1] it replaced gives the same bits
+        for R in (1e-9, 0.1, 0.5, 1.0):
+            got = loss._loss_tables(dim, R)
+            want = oracles.sliding_window_loss_tables(dim, R)
+            for table, ref in zip(got, want, strict=True):
+                assert table.shape == ref.shape and np.array_equal(table, ref), R
+
     @pytest.mark.parametrize("dim", [20, 21])
     def test_pass_is_the_same_with_ladder_caches_cold_or_warm(self, dim):
         # every cache a pass reads: the Fock grid, the parity eigenbases and
@@ -413,7 +424,7 @@ class TestRealSqueezer:
         gates = circuits.two_mode_plan(params, layout).gates
         rho = loss.make_werner(layout, 0.6)
         for position, gate in enumerate(gates[:2]):
-            rho = fock.evolve(rho, circuits.gate_operator(layout, gate), validate=False)
+            rho = oracles.evolve(rho, oracles.gate_operator(layout, gate), validate=False)
             for name, mode in loss.SPLITTERS_AFTER_GATE[position]:
                 rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
         blocks = fock.parity_blocks(layout, [gates[3]])[gates[3]]
@@ -443,8 +454,8 @@ class TestLossyStage:
     def test_state_stays_valid(self):
         layout = fock.make_layout([2, 12])
         rho = loss.make_plus_plus(layout)
-        S = circuits.squeeze_single(layout, 1, 0.5)
-        out = fock.evolve(rho, S, validate=False)
+        S = oracles.squeeze_single(layout, 1, 0.5)
+        out = oracles.evolve(rho, S, validate=False)
         out = loss.apply_mode_loss(loss.apply_mode_loss(out, 1, 0.3), 0, 0.1)
         assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-10
         assert np.trace(out.matrix) == pytest.approx(1.0, abs=1e-8)
@@ -499,12 +510,12 @@ class TestInputStates:
 
 class TestMasterEquationTime:
     def test_endpoints(self):
-        assert loss.master_equation_time(0.0) == 0.0
-        assert loss.master_equation_time(1 - math.exp(-1.0)) == pytest.approx(1.0)
+        assert oracles.master_equation_time(0.0) == 0.0
+        assert oracles.master_equation_time(1 - math.exp(-1.0)) == pytest.approx(1.0)
 
     def test_rejects_full_reflectance(self):
         with pytest.raises(loss.ReflectanceError):
-            loss.master_equation_time(1.0)
+            oracles.master_equation_time(1.0)
 
 
 class TestLossConfig:
@@ -591,7 +602,7 @@ class TestLossyLeakage:
         populations = []
         for position, gate in enumerate(circuits.two_mode_plan(params, layout).gates):
             splitters = loss.SPLITTERS_AFTER_GATE.get(position, ())
-            rho = fock.evolve(rho, circuits.gate_operator(layout, gate), validate=False)
+            rho = oracles.evolve(rho, oracles.gate_operator(layout, gate), validate=False)
             for name, mode in splitters:
                 rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
             populations.append(np.real(np.diagonal(rho.matrix)).reshape(2, 20)[:, 18:].sum())
@@ -654,7 +665,7 @@ class TestLossyCircuitPlan:
         # blocks, taken straight off the parity ladders, the Kerr and phase
         # gates and the ideal K(2 gamma) as phase vectors
         calls = []
-        for name in ("truncated_product", "_place_blocks", "_sector_blocks", "_spectators"):
+        for name in ("_place_blocks", "_sector_blocks", "_spectators"):
 
             def spy(*args, _name=name, _original=getattr(fock, name)):
                 calls.append(_name)
@@ -668,10 +679,10 @@ class TestLossyCircuitPlan:
     def test_lossless_pass_is_the_composed_plan(self):
         for dim in (3, 16, 21):
             layout = fock.make_layout([2, dim])
-            U = circuits.compose(circuits.two_mode_plan(self.PARAMS, layout))
+            U = oracles.compose(circuits.two_mode_plan(self.PARAMS, layout))
             for rho in (loss.make_plus_plus(layout), loss.make_werner(layout, 0.6)):
                 rho_out, _, _ = loss._run_fixed_dim(rho, self.PARAMS, loss.LossConfig())
-                want = fock.evolve(rho, U)
+                want = oracles.evolve(rho, U)
                 assert np.max(np.abs(rho_out.matrix - want.matrix)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -692,5 +703,5 @@ class TestLossyCircuitPlan:
         want, want_leakage = dense_pass_oracle(rho, params, config)
         assert np.max(np.abs(rho_out.matrix - want.matrix)) < 1e-12
         assert leakage == pytest.approx(want_leakage, abs=1e-12)
-        ideal = fock.evolve(rho, circuits.kerr(layout, 0, 1, params.dphi_amp))
+        ideal = oracles.evolve(rho, oracles.kerr(layout, 0, 1, params.dphi_amp))
         assert np.max(np.abs(rho_ideal.matrix - ideal.matrix)) < 1e-12

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import oracles
 from oracles import dense_generators
 
 from kerramp import fock, su11
@@ -172,17 +173,17 @@ class TestGenerators:
         g = su11.generators(None, "matrix-2x2")
         assert np.array_equal(g.g3, np.diag([1.0, -1.0]))
         assert np.allclose(g.g1 @ g.g2 - g.g2 @ g.g1, -2j * g.g3)
-        assert su11.commutator_residual(g) == 0.0
+        assert oracles.commutator_residual(g) == 0.0
 
     def test_fock_single_commutators_on_interior(self):
         layout = fock.make_layout([2, 10])
         g = dense_generators(layout, "fock-single")
-        assert su11.commutator_residual(g, block=5) < 1e-10
+        assert oracles.commutator_residual(g, block=5) < 1e-10
 
     def test_fock_two_mode_commutators_on_interior(self):
         layout = fock.make_layout([2, 8, 8])
         g = dense_generators(layout, "fock-two-mode")
-        assert su11.commutator_residual(g, block=3) < 1e-10
+        assert oracles.commutator_residual(g, block=3) < 1e-10
 
     def test_two_mode_g3_eigenvalue(self):
         layout = fock.make_layout([2, 4, 4])
@@ -201,7 +202,7 @@ class TestGenerators:
         fields = [getattr(g, f.name) for f in dataclasses.fields(g)]
         assert not any(isinstance(v, np.ndarray) for v in fields)
         with pytest.raises(ValueError, match="hold no matrices"):
-            su11.commutator_residual(g)
+            oracles.commutator_residual(g)
 
     def test_incompatible_layout(self):
         with pytest.raises(fock.LayoutError):
@@ -232,8 +233,8 @@ class TestGeneratorsByIndex:
         layout = fock.make_layout(dims)
         g = dense_generators(layout, rep)
         block = dims[1] - 3 if rep == "fock-single" else min(dims[1], dims[2]) - 2
-        assert su11.commutator_residual(g, block=block) < 1e-10
-        assert su11.commutator_residual(g, block=block + 1) > 0.5
+        assert oracles.commutator_residual(g, block=block) < 1e-10
+        assert oracles.commutator_residual(g, block=block + 1) > 0.5
 
 
 class TestVerifyIdentity:
@@ -263,7 +264,7 @@ class TestVerifyIdentity:
         p = su11.solve_params(0.3, 0.4)
         layout = fock.make_layout([2, 80])
         g = su11.generators(layout, "fock-single")
-        left, right = su11.identity_factors(p, g)
+        left, right = oracles.identity_factors(p, g)
 
         def residual(block):
             idx = layout.interior_indices(block, modes=[1])
@@ -284,7 +285,7 @@ class TestVerifyIdentity:
         layout = fock.make_layout([2, 40])
         th = 0.3
         squeezes = [fock.PairSqueeze((1,), t) for t in (th, -2 * th, th)]
-        left = fock.truncated_product(layout, squeezes).matrix
+        left = oracles.truncated_product(layout, squeezes).matrix
         idx = layout.interior_indices(10, modes=[1])
         assert np.max(np.abs((left - np.eye(80))[np.ix_(idx, idx)])) < 1e-10
 
@@ -306,7 +307,7 @@ class TestIdentityFactors:
         eg2_1 = factor(p.theta1, g.g2)
         eg3 = factor(p.delta / 2.0, g.g3)
         want = eg2_1 @ eg3 @ factor(p.theta2, g.g2) @ eg3 @ eg2_1
-        left, right = su11.identity_factors(p, g)
+        left, right = oracles.identity_factors(p, g)
         assert np.max(np.abs(left - want)) <= 1e-13
         assert np.max(np.abs(right - factor(p.gamma, g.g3))) <= 1e-13
 
@@ -318,9 +319,21 @@ class TestIdentityFactors:
         g = su11.generators(fock.make_layout(dims), rep)
         right = su11._right_side(p, g)
         assert right.shape == (g.layout.total_dim,)
-        dense = fock.truncated_product(g.layout, [su11._g3_factor(g, p.gamma)]).matrix
+        dense = oracles.truncated_product(g.layout, [su11._g3_factor(g, p.gamma)]).matrix
         assert np.array_equal(np.diag(right), dense)
-        assert np.array_equal(su11.identity_factors(p, g)[1], dense)
+        assert np.array_equal(oracles.identity_factors(p, g)[1], dense)
+
+    @pytest.mark.parametrize(
+        "rep, dims", [("fock-single", [2, 14]), ("fock-two-mode", [2, 6, 6])]
+    )
+    def test_refuses_a_fock_representation(self, rep, dims):
+        # as compress_identity refuses the 2x2 one
+        p = su11.solve_params(0.5, 0.4)
+        g = su11.generators(fock.make_layout(dims), rep)
+        with pytest.raises(ValueError, match="matrix-2x2"):
+            su11.identity_factors(p, g)
+        with pytest.raises(ValueError, match="Fock representation"):
+            su11.compress_identity(p, su11.generators(None, "matrix-2x2"))
 
     @pytest.mark.parametrize("theta1", [0.0, 0.5, 5.0])
     @pytest.mark.parametrize("delta", [0.0, 0.5])
