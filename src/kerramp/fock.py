@@ -9,18 +9,21 @@ conserves the Fock index of each mode it does not squeeze; a single-mode
 squeezer also conserves the parity of its mode, and a two-mode squeezer the
 difference of its two modes' indices.  A product of squeezers and diagonal
 phases is therefore walked sector by sector: each parity or
-index-difference ladder is a real tridiagonal generator, exponentiated by
-its own small eigendecomposition, and each sector's block is kept at the
-flat indices of its states (Block).  :func:`compress_product` keeps such a
-product as its blocks (Compression); :func:`parity_blocks` hands out a
-single-mode squeezer's two parity blocks, each its parity ladder's
-exponential, for the lossy pass to conjugate a state by; a ladder's parity
-eigenbases, like a layout's Fock index grid, are built once per process and
-shared read-only.  A phase factor conjugates a state elementwise, as a
-vector (:func:`evolve`, :func:`phase_vector`), and a diagonal right side is
-checked as its vector, block by block (:func:`diagonal_residual`).  No
-gate is built as a dense N x N matrix: that form, with the kron-embedded
-ladder operators, lives in the tests (tests/oracles.py).
+index-difference ladder is a real antisymmetric tridiagonal generator that
+couples even ladder positions only to odd ones, so its exponential is a
+real rotation, read off the SVD of its half-size even-odd block; a run of
+consecutive phase factors acts on a sector as one summed phase.  Each
+sector's block is kept at the flat indices of its states (Block).
+:func:`compress_product` keeps such a product as its blocks (Compression);
+:func:`parity_blocks` hands out a single-mode squeezer's two parity
+blocks, each its parity ladder's real exponential, for the lossy pass to
+conjugate a state by; a ladder's parity SVDs, like a layout's Fock index
+grid, are built once per process and shared read-only.  A phase factor
+conjugates a state elementwise, as a vector (:func:`evolve`,
+:func:`phase_vector`), and a diagonal right side is checked as its vector,
+block by block (:func:`diagonal_residual`).  No gate is built as a dense
+N x N matrix: that form, with the kron-embedded ladder operators, lives in
+the tests (tests/oracles.py).
 
 Truncation caveat: on a D-level ladder [b, b†] = 1 holds only away from the
 top level, so identity and unitarity checks for squeezing-like operators are
@@ -46,6 +49,7 @@ only when read.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -489,57 +493,75 @@ def _sectors(box, work):
 
 
 def _ladder_eig(coupling: np.ndarray):
-    """Eigenbasis (w, Q, z) of the ladder generator T, real antisymmetric
-    tridiagonal with T[m, m+1] = -coupling[m].
+    """Eigenbasis (s, U, V) of the ladder generator T, real antisymmetric
+    tridiagonal with T[m, m+1] = -coupling[m]: the SVD B = U diag(s) V^T of
+    its even-odd block.
 
-    T equals Z (i S) Z* with Z = diag(z), z[m] = i^m, and S = Q diag(w) Q^T
-    real symmetric tridiagonal, S[m, m+1] = -coupling[m]; so
-    exp(theta T) = Z Q e^{i theta w} Q^T Z*.
-
-    S has a zero diagonal, so it only couples even to odd ladder positions:
-    the ladder is bipartite, and with the even positions first S is
-    [[0, B], [B^T, 0]], B[i, j] = S[2i, 2j+1] lower bidiagonal.  With
-    B = U diag(s) V^T its eigenpairs are +-s_j on (u_j, +-v_j) / sqrt(2),
-    plus, on an odd ladder, the zero mode (u, 0) of B's extra left singular
-    vector (Golub & Kahan 1965).  A half-size SVD thus replaces the
-    tridiagonal eigensolver.
+    T has a zero diagonal, so it only couples even to odd ladder positions:
+    the ladder is bipartite, and with the even positions first T is
+    [[0, B], [-B^T, 0]], B[i, j] = T[2i, 2j+1] lower bidiagonal
+    (B[i, i] = -coupling[2i], B[i, i-1] = +coupling[2i-1]).  U is square;
+    on an odd ladder its last column, B's extra left singular vector, is
+    the zero mode of T (Golub & Kahan 1965).  A half-size SVD thus stands
+    for the whole eigensolver, and the eigenbasis holds size^2 / 2 floats.
     """
     size = len(coupling) + 1
     even, half = (size + 1) // 2, size // 2  # even and odd positions
     B = np.zeros((even, half))
     B[np.arange(half), np.arange(half)] = -coupling[0::2]
-    B[np.arange(1, even), np.arange(even - 1)] = -coupling[1::2]
+    B[np.arange(1, even), np.arange(even - 1)] = coupling[1::2]
     U, s, Vt = np.linalg.svd(B)
-    u, v = U[:, :half] / math.sqrt(2.0), Vt.T / math.sqrt(2.0)
-    Q = np.zeros((size, size))
-    Q[0::2, :half], Q[1::2, :half] = u, v
-    Q[0::2, half : 2 * half], Q[1::2, half : 2 * half] = u, -v
-    Q[0::2, 2 * half :] = U[:, half:]  # the zero mode of an odd ladder
-    w = np.concatenate([s, -s, np.zeros(size - 2 * half)])
-    z = np.array([1, 1j, -1, -1j])[np.arange(size) % 4]
-    return w, Q, z
+    return s, U, Vt.T
 
 
-def _ladder_exp(eig, theta: float, V) -> np.ndarray:
-    """exp(theta T) V for the ladder whose eigenbasis is eig (_ladder_eig);
-    the first axis of V runs along the ladder.
+def _ladder_exp(eig, theta: float, X) -> np.ndarray:
+    """exp(theta T) X for the ladder whose eigenbasis is eig (_ladder_eig);
+    the first axis of X runs along the ladder.
 
-    An int V = k stands for the identity's first k columns over one
-    spectator slot, eye(size, k)[:, None]: Q^T Z* V is then the first k
-    columns of Q^T scaled by conj(z), read off with no product.
+    With the even positions first, C = diag(cos(theta s)) and
+    S = diag(sin(theta s)), exp(theta T) is the real rotation
+    [[U_h C U_h^T + U_0 U_0^T, U_h S V^T], [-V S U_h^T, V C V^T]],
+    U_h the first len(s) columns of U and U_0 the rest.  So A = U^T X_even
+    and B = V^T X_odd go in, and U (C A_h + S B ; A_0) and V (C B - S A_h)
+    come out: four half-size real products.  A complex X is worked on as
+    its real and imaginary parts, stacked, each the real problem a real X
+    is.
+
+    An int X = k stands for the identity's first k columns over one
+    spectator slot, eye(size, k)[:, None]: A and B are then rows of U and
+    V, read off with no product, and every later step is the array path's,
+    so the result, real, has the bits of the real part of the product
+    against those columns.
     """
-    w, Q, z = eig
-    size = len(w)
-    if isinstance(V, int):
-        X = np.ascontiguousarray(Q.T[:, :V] * z[:V].conj())[:, None]
+    s, U, V = eig
+    even, half = len(U), len(s)
+    size = even + half
+    if isinstance(X, int):
+        shape, dtype = (size, 1, X), float
+        A, B = np.zeros((1, even, X)), np.zeros((1, half, X))
+        A[0, :, 0::2], B[0, :, 1::2] = U[: (X + 1) // 2].T, V[: X // 2].T
     else:
-        # real Q acts on the real and imaginary parts at once
-        X = np.ascontiguousarray(z.conj().reshape((size,) + (1,) * (V.ndim - 1)) * V)
-        X = (Q.T @ X.view(float).reshape(size, -1)).view(complex).reshape(V.shape)
-    column = (size,) + (1,) * (X.ndim - 1)
-    X *= np.exp(1j * theta * w).reshape(column)
-    X = (Q @ X.view(float).reshape(size, -1)).view(complex).reshape(X.shape)
-    return z.reshape(column) * X
+        shape, dtype = X.shape, X.dtype
+        X = X.reshape(size, -1)
+        X = np.stack([X.real, X.imag]) if np.iscomplexobj(X) else X[None]
+        A, B = U.T @ X[:, 0::2], V.T @ X[:, 1::2]
+        del X
+    cos, sin = np.cos(theta * s)[:, None], np.sin(theta * s)[:, None]
+    odd = cos * B
+    odd -= sin * A[:, :half]
+    A[:, :half] *= cos
+    B *= sin
+    A[:, :half] += B
+    del B  # each temporary goes once used
+    parts = np.empty((len(A), size, A.shape[-1]))
+    np.matmul(U, A, out=parts[:, 0::2])
+    del A
+    np.matmul(V, odd, out=parts[:, 1::2])
+    if dtype == float:
+        return parts.reshape(shape)
+    out = np.empty(shape, dtype)
+    out.real, out.imag = parts.reshape((2,) + shape)
+    return out
 
 
 def _spectators(layout: ModeLayout, modes) -> dict:
@@ -596,6 +618,10 @@ def _sector_blocks(
     n_spec = math.prod(layout.dims[j] for j in spectators)
     box = tuple(layout.dims[m] for m in modes)
     edge = [tail_index(w) for w in work]
+    # a run of consecutive phase factors acts as one summed phase
+    stages = []
+    for squeezes, run in itertools.groupby(factors, lambda f: isinstance(f, PairSqueeze)):
+        stages += run if squeezes else [tuple(run)]
     walked, worst, eigs = [], 0.0, {}
     for key, inside, numbers, coupling in _sectors(box, work):
         size = len(numbers[0])
@@ -603,17 +629,17 @@ def _sector_blocks(
         tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
         n = _numbers(layout.num_modes, modes, numbers, spectators)
         V = inside  # the box's identity columns (an int V, see _ladder_exp)
-        for f in factors:
-            if not isinstance(f, PairSqueeze):
+        for stage in stages:
+            if isinstance(stage, tuple):
                 if isinstance(V, int):
-                    V = np.eye(size, inside, dtype=complex)[:, None]
-                phase = np.broadcast_to(f.phase(n), (size, n_spec))
+                    V = np.eye(size, inside)[:, None]
+                phase = np.broadcast_to(sum(f.phase(n) for f in stage), (size, n_spec))
                 V = V * np.exp(1j * phase)[:, :, None]
                 continue
             if key not in eigs:
                 eigs.clear()  # the previous ladder's eigenbasis goes first
                 eigs[key] = _ladder_eig(coupling)
-            V = _ladder_exp(eigs[key], f.theta, V)
+            V = _ladder_exp(eigs[key], stage.theta, V)
             worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
             if worst >= stop:
                 return walked, worst
@@ -655,17 +681,18 @@ def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     mode: per distinct squeezer, its blocks on the even and on the odd Fock
     indices of that mode (the same for every spectator Fock index).
 
-    Each block is its parity ladder's exponential, read off the ladder's
-    eigenbasis with no product against an identity (_ladder_exp's int
-    path).  The two eigenbases are built once per ladder (_parity_eigs) and
-    serve every squeezer and every later call on that ladder.
+    Each block is its parity ladder's exponential, a real orthogonal
+    matrix, read off the ladder's eigenbasis with no product against an
+    identity (_ladder_exp's int path).  The two eigenbases are built once
+    per ladder (_parity_eigs) and serve every squeezer and every later call
+    on that ladder.
     """
     modes = _squeezed_modes(layout, squeezers)
     if modes is None or len(modes) != 1:
         raise OperatorError("parity blocks need single-mode squeezers")
     eigs = _parity_eigs(layout.dims[modes[0]])
     return {
-        s: tuple(_ladder_exp(eig, s.theta, len(eig[0]))[:, 0] for eig in eigs)
+        s: tuple(_ladder_exp((sv, U, V), s.theta, len(U) + len(V))[:, 0] for sv, U, V in eigs)
         for s in dict.fromkeys(squeezers)
     }
 

@@ -366,9 +366,8 @@ def _run_fixed_dim(
     The pass runs in two flat buffers of N^2 + N elements, allocated once:
     the state and a spare, each matrix being a buffer's N x N head.  Each
     squeezer conjugates the state by its two parity blocks (_squeeze_b)
-    into the spare, which then becomes the state;
-    the blocks are the real parts of the parity ladders' exponentials
-    (fock.parity_blocks), whose imaginary parts are rounding residue, and
+    into the spare, which then becomes the state; the blocks are the
+    parity ladders' exponentials, real orthogonal (fock.parity_blocks), and
     no N x N gate matrix is built.  The Kerr and phase gates multiply
     the state in place by their phase vectors, as fock.evolve does, and so
     does the ideal reference K(2 gamma), which keeps the exact zeros that
@@ -392,12 +391,7 @@ def _run_fixed_dim(
     layout = rho_in.layout
     n, d = layout.total_dim, layout.dims[1]
     gates = circuits.two_mode_plan(params, layout).gates
-    squeezers = {
-        gate: tuple(np.ascontiguousarray(s.real) for s in blocks)
-        for gate, blocks in fock.parity_blocks(
-            layout, [g for g in gates if isinstance(g, fock.PairSqueeze)]
-        ).items()
-    }
+    squeezers = fock.parity_blocks(layout, [g for g in gates if isinstance(g, fock.PairSqueeze)])
     tail = fock.tail_index(d)
     state, spare = (np.empty(n * (n + 1), dtype=complex) for _ in range(2))
 

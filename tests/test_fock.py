@@ -368,10 +368,34 @@ class TestLadderExp:
         short = fock._ladder_exp(eig, 0.7, inside)
         assert np.array_equal(short, fock._ladder_exp(eig, 0.7, eye))
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 201])
+    @pytest.mark.parametrize(
+        "kind",
+        [("parity", 0), ("parity", 1), ("two-mode", 0), ("two-mode", 5)],
+        ids=["parity-even", "parity-odd", "two-mode-a0", "two-mode-a5"],
+    )
+    @pytest.mark.parametrize("theta", [0.7, -1.3])
+    def test_matches_dense_exponential(self, size, kind, theta):
+        # the real even-odd rotation against scipy's expm of the ladder
+        # generator, on the identity (int path) and on complex columns
+        coupling = ladder_coupling(kind, size)
+        T = np.diag(-coupling, 1) + np.diag(coupling, -1)
+        want = scipy.linalg.expm(theta * T)
+        eig = fock._ladder_eig(coupling)
+        exp = fock._ladder_exp(eig, theta, size)[:, 0]
+        assert np.max(np.abs(exp - want)) <= 2e-11
+        assert np.all(exp.imag == 0)
+        assert np.max(np.abs(exp.T @ exp - np.eye(size))) <= 1e-13
+        rng = np.random.default_rng(size)
+        V = rng.normal(size=(size, 2, 3)) + 1j * rng.normal(size=(size, 2, 3))
+        got = fock._ladder_exp(eig, theta, V)
+        assert got.shape == V.shape
+        assert np.max(np.abs(got - np.einsum("ij,jkl->ikl", want, V))) <= 2e-11
+
 
 class TestLadderEig:
-    """The half-size SVD eigenbasis against the ladder matrix it decomposes
-    and against scipy's tridiagonal eigensolver."""
+    """The half-size SVD of the even-odd block against the ladder matrix it
+    decomposes and against scipy's tridiagonal eigensolver."""
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 201])
     @pytest.mark.parametrize(
@@ -381,15 +405,25 @@ class TestLadderEig:
     )
     def test_rebuilds_ladder_generator(self, size, kind):
         coupling = ladder_coupling(kind, size)
-        w, Q, z = fock._ladder_eig(coupling)
-        S = np.diag(-coupling, 1) + np.diag(-coupling, -1)
+        s, U, V = fock._ladder_eig(coupling)
+        even, half = (size + 1) // 2, size // 2
+        T = np.diag(-coupling, 1) + np.diag(coupling, -1)
         scale = coupling.max(initial=1.0)
-        assert w.shape == (size,) and Q.shape == (size, size)
-        assert np.max(np.abs(Q.T @ Q - np.eye(size))) <= 1e-13
-        assert np.max(np.abs((Q * w) @ Q.T - S)) <= 1e-13 * scale
+        assert s.shape == (half,) and U.shape == (even, even) and V.shape == (half, half)
+        assert np.max(np.abs(U.T @ U - np.eye(even))) <= 1e-13
+        assert np.max(np.abs(V.T @ V - np.eye(half)), initial=0.0) <= 1e-13
+        # with the even positions first T is [[0, B], [-B^T, 0]], and
+        # B = U_h diag(s) V^T its sign-folded even-odd block
+        B = (U[:, :half] * s) @ V.T
+        assert np.max(np.abs(B - T[0::2, 1::2]), initial=0.0) <= 1e-13 * scale
+        rebuilt = np.zeros((size, size))
+        rebuilt[0::2, 1::2], rebuilt[1::2, 0::2] = B, -B.T
+        assert np.max(np.abs(rebuilt - T)) <= 1e-13 * scale
+        # the spectrum of i T, that of its symmetric twin: +-s, and the
+        # zero mode on an odd ladder
+        w = np.concatenate([s, -s, np.zeros(size - 2 * half)])
         want = scipy.linalg.eigh_tridiagonal(np.zeros(size), -coupling, eigvals_only=True)
         assert np.max(np.abs(np.sort(w) - want)) <= 1e-13 * scale
-        assert z[0] == 1 and np.array_equal(z[1:], 1j * z[:-1])  # z[m] = i^m
 
 
 class TestPairSqueezer:
@@ -729,6 +763,23 @@ class TestCompressProduct:
         phases = 0.3 * n[0] * n[1]
         assert np.allclose(U.matrix, np.diag(np.exp(1j * (phases + 0.1))))
         assert U.work_dim is None
+
+    @pytest.mark.parametrize("dims, modes", [([2, 12], (1,)), ([2, 8, 8], (1, 2))])
+    def test_phase_run_is_its_summed_phase(self, dims, modes):
+        # a run of phase factors between squeezers acts as one phase, the
+        # sum of the run's: the same blocks as the one summed factor
+        layout = fock.make_layout(dims)
+        first = circuits.PhaseShift(tuple((m, 0.3) for m in modes), 0.1)
+        second = circuits.PhaseShift(tuple((m, -0.45) for m in modes), 0.2)
+        summed = circuits.PhaseShift(tuple((m, -0.15) for m in modes), 0.3)
+        S = fock.PairSqueeze(modes, 0.4)
+        run = fock.compress_product(layout, [S, first, second, S])
+        one = fock.compress_product(layout, [S, summed, S])
+        assert run.work_dim == one.work_dim
+        assert len(run.blocks) == len(one.blocks)
+        for a, b in zip(run.blocks, one.blocks):
+            assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+            assert np.max(np.abs(a.values - b.values)) <= 1e-14
 
     def test_rejects_squeezers_on_different_modes(self):
         layout = fock.make_layout([2, 4, 4])
