@@ -11,8 +11,10 @@ difference of its two modes' indices.  A product of squeezers and diagonal
 phases is therefore walked sector by sector: each parity or
 index-difference ladder is a real antisymmetric tridiagonal generator that
 couples even ladder positions only to odd ones, so its exponential is a
-real rotation, read off the SVD of its half-size even-odd block; a run of
-consecutive phase factors acts on a sector as one summed phase.  Each
+real rotation, read off the SVD of its half-size even-odd block.  A
+sector's walk starts from its box columns of the identity, and the rotation
+acts on its columns as one array, a complex one through its float view; a
+run of consecutive phase factors acts on a sector as one summed phase.  Each
 sector's block is kept at the flat indices of its states (Block).
 :func:`compress_product` keeps such a product as its blocks (Compression);
 :func:`parity_blocks` hands out a single-mode squeezer's two parity
@@ -274,15 +276,16 @@ def expm(generator: Operator) -> Operator:
     return Operator(generator.layout, U, unitary=True)
 
 
-def evolve(rho: DensityMatrix, U, validate: bool = True) -> DensityMatrix:
+def evolve(rho: DensityMatrix, U) -> DensityMatrix:
     """Unitary conjugation U rho U† by a phase factor (PhaseFactor) as its
-    phase vector u = exp(i phase(n)): u_i rho_ij conj(u_j).  The result is
-    Hermitian up to round-off and is not re-symmetrized: apply_mode_loss and
-    fidelity symmetrize what they read."""
+    phase vector u = exp(i phase(n)): u_i rho_ij conj(u_j).  A phase
+    conjugation keeps the trace and the spectrum, so the result is not
+    checked again as a state.  It is Hermitian up to round-off and is not
+    re-symmetrized: apply_mode_loss and fidelity symmetrize what they read."""
     u = phase_vector(rho.layout, [U])
     out = u[:, None] * rho.matrix
     out *= u.conj()
-    return DensityMatrix(rho.layout, out, validate=validate)
+    return DensityMatrix(rho.layout, out, validate=False)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -514,54 +517,36 @@ def _ladder_eig(coupling: np.ndarray):
     return s, U, Vt.T
 
 
-def _ladder_exp(eig, theta: float, X) -> np.ndarray:
+def _ladder_exp(eig, theta: float, X: np.ndarray) -> np.ndarray:
     """exp(theta T) X for the ladder whose eigenbasis is eig (_ladder_eig);
-    the first axis of X runs along the ladder.
+    the first axis of X runs along the ladder, and X is C-contiguous in its
+    trailing axes.
 
     With the even positions first, C = diag(cos(theta s)) and
     S = diag(sin(theta s)), exp(theta T) is the real rotation
     [[U_h C U_h^T + U_0 U_0^T, U_h S V^T], [-V S U_h^T, V C V^T]],
     U_h the first len(s) columns of U and U_0 the rest.  So A = U^T X_even
     and B = V^T X_odd go in, and U (C A_h + S B ; A_0) and V (C B - S A_h)
-    come out: four half-size real products.  A complex X is worked on as
-    its real and imaginary parts, stacked, each the real problem a real X
-    is.
-
-    An int X = k stands for the identity's first k columns over one
-    spectator slot, eye(size, k)[:, None]: A and B are then rows of U and
-    V, read off with no product, and every later step is the array path's,
-    so the result, real, has the bits of the real part of the product
-    against those columns.
+    come out: four half-size real products.  A complex X goes through them
+    as its float view, real and imaginary parts interleaved along the
+    columns, which the real rotation acts on alike.
     """
     s, U, V = eig
-    even, half = len(U), len(s)
-    size = even + half
-    if isinstance(X, int):
-        shape, dtype = (size, 1, X), float
-        A, B = np.zeros((1, even, X)), np.zeros((1, half, X))
-        A[0, :, 0::2], B[0, :, 1::2] = U[: (X + 1) // 2].T, V[: X // 2].T
-    else:
-        shape, dtype = X.shape, X.dtype
-        X = X.reshape(size, -1)
-        X = np.stack([X.real, X.imag]) if np.iscomplexobj(X) else X[None]
-        A, B = U.T @ X[:, 0::2], V.T @ X[:, 1::2]
-        del X
+    half = len(s)
+    cols = X.reshape(len(U) + half, -1).view(float)
+    A, B = U.T @ cols[0::2], V.T @ cols[1::2]
     cos, sin = np.cos(theta * s)[:, None], np.sin(theta * s)[:, None]
     odd = cos * B
-    odd -= sin * A[:, :half]
-    A[:, :half] *= cos
+    odd -= sin * A[:half]
+    A[:half] *= cos
     B *= sin
-    A[:, :half] += B
+    A[:half] += B
     del B  # each temporary goes once used
-    parts = np.empty((len(A), size, A.shape[-1]))
-    np.matmul(U, A, out=parts[:, 0::2])
+    out = np.empty(cols.shape)
+    np.matmul(U, A, out=out[0::2])
     del A
-    np.matmul(V, odd, out=parts[:, 1::2])
-    if dtype == float:
-        return parts.reshape(shape)
-    out = np.empty(shape, dtype)
-    out.real, out.imag = parts.reshape((2,) + shape)
-    return out
+    np.matmul(V, odd, out=out[1::2])
+    return out.view(X.dtype).reshape(X.shape)
 
 
 def _spectators(layout: ModeLayout, modes) -> dict:
@@ -628,11 +613,9 @@ def _sector_blocks(
         # first state past the edge on any squeezed mode; the top one at least
         tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
         n = _numbers(layout.num_modes, modes, numbers, spectators)
-        V = inside  # the box's identity columns (an int V, see _ladder_exp)
+        V = np.eye(size, inside)[:, None]  # the box's identity columns
         for stage in stages:
             if isinstance(stage, tuple):
-                if isinstance(V, int):
-                    V = np.eye(size, inside)[:, None]
                 phase = np.broadcast_to(sum(f.phase(n) for f in stage), (size, n_spec))
                 V = V * np.exp(1j * phase)[:, :, None]
                 continue
@@ -682,17 +665,16 @@ def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     indices of that mode (the same for every spectator Fock index).
 
     Each block is its parity ladder's exponential, a real orthogonal
-    matrix, read off the ladder's eigenbasis with no product against an
-    identity (_ladder_exp's int path).  The two eigenbases are built once
-    per ladder (_parity_eigs) and serve every squeezer and every later call
-    on that ladder.
+    matrix: _ladder_exp of the ladder's identity.  The two eigenbases are
+    built once per ladder (_parity_eigs) and serve every squeezer and every
+    later call on that ladder.
     """
     modes = _squeezed_modes(layout, squeezers)
     if modes is None or len(modes) != 1:
         raise OperatorError("parity blocks need single-mode squeezers")
     eigs = _parity_eigs(layout.dims[modes[0]])
     return {
-        s: tuple(_ladder_exp((sv, U, V), s.theta, len(U) + len(V))[:, 0] for sv, U, V in eigs)
+        s: tuple(_ladder_exp((sv, U, V), s.theta, np.eye(len(U) + len(V))) for sv, U, V in eigs)
         for s in dict.fromkeys(squeezers)
     }
 

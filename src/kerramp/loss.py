@@ -424,7 +424,7 @@ def _run_fixed_dim(
                 rho = head(state)
         populations = np.real(np.diagonal(rho)).reshape(layout.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
-    rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp), validate=False)
+    rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp))
     return DensityMatrix(layout, rho, validate=False), rho_ideal, leakage
 
 

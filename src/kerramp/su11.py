@@ -33,8 +33,6 @@ import numpy as np
 from . import fock
 from .fock import ModeLayout
 
-REPRESENTATIONS = ("matrix-2x2", "fock-single", "fock-two-mode")
-
 
 class ParameterRangeError(ValueError):
     """delta outside the supported open interval (0, pi/2), theta1 whose

@@ -96,7 +96,7 @@ def eye_parity_blocks(layout, squeezers):
     identity: a product of the ladder's eigenbasis against np.eye(size)."""
     box = (layout.dims[squeezers[0].modes[0]],)
     ladders = [
-        (fock._ladder_eig(coupling), np.eye(size, dtype=complex))
+        (fock._ladder_eig(coupling), np.eye(size))
         for _, size, _, coupling in fock._sectors(box, box)
     ]
     return {

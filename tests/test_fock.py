@@ -349,25 +349,6 @@ def ladder_coupling(kind, size):
 
 
 class TestLadderExp:
-    @pytest.mark.parametrize(
-        "kind, size, inside",
-        [
-            (("parity", 0), 224, 28),
-            (("parity", 1), 223, 27),
-            (("parity", 0), 400, 100),
-            (("two-mode", 3), 112, 14),
-            (("two-mode", 0), 21, 10),
-            (("parity", 1), 800, 200),
-        ],
-    )
-    def test_identity_columns_need_no_product(self, kind, size, inside):
-        # an int V stands for the box's identity columns eye(size, inside):
-        # the same bits as the product against those columns
-        eig = fock._ladder_eig(ladder_coupling(kind, size))
-        eye = np.eye(size, inside, dtype=complex)[:, None]
-        short = fock._ladder_exp(eig, 0.7, inside)
-        assert np.array_equal(short, fock._ladder_exp(eig, 0.7, eye))
-
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 201])
     @pytest.mark.parametrize(
         "kind",
@@ -377,19 +358,19 @@ class TestLadderExp:
     @pytest.mark.parametrize("theta", [0.7, -1.3])
     def test_matches_dense_exponential(self, size, kind, theta):
         # the real even-odd rotation against scipy's expm of the ladder
-        # generator, on the identity (int path) and on complex columns
+        # generator, on the real identity and on complex columns
         coupling = ladder_coupling(kind, size)
         T = np.diag(-coupling, 1) + np.diag(coupling, -1)
         want = scipy.linalg.expm(theta * T)
         eig = fock._ladder_eig(coupling)
-        exp = fock._ladder_exp(eig, theta, size)[:, 0]
+        exp = fock._ladder_exp(eig, theta, np.eye(size))
         assert np.max(np.abs(exp - want)) <= 2e-11
-        assert np.all(exp.imag == 0)
+        assert exp.dtype == float
         assert np.max(np.abs(exp.T @ exp - np.eye(size))) <= 1e-13
         rng = np.random.default_rng(size)
         V = rng.normal(size=(size, 2, 3)) + 1j * rng.normal(size=(size, 2, 3))
         got = fock._ladder_exp(eig, theta, V)
-        assert got.shape == V.shape
+        assert got.shape == V.shape and got.dtype == V.dtype
         assert np.max(np.abs(got - np.einsum("ij,jkl->ikl", want, V))) <= 2e-11
 
 
@@ -502,6 +483,42 @@ class TestTruncatedProduct:
         factors = [fock.PairSqueeze((1,), 0.1), fock.PairSqueeze((1, 2), 0.1)]
         with pytest.raises(fock.OperatorError):
             oracles.truncated_product(layout, factors)
+
+
+class TestPhaseFirstWalk:
+    """A walk whose first factor is a phase: each sector's box columns are
+    phased before any squeezer acts on them.  Single-mode on a box of even
+    and of odd dimension (13: an odd parity ladder, with its zero mode) and
+    two-mode, each with a spectator mode the phases tell apart."""
+
+    CASES = [([2, 12], (1,), 0.6), ([2, 13], (1,), 0.6), ([2, 5, 5], (2, 1), 0.05)]
+
+    @staticmethod
+    def factors(modes, theta):
+        return [
+            fock.PhaseFactor(lambda n: 0.4 * n[0] * n[1] - 0.15 * n[-1] ** 2 + 0.2),
+            fock.PairSqueeze(modes, theta),
+            fock.PhaseFactor(lambda n: -0.3 * n[1] * n[-1] + 0.1 * n[0]),
+        ]
+
+    @pytest.mark.parametrize("dims, modes, theta", CASES)
+    def test_truncated_product_matches_dense_product(self, dims, modes, theta):
+        layout = fock.make_layout(dims)
+        factors = self.factors(modes, theta)
+        U = oracles.truncated_product(layout, factors)
+        assert np.max(np.abs(U.matrix - dense_product(layout, factors))) <= 1e-13
+
+    @pytest.mark.parametrize("dims, modes, theta", CASES)
+    def test_compression_matches_dense_product_on_working_ladder(self, dims, modes, theta):
+        # the compression is the product truncated to its working ladder,
+        # restricted to the box
+        layout = fock.make_layout(dims)
+        factors = self.factors(modes, theta)
+        C = fock.compress_product(layout, factors)
+        big = fock.make_layout([C.work_dim if m in modes else d for m, d in enumerate(dims)])
+        idx = [big.flat_index(layout.multi_index(i)) for i in range(layout.total_dim)]
+        full = dense_product(big, factors)[np.ix_(idx, idx)]
+        assert np.max(np.abs(C.matrix - full)) <= 1e-13
 
 
 class TestParityBlocks:
