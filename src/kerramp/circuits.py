@@ -242,8 +242,8 @@ def conditional_phase(U: Operator | fock.Compression, n_b: int = 1) -> float:
 
         arg[<1,n|U|1,n> <0,n|U|0,n>* <1,0|U|1,0>* <0,0|U|0,0>] / n.
 
-    The four elements are read off U.blocks (a builder's sector blocks, or
-    a dense Operator as one block); an element no block holds is zero.
+    Each element is read off the block (U.blocks) that holds its row and
+    column; an element no block holds is zero.
     It stays in the package, though no command calls it, because it reads
     the blocks and builds no matrix.
     """
@@ -254,10 +254,8 @@ def conditional_phase(U: Operator | fock.Compression, n_b: int = 1) -> float:
     def amp(na, nb):
         i = layout.flat_index((na, nb) + (0,) * (layout.num_modes - 2))
         for rows, cols, values in U.blocks:
-            for r, s in zip(*np.nonzero(rows == i)):
-                (c,) = np.nonzero(cols[:, s] == i)
-                if len(c):
-                    return values[r, s if values.shape[1] > 1 else 0, c[0]]
+            if i in rows and i in cols:
+                return values[np.ix_(rows == i, cols == i)][0, 0]
         return 0.0
 
     z = amp(1, n_b) * np.conj(amp(0, n_b)) * np.conj(amp(1, 0)) * amp(0, 0)

@@ -434,7 +434,7 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (UsageError, ValueError, ArithmeticError, TypeError, OSError) as exc:
+    except (UsageError, ValueError, ArithmeticError, TypeError, OSError, MemoryError) as exc:
         # TypeError: argparse stores [] as the value of "--flag=--"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,10 +12,11 @@ phases is therefore walked sector by sector: each parity or
 index-difference ladder is a real antisymmetric tridiagonal generator that
 couples even ladder positions only to odd ones, so its exponential is a
 real rotation, read off the SVD of its half-size even-odd block.  A
-sector's walk starts from its box columns of the identity, and the rotation
-acts on its columns as one array, a complex one through its float view; a
-run of consecutive phase factors acts on a sector as one summed phase.  Each
-sector's block is kept at the flat indices of its states (Block).
+sector's walk starts from its box columns of the identity, for every
+spectator (not squeezed) modes' Fock index at once, and the rotation acts
+on them as one array, a complex one through its float view; a run of
+consecutive phase factors acts as one summed phase.  The walk gives one
+block per sector and spectator Fock index, at its states' flat indices.
 :func:`compress_product` keeps such a product as its blocks (Compression);
 :func:`parity_blocks` hands out a single-mode squeezer's two parity
 blocks, each its parity ladder's real exponential, for the lossy pass to
@@ -36,7 +37,7 @@ Products of squeezers are the exception: composed gate by gate on the
 D-level ladder, intermediate states leak past the top level and the
 product's interior block no longer holds the untruncated operator's
 elements.  :func:`compress_product` composes such products on a working
-ladder that doubles from D, with the same sector ladders, until the
+ladder that doubles from 2D, with the same sector ladders, until the
 propagated box columns put less than SETTLE_TOL on the top tenth of the
 ladder after every squeezer: a leakage certificate read off the ladder in
 hand, not a confirming doubling.  A ladder that will not settle is
@@ -155,11 +156,9 @@ def _fock_grid(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 class Block(NamedTuple):
-    """Part of an operator held at flat indices: values[i, s, j] is the
-    element at row rows[i, s] and column cols[j, s].  rows and cols are
-    (r, S) and (c, S) arrays; values is (r, S, c), or (r, 1, c) when one
-    block serves every s.  In a sector walk s runs over the spectator (not
-    squeezed) modes' Fock indices."""
+    """Part of an operator held at flat indices: values[i, j] is the element
+    at row rows[i] and column cols[j].  A sector walk gives one block per
+    conserved sector and spectator (not squeezed) modes' Fock index."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -189,8 +188,8 @@ class Operator:
     @property
     def blocks(self) -> tuple[Block, ...]:
         """The matrix as one Block over every flat index."""
-        flat = np.arange(self.layout.total_dim)[:, None]
-        return (Block(flat, flat, self.matrix[:, None, :]),)
+        flat = np.arange(self.layout.total_dim)
+        return (Block(flat, flat, self.matrix),)
 
     @property
     def dag(self) -> np.ndarray:
@@ -205,7 +204,7 @@ class Operator:
 @dataclass(frozen=True, eq=False)
 class Compression:
     """Compression to a layout of an untruncated product (compress_product),
-    kept as its sector blocks; the elements no block holds are zero.
+    kept as its blocks; the elements no block holds are zero.
 
     work_dim is the working ladder the blocks were composed on and leakage
     the weight the box columns put on its top tenth; both are None for a
@@ -366,8 +365,7 @@ class Settled:
 
     value is the result on ladder dim and previous the one on dim / 2 (None
     when only one ladder was evaluated); change is the stopping figure of
-    value (inf when only one ladder was evaluated); converged says whether
-    it fell below the loop's tolerance.
+    value; converged says whether it fell below the loop's tolerance.
     """
 
     value: object
@@ -382,14 +380,14 @@ def double_until_settled(
 ) -> Settled:
     """Evaluate on ladders start_dim, 2 start_dim, ... (at most max_dim) until
     the stopping figure distance(newer, older) of the newer result falls
-    below tol; at least two ladders are evaluated.  Returns the last result,
+    below tol; older is None on the first ladder.  Returns the last result,
     unconverged when the next doubling would pass max_dim."""
     if start_dim > max_dim:
         raise TruncationError(f"start ladder {start_dim} exceeds the cap {max_dim}")
     dim, prev = start_dim, None
     while True:
         value = evaluate(dim)
-        change = math.inf if prev is None else distance(value, prev)
+        change = distance(value, prev)
         if change < tol or 2 * dim > max_dim:
             return Settled(value, dim, change, change < tol, prev)
         prev, dim = value, 2 * dim
@@ -439,9 +437,9 @@ def diagonal_residual(
     index is <= block on every mode but mode 0 (all of them when block is
     None); u is a diagonal right side kept as its vector (phase_vector).
 
-    U is read block by block (U.blocks): a Compression's sector blocks, or
-    a dense Operator as one block.  U is zero off its blocks, so a diagonal
-    element no block holds counts as |u|.
+    U is read block by block (U.blocks), each cut to its interior rows and
+    columns: a Compression's blocks, or a dense Operator as one block.  U is
+    zero off its blocks, so a diagonal element no block holds counts as |u|.
     """
     layout = U.layout
     if block is None:
@@ -453,17 +451,14 @@ def diagonal_residual(
         inner[layout.interior_indices(block, modes=range(1, layout.num_modes))] = True
     worst, held = 0.0, np.zeros(layout.total_dim, dtype=bool)
     for rows, cols, values in U.blocks:
-        # only the rows and columns inside the interior for some s are read
-        i, j = inner[rows].any(axis=1), inner[cols].any(axis=1)
-        rows, cols = rows[i], cols[j]
-        values = values[np.ix_(i, np.arange(values.shape[1]), j)]
-        interior = inner[rows][:, :, None] & inner[cols].T[None]
-        if not interior.any():
+        i, j = inner[rows], inner[cols]
+        if not (i.any() and j.any()):
             continue
-        on = rows[:, :, None] == cols.T[None]  # the diagonal elements
-        diff = np.where(on, values - u[rows][:, :, None], values)
-        worst = max(worst, float(np.max(np.abs(diff[interior]))))
-        held[np.broadcast_to(rows[:, :, None], on.shape)[on & interior]] = True
+        rows, cols, values = rows[i], cols[j], values[np.ix_(i, j)]
+        on = rows[:, None] == cols  # the diagonal elements
+        diff = np.where(on, values - u[rows][:, None], values)
+        worst = max(worst, float(np.max(np.abs(diff))))
+        held[rows[on.any(axis=1)]] = True
     missed = inner & ~held
     if missed.any():
         worst = max(worst, float(np.max(np.abs(u[missed]))))
@@ -572,7 +567,7 @@ def _place_blocks(layout: ModeLayout, blocks) -> np.ndarray:
     elsewhere."""
     U = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     for rows, cols, values in blocks:
-        U[rows[:, :, None], cols.T[None, :, :]] = values
+        U[np.ix_(rows, cols)] = values
     return U
 
 
@@ -582,13 +577,15 @@ def _sector_blocks(
     """Blocks of the factor product on the working ladders `work` (one
     length per squeezed mode), and their leakage.
 
-    Returns (walked, leakage), walked holding per sector its Block: the
-    flat indices of the sector's states inside the layout's box, for every
-    spectator (unsqueezed) modes' Fock index, and its (inside, S, inside)
-    values, with S = 1 while no phase factor has told the spectator values
-    apart; only the sector's columns inside the box are propagated.  Each
-    ladder's eigenbasis serves every squeezer and spectator value of its
-    sectors, and only the current ladder's is kept.  The leakage is the
+    Returns (walked, leakage), walked holding one Block per sector and
+    spectator (unsqueezed) modes' Fock index: the flat indices of the
+    sector's states inside the layout's box, and their values.  A sector is
+    walked for every spectator value at once, as one (ladder, S, inside)
+    array, S = 1 while no phase factor has told the values apart; only its
+    columns inside the box are propagated, and its blocks are read-only
+    views of one copy of the box rows.  Each ladder's eigenbasis serves
+    every squeezer and spectator value of its sectors, and only the current
+    ladder's is kept.  The leakage is the
     largest 2-norm a propagated column puts on the ladder's top tenth (a
     Fock index of at least TAIL_FRACTION * work on a squeezed mode, a
     contiguous tail of the sector ladder) at the end of any squeezer.  Along
@@ -627,8 +624,9 @@ def _sector_blocks(
             if worst >= stop:
                 return walked, worst
         states = np.broadcast_arrays(*(nj[:inside] for nj in n))
-        flat = np.ravel_multi_index(states, layout.dims)
-        walked.append(Block(flat, flat, V[:inside].copy()))
+        flat = np.ravel_multi_index(states, layout.dims).T  # a row per spectator value
+        values = np.broadcast_to(V[:inside].copy(), (inside, n_spec, inside))
+        walked += map(Block, flat, flat, values.transpose(1, 0, 2))
     return walked, worst
 
 
@@ -685,23 +683,23 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
 
     factors[0] is applied first.  Every PairSqueeze must act on the same
     modes, of equal dimension D.  The product is walked sector by
-    sector (_sector_blocks) on a working ladder of D, 2D, 4D, ... levels per
-    squeezed mode (at most MAX_WORK_FACTOR * D, at least 2D) until the box
-    columns' leakage onto the ladder's top tenth (_sector_blocks) falls
-    below SETTLE_TOL; the returned Compression holds that ladder's blocks,
+    sector (_sector_blocks) on a working ladder of 2D, 4D, ... levels per
+    squeezed mode (at most MAX_WORK_FACTOR * D) until the box columns'
+    leakage onto the ladder's top tenth (_sector_blocks) falls below
+    SETTLE_TOL; the returned Compression holds that ladder's blocks,
     its work_dim is the ladder and its leakage the certified figure.  A
     ladder below the cap that will not settle is abandoned at its first
     column past SETTLE_TOL, so only the kept ladder is walked in full.
     Raises TruncationError, naming the last ladder and its leakage, when the
     cap is reached first; the cap ladder is walked in full, so that leakage
     is the whole figure.  With no squeezer the product is its phase vector,
-    held as one Block of 1 x 1 blocks, exact on any ladder.
+    held as one 1 x 1 Block per flat index, exact on any ladder.
     """
     modes = _squeezed_modes(layout, factors)
     if modes is None:
-        flat = np.arange(layout.total_dim)[None, :]
-        u = phase_vector(layout, factors)[None, :, None]
-        return Compression(layout, (Block(flat, flat, u),))
+        flat = np.arange(layout.total_dim)[:, None]
+        u = phase_vector(layout, factors)[:, None, None]
+        return Compression(layout, tuple(map(Block, flat, flat, u)))
     if len({layout.dims[m] for m in modes}) != 1:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     dim = layout.dims[modes[0]]
@@ -715,7 +713,7 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
 
     settled = double_until_settled(
         evaluate,
-        start_dim=dim,
+        start_dim=2 * dim,
         max_dim=MAX_WORK_FACTOR * dim,
         tol=SETTLE_TOL,
         distance=lambda new, old: new[1],

@@ -471,7 +471,7 @@ def run_lossy_amplifier(
         start_dim=rho_in.layout.dims[1],
         max_dim=max_dim,
         tol=tol,
-        distance=lambda new, old: max(abs(new[2] - old[2]), new[3]),
+        distance=lambda new, old: math.inf if old is None else max(abs(new[2] - old[2]), new[3]),
     )
     rho_out, rho_ideal, f, leakage = settled.value
     previous = settled.previous

@@ -91,20 +91,6 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     return Operator(layout, fock._place_blocks(layout, walked), unitary=True)
 
 
-def eye_parity_blocks(layout, squeezers):
-    """fock.parity_blocks as each parity ladder's exponential times the
-    identity: a product of the ladder's eigenbasis against np.eye(size)."""
-    box = (layout.dims[squeezers[0].modes[0]],)
-    ladders = [
-        (fock._ladder_eig(coupling), np.eye(size))
-        for _, size, _, coupling in fock._sectors(box, box)
-    ]
-    return {
-        s: tuple(fock._ladder_exp(eig, s.theta, eye) for eig, eye in ladders)
-        for s in dict.fromkeys(squeezers)
-    }
-
-
 # --- circuits: each gate truncated to a layout, and their product ---
 
 

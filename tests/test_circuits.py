@@ -460,6 +460,30 @@ class TestCompressionBlocks:
         assert placed == []
         assert peak < 8e6
 
+    @pytest.mark.parametrize("case", ["two-mode", "three-mode", "trailing-swap"])
+    def test_one_plain_block_per_sector_and_spectator(self, case):
+        # each block holds one n_a: rows and columns are 1-D, values 2-D
+        lhs, _ = self.build(case)
+        U = np.zeros_like(lhs.matrix)
+        for rows, cols, values in lhs.blocks:
+            assert rows.ndim == cols.ndim == 1
+            assert values.shape == (len(rows), len(cols))
+            assert len(set(np.unravel_index(rows, lhs.layout.dims)[0])) == 1
+            for i, r in enumerate(rows):
+                U[r, cols] = values[i]
+        assert np.array_equal(U, lhs.matrix)
+
+    def test_diagonal_and_dense_blocks_are_plain(self):
+        # a squeezer-free product holds one 1 x 1 block per flat index, a
+        # dense Operator one block over all of them
+        layout = fock.make_layout([2, 4, 4])
+        n = layout.total_dim
+        C = circuits.compress(circuits.CircuitPlan(layout, (circuits.Kerr(0, 1, 0.4),)))
+        shapes = [(r.shape, c.shape, v.shape) for r, c, v in C.blocks]
+        assert shapes == [((1,), (1,), (1, 1))] * n
+        (dense,) = fock.Operator(layout, C.matrix).blocks
+        assert (dense.rows.shape, dense.cols.shape, dense.values.shape) == ((n,), (n,), (n, n))
+
     def test_matrix_is_built_once(self, placed):
         lhs, _ = _three_mode_with_trailing_swap(fock.make_layout([2, 4, 4]))
         assert placed == []

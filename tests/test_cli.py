@@ -363,6 +363,19 @@ class TestLossy:
         assert captured.out == ""
         assert "start ladder 700 exceeds the cap 160" in captured.err
 
+    def test_unallocatable_input_state_is_an_error_line(self, capsys, monkeypatch):
+        # raised, not allocated: whether a huge allocation fails at once
+        # depends on the host's overcommit policy
+        def refuse(layout):
+            raise MemoryError(f"Unable to allocate the state on {layout.dims}")
+
+        monkeypatch.setattr(loss, "make_plus_plus", refuse)
+        code = cli.main(["lossy", "--dim", "99999", "--max-dim", "100000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate the state on (2, 99999)\n"
+
 
 class TestVerify:
     def test_unsettled_compression_exits_as_non_convergence(self, capsys):
@@ -374,6 +387,17 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: compression did not settle")
         assert "working ladder 64" in captured.err
+
+    def test_unallocatable_compression_is_an_error_line(self, capsys, monkeypatch):
+        def refuse(layout, factors):
+            raise MemoryError(f"Unable to allocate the compression on {layout.dims}")
+
+        monkeypatch.setattr(fock, "compress_product", refuse)
+        code = cli.main(["verify", "--dim", "99999"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate the compression on (2, 99999)\n"
 
     def test_report_structure_and_exit_code(self, capsys):
         # smaller dims keep this test quick; the exit code must agree with

@@ -413,7 +413,7 @@ class TestRealSqueezer:
             squeezers = [fock.PairSqueeze((1,), theta) for theta in thetas]
             for blocks in fock.parity_blocks(fock.make_layout([2, dim]), squeezers).values():
                 for s in blocks:
-                    assert np.max(np.abs(s.imag)) <= 1e-15 * np.max(np.abs(s)), dim
+                    assert s.dtype == np.float64, dim
 
     @pytest.mark.parametrize("dim", [3, 20, 21, 160])
     def test_matches_complex_blocks(self, dim):
@@ -429,7 +429,7 @@ class TestRealSqueezer:
                 rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
         blocks = fock.parity_blocks(layout, [gates[3]])[gates[3]]
         state, out = rho.matrix.copy(), np.empty_like(rho.matrix)
-        loss._squeeze_b(state, tuple(np.ascontiguousarray(s.real) for s in blocks), out)
+        loss._squeeze_b(state, blocks, out)
         want = complex_squeeze_oracle(rho.matrix, blocks)
         assert np.max(np.abs(out - want)) <= 1e-15
 
