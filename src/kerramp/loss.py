@@ -7,13 +7,17 @@ the gates of circuits.two_mode_plan, the same plan the lossless builder
 composes, and after each nonlinear gate applies the beam splitters that
 SPLITTERS_AFTER_GATE lists for the gate's position in the plan.
 
-The pass runs in two buffers allocated once per ladder, and builds no
-N x N gate matrix.  A single-mode squeezer on b is real, block-diagonal in
-the parity of n_b and the same for both n_a, so S rho S† = S (S rho)† is
-two rounds of real products of parity blocks and rows, batched over n_a.
-The Kerr and phase gates multiply the state by their phase vectors, and the
-loss channel below writes its intermediates into the two buffers, like a
-squeezer leaving its output in the spare one.
+A pass runs only the circuit: it allocates two buffers per ladder and no
+other N x N array, and builds no N x N gate matrix.  The input goes into
+the zeroed state buffer from its own box, and the ideal output K(2 gamma)
+is evolved on that box, where fidelity reads it; run_lossy_amplifier
+embeds it once, on the converged ladder, for its report.  A single-mode
+squeezer on b is real, block-diagonal in the parity of n_b and the same for
+both n_a, so S rho S† = S (S rho)† is two rounds of real products of parity
+blocks and rows, batched over n_a.  The Kerr and phase gates multiply the
+state by their phase vectors, and the loss channel below writes its
+intermediates into the two buffers, like a squeezer leaving its output in
+the spare one.
 
 With the ancilla in vacuum, the attach-evolve-trace step is amplitude
 damping, whose Kraus operators have the closed form
@@ -222,7 +226,10 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
     product may be the buffer whose head is matrix, and out may be matrix
     itself or the head of skew.  The skew and the unskew are reshapes of
     the padded buffers (module docstring), so the call makes the same few
-    numpy calls on every ladder.  Returns out.
+    numpy calls on every ladder, and allocates no N x N temporary: the S
+    scale goes through one 3-D view per block column, since an in-place
+    product on the strided 4-D view makes numpy copy it whole (1.16 N^2
+    complex at [2, 160], by tracemalloc).  Returns out.
 
     From _SPLIT_LADDER levels up the product is split (module docstring).
     The GEMM at [2, d], whole / split (one OpenBLAS thread, 2-core Xeon):
@@ -258,7 +265,9 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
         np.matmul(F[:h, :h], q[..., :h, 2 * h :], out=y[..., :h, 2 * h :])
         np.matmul(F[h:, h:], q[..., h:, : 2 * h], out=y[..., h:, : 2 * h])
         y[..., h:, 2 * h :] = 0.0
-    x.reshape(p, d, p, d)[...] *= S[:, None, :]
+    # U[m, delta] *= S[m, delta] in each (p, p') block, one 3-D view per p'
+    for block in range(p):
+        x[..., block * d : (block + 1) * d] *= S
     product[..., n] = 0.0
     # the (P, d, N) reshape shifts row m back by m: U, zero below each block's diagonal
     u = product.reshape(p, -1)[:, : d * n].reshape(pre, post, d, pre, post, d).transpose(last)
@@ -301,18 +310,22 @@ class LossyRunReport:
 
 
 def make_plus_plus(layout: ModeLayout) -> DensityMatrix:
-    """|++> with |+> = (|0> + |1>)/sqrt(2), embedded in the first two modes."""
+    """|++> with |+> = (|0> + |1>)/sqrt(2), embedded in the first two modes.
+
+    Exact by construction, so built without DensityMatrix's O(N^3) check;
+    tests/test_loss.py::TestInputStates runs it."""
     if layout.num_modes < 2:
         raise fock.LayoutError("need at least two modes")
     zeros = (0,) * (layout.num_modes - 2)
     psi = sum(
         layout.basis_vector((na, nb) + zeros) for na in (0, 1) for nb in (0, 1)
     ) / 2.0
-    return DensityMatrix.from_state_vector(layout, psi)
+    return DensityMatrix(layout, np.outer(psi, psi.conj()), validate=False)
 
 
 def make_werner(layout: ModeLayout, p: float) -> DensityMatrix:
-    """Werner-like state p |Phi+><Phi+| + (1-p)/4 I on the two-qubit block."""
+    """Werner-like state p |Phi+><Phi+| + (1-p)/4 I on the two-qubit block,
+    exact for p in [0, 1] and so, like make_plus_plus, not checked again."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if layout.num_modes < 2:
@@ -326,7 +339,7 @@ def make_werner(layout: ModeLayout, p: float) -> DensityMatrix:
         for nb in (0, 1):
             v = layout.basis_vector((na, nb) + zeros)
             rho += (1.0 - p) / 4.0 * np.outer(v, v.conj())
-    return DensityMatrix(layout, rho)
+    return DensityMatrix(layout, rho, validate=False)
 
 
 def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
@@ -357,26 +370,27 @@ def _squeeze_b(state, blocks, out) -> None:
 
 
 def _run_fixed_dim(
-    rho_in: DensityMatrix, params: CircuitParams, loss: LossConfig
+    rho_in: DensityMatrix, params: CircuitParams, loss: LossConfig, dim: int | None = None
 ) -> tuple[DensityMatrix, DensityMatrix, float]:
-    """One pass of the lossy circuit at the input truncation: the gates of
-    circuits.two_mode_plan in order, each followed by the beam splitters
-    SPLITTERS_AFTER_GATE lists for its position.
+    """One pass of the lossy circuit on the pass layout (a: 2, b: dim), dim
+    defaulting to rho_in's own b ladder: the gates of circuits.two_mode_plan
+    in order, each followed by the beam splitters SPLITTERS_AFTER_GATE lists
+    for its position.
 
-    The pass runs in two flat buffers of N^2 + N elements, allocated once:
-    the state and a spare, each matrix being a buffer's N x N head.  Each
-    squeezer conjugates the state by its two parity blocks (_squeeze_b)
-    into the spare, which then becomes the state; the blocks are the
-    parity ladders' exponentials, real orthogonal (fock.parity_blocks), and
-    no N x N gate matrix is built.  The Kerr and phase gates multiply
-    the state in place by their phase vectors, as fock.evolve does, and so
-    does the ideal reference K(2 gamma), which keeps the exact zeros that
-    fix the support fock.fidelity reads.  Loss on a is block arithmetic on
-    the state (_damp_first_qubit).  Loss on b (_damp) skews into the whole
-    spare, multiplies into the whole state buffer and writes its output
-    into the spare's head, which then becomes the state, with the tables
-    _loss_tables builds once per reflectance; they are dropped with the
-    pass.
+    The pass runs in two flat buffers of N^2 + N elements, allocated once,
+    and allocates no other N x N array: the state and a spare, each matrix
+    being a buffer's N x N head.  rho_in, on its own box of the pass
+    layout, is written into the zeroed state buffer.  Each squeezer
+    conjugates the state by its two parity blocks (_squeeze_b) into the
+    spare, which then becomes the state; the blocks are the parity ladders'
+    exponentials, real orthogonal (fock.parity_blocks), and no N x N gate
+    matrix is built.  The Kerr and phase gates multiply the state in place
+    by their phase vectors, as fock.evolve does.  Loss on a is block
+    arithmetic on the state (_damp_first_qubit, with one n_a block as its
+    temporary).  Loss on b (_damp) skews into the whole spare, multiplies
+    into the whole state buffer and writes its output into the spare's
+    head, which then becomes the state, with the tables _loss_tables builds
+    once per reflectance; they are dropped with the pass.
 
     What the ladder alone fixes is not rebuilt per pass: the Fock index
     grid phase_vector reads, the parity eigenbases and the loss tables'
@@ -384,22 +398,28 @@ def _run_fixed_dim(
     read-only, so a pass on a ladder seen before builds only what its
     parameters set.
 
-    Returns (output, ideal output, leakage), the leakage being the largest
-    population on the top tenth of the b ladder after any stage, read off
-    the diagonal: S2 pulls the mid-circuit spread back down.
+    Returns (output, ideal output, leakage).  The ideal output K(2 gamma)
+    rho_in K(2 gamma)† is fock.evolve's on rho_in's box, N_in^2 elements
+    whatever the pass ladder: the padding would hold only zeros, and
+    fock.fidelity reads an ideal on a box of the output's layout.  The
+    leakage is the largest population on the top tenth of the b ladder
+    after any stage, read off the diagonal: S2 pulls the mid-circuit spread
+    back down.
     """
-    layout = rho_in.layout
+    box = rho_in.layout.dims
+    layout = rho_in.layout if dim is None else fock.make_layout([2, dim])
     n, d = layout.total_dim, layout.dims[1]
     gates = circuits.two_mode_plan(params, layout).gates
     squeezers = fock.parity_blocks(layout, [g for g in gates if isinstance(g, fock.PairSqueeze)])
     tail = fock.tail_index(d)
-    state, spare = (np.empty(n * (n + 1), dtype=complex) for _ in range(2))
+    state, spare = np.zeros(n * (n + 1), dtype=complex), np.empty(n * (n + 1), dtype=complex)
 
     def head(buf):
         return buf[: n * n].reshape(n, n)
 
     rho = head(state)
-    np.copyto(rho, rho_in.matrix)
+    inside = tuple(slice(k) for k in box)
+    rho.reshape(layout.dims * 2)[inside * 2] = rho_in.matrix.reshape(box * 2)
     tables = {}
     leakage = 0.0
     for position, gate in enumerate(gates):
@@ -441,10 +461,14 @@ def run_lossy_amplifier(
     the bosonic mode is zero-padded to D, 2D, 4D, ... until the fidelity
     between lossy and ideal outputs changes by less than tol under doubling
     and the pass's leakage onto the top tenth of the b ladder is below tol
-    too.  A non-convergent run returns the best estimate with
-    converged=False; a D above max_dim raises fock.TruncationError, and so
-    does, before the first pass, a schedule that can reach a b ladder above
-    MAX_LOSS_LADDER while a splitter on b has R > 0.
+    too.  Each pass runs only the circuit (_run_fixed_dim): rho_in goes
+    into the pass's zeroed buffer as it is, and the ideal output stays on
+    rho_in's box, where fock.fidelity reads it; the report's rho_ideal is
+    embedded once, on the converged ladder.  A non-convergent run returns
+    the best estimate with converged=False; a D above max_dim raises
+    fock.TruncationError, and so does, before the first pass, a schedule
+    that can reach a b ladder above MAX_LOSS_LADDER while a splitter on b
+    has R > 0.
     """
     if rho_in.layout.num_modes != 2 or rho_in.layout.dims[0] != 2:
         raise fock.LayoutError(
@@ -462,8 +486,7 @@ def run_lossy_amplifier(
         dim *= 2
 
     def run(dim):
-        rho = embed_state(rho_in, fock.make_layout([2, dim]))
-        rho_out, rho_ideal, leakage = _run_fixed_dim(rho, params, loss)
+        rho_out, rho_ideal, leakage = _run_fixed_dim(rho_in, params, loss, dim)
         return rho_out, rho_ideal, fock.fidelity(rho_ideal, rho_out), leakage
 
     settled = fock.double_until_settled(
@@ -477,7 +500,7 @@ def run_lossy_amplifier(
     previous = settled.previous
     return LossyRunReport(
         rho_out=rho_out,
-        rho_ideal=rho_ideal,
+        rho_ideal=embed_state(rho_ideal, rho_out.layout),
         fidelity=f,
         truncation=settled.dim,
         convergence_delta=math.inf if previous is None else abs(f - previous[2]),

@@ -698,6 +698,38 @@ class TestFidelityOnSupport:
         self.check(rng, rho1, root1)
 
 
+class TestFidelityOnABox:
+    """An ideal on a box of the output's layout stands for its zero-padding:
+    the same F to the bit, and any other pair of layouts is refused."""
+
+    @staticmethod
+    def ideals(rng, layout):
+        return {
+            "plus-plus": loss.make_plus_plus(layout),
+            "werner": loss.make_werner(layout, 0.5),
+            "full-support": random_density(rng, layout),
+        }
+
+    @pytest.mark.parametrize("box, dims", [([2, 3], [2, 7]), ([2, 3, 3], [2, 5, 6])])
+    def test_same_fidelity_as_the_embedded_ideal(self, box, dims):
+        rng = np.random.default_rng(35)
+        out = random_density(rng, fock.make_layout(dims))
+        for name, ideal in self.ideals(rng, fock.make_layout(box)).items():
+            padded = loss.embed_state(ideal, out.layout)
+            assert fock.fidelity(ideal, out) == fock.fidelity(padded, out), name
+
+    @pytest.mark.parametrize(
+        "box, dims",
+        [([2, 3, 3], [2, 7]), ([2, 3], [2, 5, 6]), ([2, 8], [2, 7]), ([2, 3, 7], [2, 5, 6])],
+    )
+    def test_other_layouts_are_refused(self, box, dims):
+        rng = np.random.default_rng(36)
+        ideal = random_density(rng, fock.make_layout(box))
+        out = random_density(rng, fock.make_layout(dims))
+        with pytest.raises(fock.OperatorError):
+            fock.fidelity(ideal, out)
+
+
 class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
         layout = fock.make_layout([2])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -507,6 +508,22 @@ class TestInputStates:
         with pytest.raises(ValueError):
             loss.make_werner(layout, 1.2)
 
+    @pytest.mark.parametrize("dims", [[2, 2], [2, 20], [2, 5, 5]])
+    def test_exact_states_pass_the_state_check(self, dims):
+        # the states are built unchecked; DensityMatrix's own check
+        # (Hermiticity, unit trace, no negative eigenvalue) accepts them
+        layout = fock.make_layout(dims)
+        states = [loss.make_plus_plus(layout)] + [
+            loss.make_werner(layout, p) for p in (0.0, 0.3, 1.0)
+        ]
+        for rho in states:
+            fock.DensityMatrix(layout, rho.matrix)
+
+    @pytest.mark.parametrize("p", [1.2, math.nan])
+    def test_werner_rejects_p_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            loss.make_werner(fock.make_layout([2, 6]), p)
+
 
 class TestMasterEquationTime:
     def test_endpoints(self):
@@ -705,3 +722,72 @@ class TestLossyCircuitPlan:
         assert leakage == pytest.approx(want_leakage, abs=1e-12)
         ideal = oracles.evolve(rho, oracles.kerr(layout, 0, 1, params.dphi_amp))
         assert np.max(np.abs(rho_ideal.matrix - ideal.matrix)) < 1e-12
+
+
+class TestPassRunsOnlyTheCircuit:
+    """A pass takes the input on its own box and runs only the circuit in
+    its two buffers; the ideal stays on the box, and the run embeds it
+    once, on the converged ladder."""
+
+    PARAMS = su11.solve_params(0.5, 1.5)
+    CONFIG = loss.LossConfig(0.1, 0.1)
+
+    @pytest.mark.parametrize("dim", [3, 21, 40])  # 40: the pass ladder 80 splits its GEMM
+    @pytest.mark.parametrize("state", ["plus-plus", "werner"])
+    def test_pass_on_a_longer_ladder_is_the_pass_on_the_padded_input(self, dim, state):
+        box = fock.make_layout([2, dim])
+        rho = loss.make_plus_plus(box) if state == "plus-plus" else loss.make_werner(box, 0.6)
+        params = su11.solve_params(0.5, 0.7)
+        out, ideal, leakage = loss._run_fixed_dim(rho, params, self.CONFIG, 2 * dim)
+        padded = loss.embed_state(rho, fock.make_layout([2, 2 * dim]))
+        want_out, want_ideal, want_leakage = loss._run_fixed_dim(padded, params, self.CONFIG)
+        assert out.layout == padded.layout and np.array_equal(out.matrix, want_out.matrix)
+        assert ideal.layout == box
+        assert np.array_equal(loss.embed_state(ideal, out.layout).matrix, want_ideal.matrix)
+        assert leakage == want_leakage
+
+    def test_run_embeds_once_and_evolves_on_the_box(self, monkeypatch):
+        calls = {"embed_state": [], "evolve": [], "fidelity": []}
+
+        def spy(module, name, layout_of):
+            original = getattr(module, name)
+
+            def wrapped(*args):
+                calls[name].append(layout_of(*args))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(loss, "embed_state", lambda rho, layout: layout.dims)
+        spy(fock, "evolve", lambda rho, gate: rho.layout.dims)
+        spy(fock, "fidelity", lambda ideal, out: (ideal.layout.dims, out.layout.dims))
+        rho = loss.make_plus_plus(fock.make_layout([2, 20]))
+        report = loss.run_lossy_amplifier(rho, self.PARAMS, self.CONFIG)
+        ladders = [20, 40, 80, 160]
+        assert report.truncation == 160
+        assert calls["evolve"] == [(2, 20)] * 4
+        assert calls["fidelity"] == [((2, 20), (2, d)) for d in ladders]
+        assert calls["embed_state"] == [(2, 160)]
+        layout = fock.make_layout([2, 160])
+        want = fock.evolve(loss.embed_state(rho, layout), circuits.Kerr(0, 1, self.PARAMS.dphi_amp))
+        assert report.rho_ideal.layout == layout
+        assert np.array_equal(report.rho_ideal.matrix, want.matrix)
+
+    def test_run_peak_memory_is_the_pass_buffers(self):
+        # the run doubles to 160: N = 320 and an N x N complex matrix is
+        # N^2 16 B = 1.64 MB.  The pass's two buffers take 2 of that, and
+        # the run peaks near 3.1 of it.  A per-pass embed and an ideal
+        # evolved on the pass layout took it to 5.1, and _damp's S scale on
+        # a 4-D strided view, whose output numpy copies whole, to 3.8.
+        rho = loss.make_plus_plus(fock.make_layout([2, 20]))
+        loss.run_lossy_amplifier(rho, self.PARAMS, self.CONFIG)  # caches warm
+        tracemalloc.start()
+        try:
+            report = loss.run_lossy_amplifier(rho, self.PARAMS, self.CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = report.rho_out.layout.total_dim
+        assert n == 320
+        assert peak < 3.5 * n * n * 16
+
