@@ -237,8 +237,8 @@ def _input_state(name, p, layout):
 
 
 def cmd_lossy(args):
-    if not 0.0 < args.tol < math.inf:
-        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
+    if not 0.0 < args.tol < 1.0:  # |dF| <= 1: a tol >= 1 would stop at the second ladder
+        raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
     if args.dim > args.max_dim:  # before the dense input state is built
         raise UsageError(f"start ladder {args.dim} exceeds the cap {args.max_dim}")
     if args.delta is None and args.delta_deg is None:
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.5, help="Werner mixing parameter")
     p.add_argument("--dim", type=int, default=20, help="starting Fock truncation")
     p.add_argument("--max-dim", type=int, default=160)
-    p.add_argument("--tol", type=float, default=1e-3, help="convergence tolerance")
+    p.add_argument("--tol", type=float, default=1e-3, help="convergence tolerance, 0 < tol < 1")
     common(p)
 
     p = command("verify", "identity and equivalence verification")

@@ -2,22 +2,14 @@
 
 Each imperfect nonlinear element is modelled as the perfect unitary
 followed by a fictitious beam splitter of reflectance R mixing the signal
-with a fresh vacuum ancilla, which is then traced out.  The lossy pass runs
-the gates of circuits.two_mode_plan, the same plan the lossless builder
-composes, and after each nonlinear gate applies the beam splitters that
-SPLITTERS_AFTER_GATE lists for the gate's position in the plan.
-
-A pass runs only the circuit: it allocates two buffers per ladder and no
-other N x N array, and builds no N x N gate matrix.  The input goes into
-the zeroed state buffer from its own box, and the ideal output K(2 gamma)
-is evolved on that box, where fidelity reads it; run_lossy_amplifier
-embeds it once, on the converged ladder, for its report.  A single-mode
-squeezer on b is real, block-diagonal in the parity of n_b and the same for
-both n_a, so S rho S† = S (S rho)† is two rounds of real products of parity
-blocks and rows, batched over n_a.  The Kerr and phase gates multiply the
-state by their phase vectors, and the loss channel below writes its
-intermediates into the two buffers, like a squeezer leaving its output in
-the spare one.
+with a fresh vacuum ancilla, which is then traced out.  The lossy circuit
+is stated once, by lossy_stages: the gates of circuits.two_mode_plan, the
+same plan the lossless builder composes, each paired with the Splitters
+that follow it.  A pass (_run_fixed_dim) walks the stages in two buffers
+per ladder and builds no N x N gate matrix.  A single-mode squeezer on b
+is real, block-diagonal in the parity of n_b and the same for both n_a,
+so S rho S† = S (S rho)† is two rounds of real products of parity blocks
+and rows, batched over n_a.
 
 With the ancilla in vacuum, the attach-evolve-trace step is amplitude
 damping, whose Kraus operators have the closed form
@@ -73,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,15 +76,31 @@ from .su11 import CircuitParams
 BS_NAMES = ("R1", "R2", "R2p", "R3", "R4", "R4p", "R5")
 _SQUEEZER_BS = ("R1", "R3", "R5")
 
-# (splitter, lost mode) pairs after each nonlinear gate of
-# circuits.two_mode_plan, keyed by the gate's position: b is mode 1, a mode 0.
-SPLITTERS_AFTER_GATE = {
-    0: (("R1", 1),),  # S1
-    1: (("R2", 1), ("R2p", 0)),  # K
-    3: (("R3", 1),),  # S2
-    5: (("R4", 1), ("R4p", 0)),  # K
-    6: (("R5", 1),),  # S1
-}
+
+class Splitter(NamedTuple):
+    """A fictitious beam splitter and the mode it loses: b is 1, a is 0."""
+
+    name: str
+    mode: int
+
+
+# The splitters after each gate of circuits.two_mode_plan, in its order
+_PLAN_SPLITTERS = (
+    (Splitter("R1", 1),),  # S1
+    (Splitter("R2", 1), Splitter("R2p", 0)),  # K
+    (),  # P
+    (Splitter("R3", 1),),  # S2
+    (),  # P
+    (Splitter("R4", 1), Splitter("R4p", 0)),  # K
+    (Splitter("R5", 1),),  # S1
+    (),  # P'
+)
+
+
+def lossy_stages(params: CircuitParams, layout: ModeLayout) -> tuple:
+    """The lossy circuit as its stages: the gates of circuits.two_mode_plan
+    in order, each paired with the tuple of Splitters that follow it."""
+    return tuple(zip(circuits.two_mode_plan(params, layout).gates, _PLAN_SPLITTERS, strict=True))
 
 
 # Largest lost-mode ladder apply_mode_loss takes: its scales reach
@@ -373,9 +382,9 @@ def _run_fixed_dim(
     rho_in: DensityMatrix, params: CircuitParams, loss: LossConfig, dim: int | None = None
 ) -> tuple[DensityMatrix, DensityMatrix, float]:
     """One pass of the lossy circuit on the pass layout (a: 2, b: dim), dim
-    defaulting to rho_in's own b ladder: the gates of circuits.two_mode_plan
-    in order, each followed by the beam splitters SPLITTERS_AFTER_GATE lists
-    for its position.
+    defaulting to rho_in's own b ladder.  It walks lossy_stages: each stage
+    applies its gate, then each of its splitters with R > 0, then reads the
+    leakage.
 
     The pass runs in two flat buffers of N^2 + N elements, allocated once,
     and allocates no other N x N array: the state and a spare, each matrix
@@ -409,8 +418,8 @@ def _run_fixed_dim(
     box = rho_in.layout.dims
     layout = rho_in.layout if dim is None else fock.make_layout([2, dim])
     n, d = layout.total_dim, layout.dims[1]
-    gates = circuits.two_mode_plan(params, layout).gates
-    squeezers = fock.parity_blocks(layout, [g for g in gates if isinstance(g, fock.PairSqueeze)])
+    stages = lossy_stages(params, layout)
+    squeezers = fock.parity_blocks(layout, [g for g, _ in stages if isinstance(g, fock.PairSqueeze)])
     tail = fock.tail_index(d)
     state, spare = np.zeros(n * (n + 1), dtype=complex), np.empty(n * (n + 1), dtype=complex)
 
@@ -422,7 +431,7 @@ def _run_fixed_dim(
     rho.reshape(layout.dims * 2)[inside * 2] = rho_in.matrix.reshape(box * 2)
     tables = {}
     leakage = 0.0
-    for position, gate in enumerate(gates):
+    for gate, splitters in stages:
         if gate in squeezers:
             _squeeze_b(rho, squeezers[gate], head(spare))
             state, spare = spare, state
@@ -432,7 +441,7 @@ def _run_fixed_dim(
             # u rho, not rho u: fock.evolve's (u rho) u*, rounded alike
             np.multiply(u[:, None], rho, out=rho)
             rho *= u.conj()
-        for name, mode in SPLITTERS_AFTER_GATE.get(position, ()):
+        for name, mode in splitters:
             r = loss.reflectance(name)
             if r and mode == 0:
                 _damp_first_qubit(rho, r)
@@ -461,25 +470,16 @@ def run_lossy_amplifier(
     the bosonic mode is zero-padded to D, 2D, 4D, ... until the fidelity
     between lossy and ideal outputs changes by less than tol under doubling
     and the pass's leakage onto the top tenth of the b ladder is below tol
-    too.  Each pass runs only the circuit (_run_fixed_dim): rho_in goes
-    into the pass's zeroed buffer as it is, and the ideal output stays on
-    rho_in's box, where fock.fidelity reads it; the report's rho_ideal is
-    embedded once, on the converged ladder.  A non-convergent run returns
-    the best estimate with converged=False; a D above max_dim raises
-    fock.TruncationError, and so does, before the first pass, a schedule
-    that can reach a b ladder above MAX_LOSS_LADDER while a splitter on b
-    has R > 0.
+    too.  Each pass runs only the circuit (_run_fixed_dim); the report's
+    rho_ideal is embedded once, on the converged ladder.  A non-convergent
+    run returns the best estimate with converged=False; a D above max_dim
+    raises fock.TruncationError, and so does, before the first pass, a
+    schedule that can reach a b ladder above MAX_LOSS_LADDER while a
+    splitter on b has R > 0; a layout other than (a: 2, b: D) raises
+    fock.LayoutError.
     """
-    if rho_in.layout.num_modes != 2 or rho_in.layout.dims[0] != 2:
-        raise fock.LayoutError(
-            "expected layout (a: 2, b: D), got " + str(rho_in.layout.dims)
-        )
-    lossy_b = any(
-        loss.reflectance(name)
-        for splitters in SPLITTERS_AFTER_GATE.values()
-        for name, mode in splitters
-        if mode == 1
-    )
+    splitters = [s for _, after in lossy_stages(params, rho_in.layout) for s in after]
+    lossy_b = any(loss.reflectance(name) for name, mode in splitters if mode == 1)
     dim = rho_in.layout.dims[1]
     while lossy_b and dim <= max_dim:
         _check_lost_ladder(dim)

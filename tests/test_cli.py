@@ -87,7 +87,7 @@ class TestParameterRange:
         assert captured.out == ""
         assert "theta1" in captured.err
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1", "2"])
     def test_lossy_tol_must_be_positive_and_finite(self, capsys, tol):
         code = cli.main(["lossy", f"--tol={tol}"])
         captured = capsys.readouterr()

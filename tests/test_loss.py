@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -80,9 +81,9 @@ def dense_pass_oracle(rho, params, config):
     layout = rho.layout
     tail = fock.tail_index(layout.dims[1])
     leakage = 0.0
-    for position, gate in enumerate(circuits.two_mode_plan(params, layout).gates):
+    for gate, splitters in loss.lossy_stages(params, layout):
         rho = oracles.evolve(rho, oracles.gate_operator(layout, gate), validate=False)
-        for name, mode in loss.SPLITTERS_AFTER_GATE.get(position, ()):
+        for name, mode in splitters:
             rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
         populations = np.real(np.diagonal(rho.matrix)).reshape(layout.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
@@ -422,13 +423,14 @@ class TestRealSqueezer:
         # Operator; then the pass's S2
         layout = fock.make_layout([2, dim])
         params, config = su11.solve_params(0.5, 0.7), loss.LossConfig(0.1, 0.1)
-        gates = circuits.two_mode_plan(params, layout).gates
+        stages = loss.lossy_stages(params, layout)
         rho = loss.make_werner(layout, 0.6)
-        for position, gate in enumerate(gates[:2]):
+        for gate, splitters in stages[:2]:
             rho = oracles.evolve(rho, oracles.gate_operator(layout, gate), validate=False)
-            for name, mode in loss.SPLITTERS_AFTER_GATE[position]:
+            for name, mode in splitters:
                 rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
-        blocks = fock.parity_blocks(layout, [gates[3]])[gates[3]]
+        s2 = stages[3][0]
+        blocks = fock.parity_blocks(layout, [s2])[s2]
         state, out = rho.matrix.copy(), np.empty_like(rho.matrix)
         loss._squeeze_b(state, blocks, out)
         want = complex_squeeze_oracle(rho.matrix, blocks)
@@ -617,8 +619,7 @@ class TestLossyLeakage:
         rho = loss.make_plus_plus(layout)
         config = loss.LossConfig(0.1, 0.1)
         populations = []
-        for position, gate in enumerate(circuits.two_mode_plan(params, layout).gates):
-            splitters = loss.SPLITTERS_AFTER_GATE.get(position, ())
+        for gate, splitters in loss.lossy_stages(params, layout):
             rho = oracles.evolve(rho, oracles.gate_operator(layout, gate), validate=False)
             for name, mode in splitters:
                 rho = loss.apply_mode_loss(rho, mode, config.reflectance(name))
@@ -664,6 +665,26 @@ class TestLossyCircuitPlan:
         "R4p": 0.8871733896731886,
         "R5": 0.887173478153582,
     }
+
+    def test_stages_pair_the_plan_with_every_splitter_once(self):
+        layout = fock.make_layout([2, 20])
+        stages = loss.lossy_stages(self.PARAMS, layout)
+        assert [g for g, _ in stages] == list(circuits.two_mode_plan(self.PARAMS, layout).gates)
+        assert sorted(s.name for _, after in stages for s in after) == sorted(loss.BS_NAMES)
+        squeezed = [s for g, after in stages if isinstance(g, fock.PairSqueeze) for s in after]
+        assert tuple(s.name for s in squeezed) == loss._SQUEEZER_BS
+        assert all(s.mode == 1 for s in squeezed)
+        for gate, after in stages:
+            if any(s.mode == 0 for s in after):
+                assert isinstance(gate, circuits.Kerr)
+
+    def test_stages_reject_a_plan_of_another_length(self, monkeypatch):
+        plan = circuits.two_mode_plan
+        monkeypatch.setattr(
+            circuits, "two_mode_plan", lambda *args: SimpleNamespace(gates=plan(*args).gates[:-1])
+        )
+        with pytest.raises(ValueError):
+            loss.lossy_stages(self.PARAMS, fock.make_layout([2, 20]))
 
     @pytest.mark.parametrize("name", loss.BS_NAMES)
     def test_single_splitter_fidelity(self, name):
