@@ -333,9 +333,10 @@ def fidelity(rho_ideal: DensityMatrix, rho_out: DensityMatrix) -> float:
     rank 1, as it always has on a support of one state.
 
     rho_ideal may live on a box of rho_out's layout: as many modes, none
-    with more levels.  It then stands for its zero-padding (loss.embed_state)
-    and gives the same F bit for bit: its support rows are mapped by
-    multi-index into rho_out's flat indices, so only the box is scanned.
+    with more levels.  It then stands for its zero-padding, the same state
+    with zeros on every level past the box, and gives the same F bit for
+    bit: its support rows are mapped by multi-index into rho_out's flat
+    indices, so only the box is scanned.
     Any other pair of layouts raises OperatorError.
     """
     box, dims = rho_ideal.layout.dims, rho_out.layout.dims

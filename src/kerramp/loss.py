@@ -286,14 +286,17 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
     return out
 
 
-def _damp_first_qubit(state, reflectance) -> None:
+def _damp_first_qubit(state, reflectance, scratch) -> None:
     """apply_mode_loss on mode a of a (a: 2, b: D) state matrix, in place:
     with E_0 = diag(1, sqrt(1 - R)) and E_1 = sqrt(R) |0><1|, R of the
     (1, 1) n_a block moves to (0, 0) and the off-diagonal blocks scale by
-    sqrt(1 - R)."""
+    sqrt(1 - R).  scratch is a flat complex buffer of at least D^2
+    elements, whose contents are never read before they are written."""
     d = state.shape[0] // 2
     blocks = state.reshape(2, d, 2, d)
-    blocks[0, :, 0] += reflectance * blocks[1, :, 1]
+    moved = scratch[: d * d].reshape(d, d)
+    np.multiply(blocks[1, :, 1], reflectance, out=moved)
+    blocks[0, :, 0] += moved
     blocks[1, :, 1] *= 1.0 - reflectance
     t = math.sqrt(1.0 - reflectance)
     blocks[0, :, 1] *= t
@@ -304,9 +307,10 @@ def _damp_first_qubit(state, reflectance) -> None:
 class LossyRunReport:
     """Outcome of a lossy amplifier run at converged truncation.
 
-    convergence_delta is |dF| over the last doubling; leakage is the
-    largest population on the top tenth of the b ladder (fock.tail_index)
-    after any stage of the last pass.
+    rho_ideal is the ideal K(2 gamma) output on the input's box, which
+    fock.fidelity reads against rho_out.  convergence_delta is |dF| over the
+    last doubling; leakage is the largest population on the top tenth of
+    the b ladder (fock.tail_index) after any stage of the last pass.
     """
 
     rho_out: DensityMatrix
@@ -351,19 +355,6 @@ def make_werner(layout: ModeLayout, p: float) -> DensityMatrix:
     return DensityMatrix(layout, rho, validate=False)
 
 
-def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
-    """Zero-pad a state into a layout with enlarged mode dimensions."""
-    old, new = rho.layout, new_layout
-    if old.num_modes != new.num_modes or any(
-        dn < do for do, dn in zip(old.dims, new.dims)
-    ):
-        raise fock.LayoutError(f"cannot embed {old.dims} into {new.dims}")
-    out = np.zeros((new.total_dim, new.total_dim), dtype=complex)
-    box = tuple(slice(d) for d in old.dims)
-    out.reshape(new.dims + new.dims)[box + box] = rho.matrix.reshape(old.dims + old.dims)
-    return DensityMatrix(new, out, validate=False)
-
-
 def _squeeze_b(state, blocks, out) -> None:
     """out = S rho S† for a state rho on (a: 2, b: D) and a real squeezer S
     on b given by its parity blocks S_p, as S (S rho)†: each round
@@ -379,12 +370,11 @@ def _squeeze_b(state, blocks, out) -> None:
 
 
 def _run_fixed_dim(
-    rho_in: DensityMatrix, params: CircuitParams, loss: LossConfig, dim: int | None = None
-) -> tuple[DensityMatrix, DensityMatrix, float]:
-    """One pass of the lossy circuit on the pass layout (a: 2, b: dim), dim
-    defaulting to rho_in's own b ladder.  It walks lossy_stages: each stage
-    applies its gate, then each of its splitters with R > 0, then reads the
-    leakage.
+    rho_in: DensityMatrix, stages: tuple, loss: LossConfig, dim: int | None = None
+) -> tuple[DensityMatrix, float]:
+    """One pass of a stage list (lossy_stages) on the pass layout (a: 2,
+    b: dim), dim defaulting to rho_in's own b ladder: each stage applies its
+    gate, then each of its splitters with R > 0, then reads the leakage.
 
     The pass runs in two flat buffers of N^2 + N elements, allocated once,
     and allocates no other N x N array: the state and a spare, each matrix
@@ -395,8 +385,8 @@ def _run_fixed_dim(
     exponentials, real orthogonal (fock.parity_blocks), and no N x N gate
     matrix is built.  The Kerr and phase gates multiply the state in place
     by their phase vectors, as fock.evolve does.  Loss on a is block
-    arithmetic on the state (_damp_first_qubit, with one n_a block as its
-    temporary).  Loss on b (_damp) skews into the whole spare, multiplies
+    arithmetic on the state (_damp_first_qubit, with the spare as its
+    scratch).  Loss on b (_damp) skews into the whole spare, multiplies
     into the whole state buffer and writes its output into the spare's
     head, which then becomes the state, with the tables _loss_tables builds
     once per reflectance; they are dropped with the pass.
@@ -407,18 +397,13 @@ def _run_fixed_dim(
     read-only, so a pass on a ladder seen before builds only what its
     parameters set.
 
-    Returns (output, ideal output, leakage).  The ideal output K(2 gamma)
-    rho_in K(2 gamma)† is fock.evolve's on rho_in's box, N_in^2 elements
-    whatever the pass ladder: the padding would hold only zeros, and
-    fock.fidelity reads an ideal on a box of the output's layout.  The
-    leakage is the largest population on the top tenth of the b ladder
-    after any stage, read off the diagonal: S2 pulls the mid-circuit spread
-    back down.
+    Returns (output, leakage).  The leakage is the largest population on
+    the top tenth of the b ladder after any stage, read off the diagonal:
+    S2 pulls the mid-circuit spread back down.
     """
     box = rho_in.layout.dims
     layout = rho_in.layout if dim is None else fock.make_layout([2, dim])
     n, d = layout.total_dim, layout.dims[1]
-    stages = lossy_stages(params, layout)
     squeezers = fock.parity_blocks(layout, [g for g, _ in stages if isinstance(g, fock.PairSqueeze)])
     tail = fock.tail_index(d)
     state, spare = np.zeros(n * (n + 1), dtype=complex), np.empty(n * (n + 1), dtype=complex)
@@ -444,7 +429,7 @@ def _run_fixed_dim(
         for name, mode in splitters:
             r = loss.reflectance(name)
             if r and mode == 0:
-                _damp_first_qubit(rho, r)
+                _damp_first_qubit(rho, r, spare)
             elif r:
                 if r not in tables:
                     tables[r] = _loss_tables(d, r)
@@ -453,8 +438,7 @@ def _run_fixed_dim(
                 rho = head(state)
         populations = np.real(np.diagonal(rho)).reshape(layout.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
-    rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp))
-    return DensityMatrix(layout, rho, validate=False), rho_ideal, leakage
+    return DensityMatrix(layout, rho, validate=False), leakage
 
 
 def run_lossy_amplifier(
@@ -470,40 +454,44 @@ def run_lossy_amplifier(
     the bosonic mode is zero-padded to D, 2D, 4D, ... until the fidelity
     between lossy and ideal outputs changes by less than tol under doubling
     and the pass's leakage onto the top tenth of the b ladder is below tol
-    too.  Each pass runs only the circuit (_run_fixed_dim); the report's
-    rho_ideal is embedded once, on the converged ladder.  A non-convergent
-    run returns the best estimate with converged=False; a D above max_dim
-    raises fock.TruncationError, and so does, before the first pass, a
-    schedule that can reach a b ladder above MAX_LOSS_LADDER while a
-    splitter on b has R > 0; a layout other than (a: 2, b: D) raises
-    fock.LayoutError.
+    too.  The run builds the stages (lossy_stages) and the ideal output
+    K(2 gamma) rho_in K(2 gamma)† on rho_in's box once; each pass
+    (_run_fixed_dim) runs the stages, and fock.fidelity reads the box ideal
+    against its output.  A non-convergent run returns the best estimate
+    with converged=False; a D above max_dim raises fock.TruncationError,
+    and so does, before the first pass, a schedule that can reach a b
+    ladder above MAX_LOSS_LADDER while a splitter on b has R > 0; a layout
+    other than (a: 2, b: D) raises fock.LayoutError.
     """
-    splitters = [s for _, after in lossy_stages(params, rho_in.layout) for s in after]
-    lossy_b = any(loss.reflectance(name) for name, mode in splitters if mode == 1)
+    stages = lossy_stages(params, rho_in.layout)
+    lossy_b = any(
+        loss.reflectance(name) for _, after in stages for name, mode in after if mode == 1
+    )
     dim = rho_in.layout.dims[1]
     while lossy_b and dim <= max_dim:
         _check_lost_ladder(dim)
         dim *= 2
+    rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp))
 
     def run(dim):
-        rho_out, rho_ideal, leakage = _run_fixed_dim(rho_in, params, loss, dim)
-        return rho_out, rho_ideal, fock.fidelity(rho_ideal, rho_out), leakage
+        rho_out, leakage = _run_fixed_dim(rho_in, stages, loss, dim)
+        return rho_out, fock.fidelity(rho_ideal, rho_out), leakage
 
     settled = fock.double_until_settled(
         run,
         start_dim=rho_in.layout.dims[1],
         max_dim=max_dim,
         tol=tol,
-        distance=lambda new, old: math.inf if old is None else max(abs(new[2] - old[2]), new[3]),
+        distance=lambda new, old: math.inf if old is None else max(abs(new[1] - old[1]), new[2]),
     )
-    rho_out, rho_ideal, f, leakage = settled.value
+    rho_out, f, leakage = settled.value
     previous = settled.previous
     return LossyRunReport(
         rho_out=rho_out,
-        rho_ideal=embed_state(rho_ideal, rho_out.layout),
+        rho_ideal=rho_ideal,
         fidelity=f,
         truncation=settled.dim,
-        convergence_delta=math.inf if previous is None else abs(f - previous[2]),
+        convergence_delta=math.inf if previous is None else abs(f - previous[1]),
         converged=settled.converged,
         leakage=leakage,
     )

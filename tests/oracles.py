@@ -4,8 +4,9 @@ kerramp composes and evolves by sector blocks (fock.Compression, the lossy
 pass's parity blocks) and phase vectors.  This module keeps the dense form
 the tests check that against: kron-embedded ladder operators, every gate
 truncated to a layout as an N x N fock.Operator, gate-by-gate products,
-dense conjugation of a state, the beam splitter on an extended space, and
-the dense SU(1,1) generators and identity sides.
+dense conjugation of a state, a state zero-padded onto longer ladders, the
+beam splitter on an extended space, and the dense SU(1,1) generators and
+identity sides.
 """
 
 import dataclasses
@@ -66,6 +67,19 @@ def evolve(rho: DensityMatrix, U: Operator, validate: bool = True) -> DensityMat
     if not U.unitary:
         raise fock.OperatorError("operator is not flagged unitary")
     return DensityMatrix(rho.layout, U.matrix @ rho.matrix @ U.dag, validate=validate)
+
+
+def embed_state(rho: DensityMatrix, new_layout: ModeLayout) -> DensityMatrix:
+    """Zero-pad a state into a layout with enlarged mode dimensions."""
+    old, new = rho.layout, new_layout
+    if old.num_modes != new.num_modes or any(
+        dn < do for do, dn in zip(old.dims, new.dims)
+    ):
+        raise fock.LayoutError(f"cannot embed {old.dims} into {new.dims}")
+    out = np.zeros((new.total_dim, new.total_dim), dtype=complex)
+    box = tuple(slice(d) for d in old.dims)
+    out.reshape(new.dims + new.dims)[box + box] = rho.matrix.reshape(old.dims + old.dims)
+    return DensityMatrix(new, out, validate=False)
 
 
 def sqrtm_psd(rho: DensityMatrix) -> Operator:

@@ -715,7 +715,7 @@ class TestFidelityOnABox:
         rng = np.random.default_rng(35)
         out = random_density(rng, fock.make_layout(dims))
         for name, ideal in self.ideals(rng, fock.make_layout(box)).items():
-            padded = loss.embed_state(ideal, out.layout)
+            padded = oracles.embed_state(ideal, out.layout)
             assert fock.fidelity(ideal, out) == fock.fidelity(padded, out), name
 
     @pytest.mark.parametrize(
