@@ -14,10 +14,14 @@ compression of the untruncated circuit to the layout.  Its elements are the
 exact operator's, composed on a working ladder (its work_dim) that doubles
 until the box columns' leakage onto the ladder's top tenth (its leakage)
 is below fock.SETTLE_TOL.  It is kept as its conserved-sector blocks
-(fock.Compression), which equivalence_residual and conditional_phase read
-one by one; its N x N matrix is built only when .matrix is read.  No gate
-is built as a dense matrix here: the gates truncated to the layout and
-their gate-by-gate product are the tests' oracles (tests/oracles.py).
+(fock.Compression), principal blocks that partition the flat indices,
+which equivalence_residual and conditional_phase read one by one; its
+N x N matrix is built only when .matrix is read.  A plan's SWAPs must
+leave no net mode permutation, as the pairs K_ac = SWAP_bc K_ab SWAP_bc
+of three_mode_plan do: a pair only relabels the modes of the gates
+between them.  No gate is built as a dense matrix here: the gates
+truncated to the layout and their gate-by-gate product are the tests'
+oracles (tests/oracles.py).
 
 Gate products written left-to-right in the docstrings act right-to-left
 on states, i.e. the rightmost factor is applied first.
@@ -25,7 +29,7 @@ on states, i.e. the rightmost factor is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,8 +118,10 @@ def compress(plan: CircuitPlan) -> fock.Compression:
     See fock.compress_product for the working ladder (reported as the
     result's work_dim), the leakage that certifies it and the cap.  A SWAP
     maps the layout's box onto itself, so every SWAP is moved to the end of
-    the circuit, relabelling the modes of the gates it passes, and applied
-    to the compression as one relabelling of each block's row states.
+    the circuit, relabelling the modes of the gates it passes.  There the
+    SWAPs must cancel, as the pairs of three_mode_plan do: a plan whose
+    SWAPs leave a net mode permutation raises OperatorError, before any
+    walk.
     """
     layout = plan.layout
     where = list(range(layout.num_modes))  # gate mode -> mode after pending swaps
@@ -126,15 +132,9 @@ def compress(plan: CircuitPlan) -> fock.Compression:
             where[gate.mode_b], where[gate.mode_c] = where[gate.mode_c], where[gate.mode_b]
         else:
             factors.append(_factor(layout, gate, where))
-    U = fock.compress_product(layout, factors)
-    if where == list(range(layout.num_modes)):
-        return U
-
-    def moved(rows):  # row state n goes to the state whose mode j holds n[where[j]]
-        n = np.unravel_index(rows, layout.dims)
-        return np.ravel_multi_index([n[j] for j in where], layout.dims)
-
-    return replace(U, blocks=tuple(b._replace(rows=moved(b.rows)) for b in U.blocks))
+    if where != list(range(layout.num_modes)):
+        raise fock.OperatorError(f"the plan's SWAPs leave the modes permuted as {where}")
+    return fock.compress_product(layout, factors)
 
 
 def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:
@@ -242,10 +242,9 @@ def conditional_phase(U: Operator | fock.Compression, n_b: int = 1) -> float:
 
         arg[<1,n|U|1,n> <0,n|U|0,n>* <1,0|U|1,0>* <0,0|U|0,0>] / n.
 
-    Each element is read off the block (U.blocks) that holds its row and
-    column; an element no block holds is zero.
-    It stays in the package, though no command calls it, because it reads
-    the blocks and builds no matrix.
+    Each element is read off the diagonal of the block (U.blocks) that
+    holds its index.  It stays in the package, though no command calls
+    it, because it reads the blocks and builds no matrix.
     """
     if n_b < 1:
         raise ValueError("probe level n_b must be >= 1")
@@ -253,10 +252,9 @@ def conditional_phase(U: Operator | fock.Compression, n_b: int = 1) -> float:
 
     def amp(na, nb):
         i = layout.flat_index((na, nb) + (0,) * (layout.num_modes - 2))
-        for rows, cols, values in U.blocks:
-            if i in rows and i in cols:
-                return values[np.ix_(rows == i, cols == i)][0, 0]
-        return 0.0
+        index, values = next(b for b in U.blocks if i in b.index)
+        k = int(np.flatnonzero(index == i)[0])
+        return values[k, k]
 
     z = amp(1, n_b) * np.conj(amp(0, n_b)) * np.conj(amp(1, 0)) * amp(0, 0)
     return float(np.angle(z)) / n_b

@@ -295,7 +295,8 @@ def verify_report(dim=100, block=40):
     p = su11.solve_params(0.3, 0.4)
     layout = fock.make_layout([2, dim])
     gens_f = su11.generators(layout, "fock-single")
-    fock_res, fock_work, fock_leak = su11.identity_residual(p, gens_f, block=block)
+    left, right = su11.identity_factors(p, gens_f)
+    fock_res = fock.diagonal_residual(left, right, block)
 
     p2 = su11.solve_params(0.5, 0.5)
     layout2 = fock.make_layout([2, 40])
@@ -309,7 +310,7 @@ def verify_report(dim=100, block=40):
     checks = [
         ("identity-2x2-random-grid", max_2x2, 1e-12, None, None),
         ("matrix-derivation-consistency", max_consistency, 1e-12, None, None),
-        (f"identity-fock-d{dim}-block{block}", fock_res, 1e-6, fock_work, fock_leak),
+        (f"identity-fock-d{dim}-block{block}", fock_res, 1e-6, left.work_dim, left.leakage),
         ("two-mode-circuit-equivalence", two_mode_res, 1e-7, lhs.work_dim, lhs.leakage),
         (
             "three-mode-circuit-equivalence",

@@ -16,7 +16,8 @@ sector's walk starts from its box columns of the identity, for every
 spectator (not squeezed) modes' Fock index at once, and the rotation acts
 on them as one array, a complex one through its float view; a run of
 consecutive phase factors acts as one summed phase.  The walk gives one
-block per sector and spectator Fock index, at its states' flat indices.
+principal block per sector and spectator Fock index, at its states' flat
+indices; the blocks of one product partition the flat indices.
 :func:`compress_product` keeps such a product as its blocks (Compression);
 :func:`parity_blocks` hands out a single-mode squeezer's two parity
 blocks, each its parity ladder's real exponential, for the lossy pass to
@@ -156,12 +157,12 @@ def _fock_grid(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 class Block(NamedTuple):
-    """Part of an operator held at flat indices: values[i, j] is the element
-    at row rows[i] and column cols[j].  A sector walk gives one block per
-    conserved sector and spectator (not squeezed) modes' Fock index."""
+    """Principal block of an operator: values[i, j] is the element at row
+    index[i] and column index[j].  A sector walk gives one block per
+    conserved sector and spectator (not squeezed) modes' Fock index, and
+    the blocks of one operator partition its flat indices."""
 
-    rows: np.ndarray
-    cols: np.ndarray
+    index: np.ndarray
     values: np.ndarray
 
 
@@ -188,8 +189,7 @@ class Operator:
     @property
     def blocks(self) -> tuple[Block, ...]:
         """The matrix as one Block over every flat index."""
-        flat = np.arange(self.layout.total_dim)
-        return (Block(flat, flat, self.matrix),)
+        return (Block(np.arange(self.layout.total_dim), self.matrix),)
 
     @property
     def dag(self) -> np.ndarray:
@@ -446,9 +446,10 @@ def diagonal_residual(
     index is <= block on every mode but mode 0 (all of them when block is
     None); u is a diagonal right side kept as its vector (phase_vector).
 
-    U is read block by block (U.blocks), each cut to its interior rows and
-    columns: a Compression's blocks, or a dense Operator as one block.  U is
-    zero off its blocks, so a diagonal element no block holds counts as |u|.
+    U is read block by block (U.blocks), each cut to its interior indices:
+    a Compression's blocks, or a dense Operator as one block.  U is zero off
+    its blocks, and its blocks partition the flat indices, so every diagonal
+    element sits in one of them.
     """
     layout = U.layout
     if block is None:
@@ -458,19 +459,12 @@ def diagonal_residual(
     else:
         inner = np.zeros(layout.total_dim, dtype=bool)
         inner[layout.interior_indices(block, modes=range(1, layout.num_modes))] = True
-    worst, held = 0.0, np.zeros(layout.total_dim, dtype=bool)
-    for rows, cols, values in U.blocks:
-        i, j = inner[rows], inner[cols]
-        if not (i.any() and j.any()):
-            continue
-        rows, cols, values = rows[i], cols[j], values[np.ix_(i, j)]
-        on = rows[:, None] == cols  # the diagonal elements
-        diff = np.where(on, values - u[rows][:, None], values)
-        worst = max(worst, float(np.max(np.abs(diff))))
-        held[rows[on.any(axis=1)]] = True
-    missed = inner & ~held
-    if missed.any():
-        worst = max(worst, float(np.max(np.abs(u[missed]))))
+    worst = 0.0
+    for index, values in U.blocks:
+        keep = inner[index]
+        if keep.any():
+            diff = values[np.ix_(keep, keep)] - np.diag(u[index[keep]])
+            worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 
@@ -582,11 +576,10 @@ def _numbers(num_modes: int, modes, numbers, spectators: dict) -> list:
 
 
 def _place_blocks(layout: ModeLayout, blocks) -> np.ndarray:
-    """Full matrix holding each Block at its rows and columns, zero
-    elsewhere."""
+    """Full matrix holding each Block at its indices, zero elsewhere."""
     U = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for rows, cols, values in blocks:
-        U[np.ix_(rows, cols)] = values
+    for index, values in blocks:
+        U[np.ix_(index, index)] = values
     return U
 
 
@@ -645,7 +638,7 @@ def _sector_blocks(
         states = np.broadcast_arrays(*(nj[:inside] for nj in n))
         flat = np.ravel_multi_index(states, layout.dims).T  # a row per spectator value
         values = np.broadcast_to(V[:inside].copy(), (inside, n_spec, inside))
-        walked += map(Block, flat, flat, values.transpose(1, 0, 2))
+        walked += map(Block, flat, values.transpose(1, 0, 2))
     return walked, worst
 
 
@@ -718,7 +711,7 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
     if modes is None:
         flat = np.arange(layout.total_dim)[:, None]
         u = phase_vector(layout, factors)[:, None, None]
-        return Compression(layout, tuple(map(Block, flat, flat, u)))
+        return Compression(layout, tuple(map(Block, flat, u)))
     if len({layout.dims[m] for m in modes}) != 1:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     dim = layout.dims[modes[0]]

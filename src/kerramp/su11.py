@@ -11,16 +11,18 @@ verifies the five-factor group identity
 in the 2x2 non-Hermitian representation and in truncated Fock
 representations (single-mode and two-mode squeezing families).
 
-The identity holds exactly for the untruncated operators.  In the Fock
-representations verify_identity therefore checks the compression of the
-exact left side to the layout, composed on a working ladder that doubles
-until a leakage certificate holds (see fock.compress_product).  No Fock
-generator is built as a matrix: exp(i theta G2) is the squeezer
-fock.PairSqueeze, exp(i c G3) a phase factor, and the right side
-exp(i gamma G3), diagonal, is compared as its phase vector.  The dense
-Fock generators, their commutators and the identity's sides truncated to
-the layout are the tests' oracles (tests/oracles.py); identity_factors
-gives the 2x2 representation's sides.
+identity_factors gives the identity's two sides in the representation's
+own form: 2x2 matrices, or in a Fock representation a compression and a
+phase vector.  The identity holds exactly for the untruncated operators,
+so the Fock left side is the compression of the exact left side to the
+layout, composed on a working ladder that doubles until a leakage
+certificate holds (see fock.compress_product), and kept as its sector
+blocks.  No Fock generator is built as a matrix: exp(i theta G2) is the
+squeezer fock.PairSqueeze, exp(i c G3) a phase factor, and the right side
+exp(i gamma G3), diagonal, is its phase vector; verify_identity compares
+the two block by block (fock.diagonal_residual).  The dense Fock
+generators, their commutators and the identity's sides truncated to the
+layout are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class CircuitParams:
     theta1: float
     theta2: float
     gamma: float
-
-    @property
-    def dphi_in(self) -> float:
-        return self.delta
 
     @property
     def dphi_amp(self) -> float:
@@ -222,11 +220,6 @@ def _left_factors(params: CircuitParams, gens: Su11Generators) -> tuple:
     )
 
 
-def _right_side(params: CircuitParams, gens: Su11Generators) -> np.ndarray:
-    """exp(i gamma G3) in a Fock representation, as its phase vector."""
-    return fock.phase_vector(gens.layout, [_g3_factor(gens, params.gamma)])
-
-
 def _expm_2x2(M: np.ndarray) -> np.ndarray:
     """exp(M) of a 2x2 matrix in closed form.
 
@@ -244,50 +237,24 @@ def _expm_2x2(M: np.ndarray) -> np.ndarray:
 
 
 def identity_factors(params: CircuitParams, gens: Su11Generators):
-    """(left, right) sides of the five-factor identity in the 2x2
-    representation, as matrices.
+    """(left, right) sides of the five-factor identity in the
+    representation's own form.
 
-    The representation is non-Hermitian (a boost); its factors come from
-    the closed-form exponential _expm_2x2.  A Fock representation is
-    refused: see compress_identity for the compression of its exact left
-    side.
+    In the 2x2 representation, non-Hermitian (a boost), both are matrices,
+    their factors from the closed-form exponential _expm_2x2.  In a Fock
+    representation left is the compression to gens.layout of the
+    untruncated left side, kept as its sector blocks, its work_dim and
+    leakage the working ladder it was composed on and the figure that
+    certified it (fock.compress_product); right is exp(i gamma G3) as its
+    phase vector.
     """
     if gens.layout is not None:
-        raise ValueError("identity_factors needs the matrix-2x2 representation")
+        left = fock.compress_product(gens.layout, _left_factors(params, gens))
+        return left, fock.phase_vector(gens.layout, [_g3_factor(gens, params.gamma)])
     eg2_1 = _expm_2x2(1j * params.theta1 * gens.g2)
     eg3 = _expm_2x2(0.5j * params.delta * gens.g3)
     left = eg2_1 @ eg3 @ _expm_2x2(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1
     return left, _expm_2x2(1j * params.gamma * gens.g3)
-
-
-def compress_identity(params: CircuitParams, gens: Su11Generators) -> fock.Compression:
-    """Compression to gens.layout of the untruncated left side of the
-    five-factor identity in a Fock representation, kept as its sector
-    blocks; its work_dim is the working ladder it was composed on (see
-    fock.compress_product)."""
-    if gens.layout is None:
-        raise ValueError("compress_identity needs a Fock representation")
-    return fock.compress_product(gens.layout, _left_factors(params, gens))
-
-
-def identity_residual(
-    params: CircuitParams, gens: Su11Generators, block: int | None = None
-) -> tuple[float, int | None, float | None]:
-    """(residual, work_dim, leakage) of the five-factor identity.
-
-    The residual is the max-norm of left - right, restricted to the interior
-    block for Fock representations (block = max bosonic index), with left
-    the compression of the exact product (compress_identity), read block by
-    block (fock.diagonal_residual); work_dim is the working ladder it was
-    composed on and leakage the figure that certified it, both None for
-    matrix-2x2.
-    """
-    if gens.layout is None:
-        left, right = identity_factors(params, gens)
-        return float(np.max(np.abs(left - right))), None, None
-    left = compress_identity(params, gens)
-    residual = fock.diagonal_residual(left, _right_side(params, gens), block)
-    return residual, left.work_dim, left.leakage
 
 
 def verify_identity(
@@ -297,11 +264,14 @@ def verify_identity(
     interior block for Fock representations (block = max bosonic index).
 
     In the Fock representations the left side is the compression of the
-    exact product to the layout (compress_identity), so the residual holds
-    no truncation leakage; identity_residual also returns its working
-    ladder and leakage.
+    exact product to the layout (identity_factors), so the residual holds
+    no truncation leakage; it is read block by block against the phase
+    vector of the right side (fock.diagonal_residual).
     """
-    return identity_residual(params, gens, block)[0]
+    left, right = identity_factors(params, gens)
+    if gens.layout is None:
+        return float(np.max(np.abs(left - right)))
+    return fock.diagonal_residual(left, right, block)
 
 
 def verify_matrix_derivation(params: CircuitParams):

@@ -272,7 +272,8 @@ def identity_factors(params: su11.CircuitParams, gens: su11.Su11Generators):
     """(left, right) sides of the five-factor identity in a Fock
     representation as matrices: left the product of the factors each
     truncated to the layout (truncated_product), truncation leakage
-    included, and right the diagonal exp(i gamma G3).  su11.identity_factors
-    gives the 2x2 representation's sides."""
+    included, and right the diagonal exp(i gamma G3) built from the phase
+    vector su11.identity_factors gives.  su11.identity_factors' own left
+    side is the compression of the exact product instead."""
     left = truncated_product(gens.layout, su11._left_factors(params, gens))
-    return left.matrix, np.diag(su11._right_side(params, gens))
+    return left.matrix, np.diag(su11.identity_factors(params, gens)[1])

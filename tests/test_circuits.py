@@ -335,33 +335,26 @@ class TestCompress:
         _, lhs, rhs = circuits.build_two_mode_amplifier(params, layout)
         assert np.max(np.abs(lhs.matrix - np.diag(rhs))) < 1e-12
 
-    def test_trailing_swap_applies_to_compression(self):
-        layout = fock.make_layout([2, 4, 4])
-        gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.5))
-        plain = circuits.compress(circuits.CircuitPlan(layout, gates))
-        swapped = circuits.compress(
-            circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),))
+    def test_refuses_a_net_swap_permutation(self, monkeypatch):
+        # a plan's SWAPs must cancel: a trailing SWAP, or a three-cycle of
+        # modes, is refused before any walk, though the dense oracle
+        # composes either
+        walks = []
+        monkeypatch.setattr(fock, "compress_product", lambda *args: walks.append(args))
+        trailing = circuits.CircuitPlan(
+            fock.make_layout([2, 4, 4]),
+            (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.5), circuits.Swap(1, 2)),
         )
-        W = oracles.swap(layout, 1, 2).matrix
-        assert np.max(np.abs(swapped.matrix - W @ plain.matrix)) < 1e-14
-        # a three-cycle of modes tells the relabelling from its inverse,
-        # which a single transposition cannot
-        plan = circuits.CircuitPlan(
+        cycle = circuits.CircuitPlan(
             fock.make_layout([2, 3, 3, 3]),
             (circuits.Kerr(0, 1, 0.3), circuits.Swap(1, 2), circuits.Swap(2, 3)),
         )
-        want = oracles.compose(plan).matrix
-        assert np.max(np.abs(circuits.compress(plan).matrix - want)) < 1e-14
-
-    def test_trailing_swap_keeps_working_ladder_and_leakage(self):
-        layout = fock.make_layout([2, 4, 4])
-        gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.5))
-        plain = circuits.compress(circuits.CircuitPlan(layout, gates))
-        swapped = circuits.compress(
-            circuits.CircuitPlan(layout, gates + (circuits.Swap(1, 2),))
-        )
-        assert (swapped.work_dim, swapped.leakage) == (plain.work_dim, plain.leakage)
-        assert plain.leakage < fock.SETTLE_TOL
+        for plan in (trailing, cycle):
+            with pytest.raises(fock.OperatorError, match="SWAPs leave the modes permuted"):
+                circuits.compress(plan)
+            n = plan.layout.total_dim
+            assert oracles.compose(plan).matrix.shape == (n, n)
+        assert walks == []
 
     def test_refuses_when_working_ladder_cap_is_reached(self):
         # at theta1 = 1.5 a D = 8 box needs more than the default 32 D ladder
@@ -370,11 +363,12 @@ class TestCompress:
             circuits.build_two_mode_amplifier(params, fock.make_layout([2, 8]))
 
 
-def _three_mode_with_trailing_swap(layout):
-    """A compression whose SWAP is left to relabel its block rows, and the
-    rhs of the gates before it."""
-    gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.4), circuits.Swap(1, 2))
-    rhs = fock.phase_vector(layout, [circuits.Kerr(0, 1, 0.4)])
+def _three_mode_with_paired_swaps(layout):
+    """A compression whose squeezer and Kerr gate sit between a pair of
+    SWAPs, which relabels their modes, and the rhs of the relabelled Kerr."""
+    swap = circuits.Swap(1, 2)
+    gates = (swap, fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 1, 0.4), swap)
+    rhs = fock.phase_vector(layout, [circuits.Kerr(0, 2, 0.4)])
     return circuits.compress(circuits.CircuitPlan(layout, gates)), rhs
 
 
@@ -410,12 +404,12 @@ class TestCompressionBlocks:
         elif case == "three-mode-swap":
             layout = fock.make_layout([2, 8, 8])
             _, lhs, rhs = circuits.build_three_mode_amplifier(cls.PARAMS, layout, True)
-        elif case == "trailing-swap":
-            lhs, rhs = _three_mode_with_trailing_swap(fock.make_layout([2, 6, 6]))
+        elif case == "paired-swap":
+            lhs, rhs = _three_mode_with_paired_swaps(fock.make_layout([2, 6, 6]))
         else:
             params = su11.solve_params(0.3, 0.4)
             gens = su11.generators(fock.make_layout([2, 100]), "fock-single")
-            lhs, rhs = su11.compress_identity(params, gens), su11._right_side(params, gens)
+            lhs, rhs = su11.identity_factors(params, gens)
         return lhs, rhs
 
     @pytest.mark.parametrize(
@@ -424,7 +418,7 @@ class TestCompressionBlocks:
             ("two-mode", (15, None, 40, 41)),
             ("three-mode", (5, None, 14)),
             ("three-mode-swap", (3, None, 8)),
-            ("trailing-swap", (0, 2, None, 6)),
+            ("paired-swap", (0, 2, None, 6)),
             ("fock-single", (40, None, 100)),
         ],
     )
@@ -435,17 +429,6 @@ class TestCompressionBlocks:
             assert fock.diagonal_residual(lhs, rhs, block) == fock.diagonal_residual(
                 dense, rhs, block
             )
-
-    def test_swap_relabels_rows_as_the_dense_transpose(self):
-        # a three-cycle of modes: row state n goes to the state whose mode j
-        # holds n[where[j]], as the dense rows' reshape and transpose give
-        layout = fock.make_layout([2, 3, 3, 3])
-        gates = (fock.PairSqueeze((1, 2), 0.3), circuits.Kerr(0, 3, 0.4))
-        plain = circuits.compress(circuits.CircuitPlan(layout, gates))
-        swaps = (circuits.Swap(1, 2), circuits.Swap(2, 3))
-        swapped = circuits.compress(circuits.CircuitPlan(layout, gates + swaps))
-        rows = plain.matrix.reshape(layout.dims + (-1,)).transpose([0, 2, 3, 1, 4])
-        assert np.array_equal(swapped.matrix, rows.reshape(plain.matrix.shape))
 
     def test_residual_builds_no_dense_matrix(self, placed):
         # the circuit-verify three-mode op; its dense lhs alone is 39.3 MB
@@ -460,18 +443,27 @@ class TestCompressionBlocks:
         assert placed == []
         assert peak < 8e6
 
-    @pytest.mark.parametrize("case", ["two-mode", "three-mode", "trailing-swap"])
+    @pytest.mark.parametrize("case", ["two-mode", "three-mode", "paired-swap"])
     def test_one_plain_block_per_sector_and_spectator(self, case):
-        # each block holds one n_a: rows and columns are 1-D, values 2-D
+        # each block holds one n_a: a principal block, its index 1-D and its
+        # values square
         lhs, _ = self.build(case)
         U = np.zeros_like(lhs.matrix)
-        for rows, cols, values in lhs.blocks:
-            assert rows.ndim == cols.ndim == 1
-            assert values.shape == (len(rows), len(cols))
-            assert len(set(np.unravel_index(rows, lhs.layout.dims)[0])) == 1
-            for i, r in enumerate(rows):
-                U[r, cols] = values[i]
+        for index, values in lhs.blocks:
+            assert index.ndim == 1
+            assert values.shape == (len(index), len(index))
+            assert len(set(np.unravel_index(index, lhs.layout.dims)[0])) == 1
+            for i, r in enumerate(index):
+                U[r, index] = values[i]
         assert np.array_equal(U, lhs.matrix)
+
+    @pytest.mark.parametrize("case", ["two-mode", "three-mode", "three-mode-swap", "fock-single"])
+    def test_blocks_partition_the_flat_indices(self, case):
+        # diagonal_residual reads every diagonal element off some block: a
+        # sector the walk dropped would go unseen
+        lhs, _ = self.build(case)
+        index = np.concatenate([b.index for b in lhs.blocks])
+        assert np.array_equal(np.sort(index), np.arange(lhs.layout.total_dim))
 
     def test_diagonal_and_dense_blocks_are_plain(self):
         # a squeezer-free product holds one 1 x 1 block per flat index, a
@@ -479,13 +471,13 @@ class TestCompressionBlocks:
         layout = fock.make_layout([2, 4, 4])
         n = layout.total_dim
         C = circuits.compress(circuits.CircuitPlan(layout, (circuits.Kerr(0, 1, 0.4),)))
-        shapes = [(r.shape, c.shape, v.shape) for r, c, v in C.blocks]
-        assert shapes == [((1,), (1,), (1, 1))] * n
+        shapes = [(i.shape, v.shape) for i, v in C.blocks]
+        assert shapes == [((1,), (1, 1))] * n
         (dense,) = fock.Operator(layout, C.matrix).blocks
-        assert (dense.rows.shape, dense.cols.shape, dense.values.shape) == ((n,), (n,), (n, n))
+        assert (dense.index.shape, dense.values.shape) == ((n,), (n, n))
 
     def test_matrix_is_built_once(self, placed):
-        lhs, _ = _three_mode_with_trailing_swap(fock.make_layout([2, 4, 4]))
+        lhs, _ = _three_mode_with_paired_swaps(fock.make_layout([2, 4, 4]))
         assert placed == []
         assert lhs.matrix is lhs.matrix
         assert len(placed) == 1

@@ -68,6 +68,13 @@ class TestAmplify:
         )
         assert code == 1
 
+    def test_requires_a_phase_shift(self, capsys):
+        code = cli.main(["amplify", "--theta1", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "an initial phase shift is required" in captured.err
+        assert captured.out == ""
+
 
 class TestParameterRange:
     @pytest.mark.parametrize(
@@ -319,6 +326,16 @@ class TestLossy:
         assert row["truncation"] == 160
         assert row["leakage"] > 1e-3
 
+    def test_delta_in_degrees_is_the_same_run(self, capsys):
+        rows = []
+        for flags in (["--delta-deg", "30"], ["--delta", "0.5235987755982988"]):
+            code, out = run_cli(capsys, "lossy", *flags, "--format", "json")
+            assert code == 0
+            rows += json.loads(out)["rows"]
+        assert rows[0] == rows[1]
+        assert abs(rows[0]["fidelity"] - 0.7361802383169963) <= 1e-12
+        assert rows[0]["truncation"] == 40
+
     def test_leakage_column(self, capsys):
         code, out = run_cli(capsys, "lossy", "--theta1", "0.5")
         assert code == 0
@@ -525,6 +542,15 @@ class TestConfigFile:
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["kappa"]) == pytest.approx(2.0, abs=1e-12)
+
+    def test_line_without_equals_names_its_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta 0.5\ntheta1 = 0.5\n")
+        code = cli.main(["amplify", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{cfg}:1: expected key=value" in captured.err
+        assert captured.out == ""
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

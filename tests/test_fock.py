@@ -837,7 +837,7 @@ class TestCompressProduct:
         assert run.work_dim == one.work_dim
         assert len(run.blocks) == len(one.blocks)
         for a, b in zip(run.blocks, one.blocks):
-            assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+            assert np.array_equal(a.index, b.index)
             assert np.max(np.abs(a.values - b.values)) <= 1e-14
 
     def test_rejects_squeezers_on_different_modes(self):
@@ -885,7 +885,7 @@ class TestLeakageCertificate:
         params = TestLeakageCertificate.PARAMS
         if case == "fock-single":
             gens = su11.generators(layout, "fock-single")
-            return su11.compress_identity(params, gens)
+            return su11.identity_factors(params, gens)[0]
         if case == "two-mode":
             return circuits.build_two_mode_amplifier(params, layout)[1]
         if case == "inverse-pair":
@@ -920,7 +920,7 @@ class TestLeakageCertificate:
     def test_verify_layouts_stop_one_ladder_before_a_confirming_doubling(self):
         # the working ladders of `kerramp verify` at its defaults
         gens = su11.generators(fock.make_layout([2, 100]), "fock-single")
-        single = su11.compress_identity(su11.solve_params(0.3, 0.4), gens)
+        single, _ = su11.identity_factors(su11.solve_params(0.3, 0.4), gens)
         two = self.build("two-mode", [2, 40])
         three = self.build("three-mode", [2, 14, 14])
         assert (single.work_dim, two.work_dim, three.work_dim) == (400, 320, 112)

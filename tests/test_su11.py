@@ -317,7 +317,7 @@ class TestIdentityFactors:
     def test_fock_right_side_is_the_g3_phase_vector(self, rep, dims):
         p = su11.solve_params(0.5, 0.4)
         g = su11.generators(fock.make_layout(dims), rep)
-        right = su11._right_side(p, g)
+        _, right = su11.identity_factors(p, g)
         assert right.shape == (g.layout.total_dim,)
         dense = oracles.truncated_product(g.layout, [su11._g3_factor(g, p.gamma)]).matrix
         assert np.array_equal(np.diag(right), dense)
@@ -326,14 +326,16 @@ class TestIdentityFactors:
     @pytest.mark.parametrize(
         "rep, dims", [("fock-single", [2, 14]), ("fock-two-mode", [2, 6, 6])]
     )
-    def test_refuses_a_fock_representation(self, rep, dims):
-        # as compress_identity refuses the 2x2 one
+    def test_fock_sides_are_blocks_and_phases(self, rep, dims):
+        # the 2x2 representation's sides are matrices, a Fock one's the
+        # compression of the exact left side and the right side's vector
         p = su11.solve_params(0.5, 0.4)
         g = su11.generators(fock.make_layout(dims), rep)
-        with pytest.raises(ValueError, match="matrix-2x2"):
-            su11.identity_factors(p, g)
-        with pytest.raises(ValueError, match="Fock representation"):
-            su11.compress_identity(p, su11.generators(None, "matrix-2x2"))
+        left, right = su11.identity_factors(p, g)
+        assert isinstance(left, fock.Compression) and left.layout == g.layout
+        assert left.leakage < fock.SETTLE_TOL and left.work_dim >= 2 * dims[1]
+        assert right.shape == (g.layout.total_dim,)
+        assert np.max(np.abs(np.abs(right) - 1.0)) <= 1e-15
 
     @pytest.mark.parametrize("theta1", [0.0, 0.5, 5.0])
     @pytest.mark.parametrize("delta", [0.0, 0.5])
