@@ -79,7 +79,8 @@ class OperatorError(ValueError):
 
 
 class TruncationError(ValueError):
-    """A truncation-doubling loop reached its cap before its result settled."""
+    """A truncation-doubling run used up its ladder schedule (doublings)
+    before its result settled, or its start ladder exceeds the cap."""
 
 
 @dataclass(frozen=True)
@@ -124,20 +125,14 @@ class ModeLayout:
         v[self.flat_index(multi)] = 1.0
         return v
 
-    def interior_indices(self, bound: int, modes=None) -> np.ndarray:
-        """Flat indices whose Fock index on every selected mode is <= bound.
-
-        Modes not selected (default: all modes) are unrestricted.  Used to
-        carve out the interior block where truncation artifacts are
-        negligible.
-        """
-        if modes is None:
-            modes = range(self.num_modes)
-        modes = set(modes)
+    def interior_indices(self, bound: int) -> np.ndarray:
+        """Flat indices whose Fock index is <= bound on every mode but the
+        qubit mode 0, which is unrestricted: the interior block where
+        truncation artifacts are negligible."""
         grids = _fock_grid(self.dims)
         mask = np.ones(self.total_dim, dtype=bool)
-        for m in modes:
-            mask &= grids[m] <= bound
+        for n in grids[1:]:
+            mask &= n <= bound
         return np.nonzero(mask)[0]
 
 
@@ -361,45 +356,23 @@ def fidelity(rho_ideal: DensityMatrix, rho_out: DensityMatrix) -> float:
     return float(min(max(f, 0.0), 1.0))
 
 
-# --- truncation-doubling convergence and sector-by-sector composition ---
+# --- the doubling ladder schedule and sector-by-sector composition ---
 
 SETTLE_TOL = 1e-12
 MAX_WORK_FACTOR = 32
 TAIL_FRACTION = 0.9  # a ladder's top tenth starts at Fock index 0.9 * work
 
 
-@dataclass(frozen=True)
-class Settled:
-    """Outcome of a truncation-doubling loop.
-
-    value is the result on ladder dim and previous the one on dim / 2 (None
-    when only one ladder was evaluated); change is the stopping figure of
-    value; converged says whether it fell below the loop's tolerance.
-    """
-
-    value: object
-    dim: int
-    change: float
-    converged: bool
-    previous: object = None
-
-
-def double_until_settled(
-    evaluate: Callable, start_dim: int, max_dim: int, tol: float, distance: Callable
-) -> Settled:
-    """Evaluate on ladders start_dim, 2 start_dim, ... (at most max_dim) until
-    the stopping figure distance(newer, older) of the newer result falls
-    below tol; older is None on the first ladder.  Returns the last result,
-    unconverged when the next doubling would pass max_dim."""
+def doublings(start_dim: int, max_dim: int):
+    """The ladder schedule of a truncation-doubling run: start_dim,
+    2 start_dim, 4 start_dim, ... up to and including max_dim.  Each caller
+    walks it with its own stopping rule."""
     if start_dim > max_dim:
         raise TruncationError(f"start ladder {start_dim} exceeds the cap {max_dim}")
-    dim, prev = start_dim, None
-    while True:
-        value = evaluate(dim)
-        change = distance(value, prev)
-        if change < tol or 2 * dim > max_dim:
-            return Settled(value, dim, change, change < tol, prev)
-        prev, dim = value, 2 * dim
+    dim = start_dim
+    while dim <= max_dim:
+        yield dim
+        dim *= 2
 
 
 def tail_index(work: int) -> int:
@@ -458,7 +431,7 @@ def diagonal_residual(
         raise ValueError(f"interior block bound must be >= 0, got block={block}")
     else:
         inner = np.zeros(layout.total_dim, dtype=bool)
-        inner[layout.interior_indices(block, modes=range(1, layout.num_modes))] = True
+        inner[layout.interior_indices(block)] = True
     worst = 0.0
     for index, values in U.blocks:
         keep = inner[index]
@@ -695,8 +668,8 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
 
     factors[0] is applied first.  Every PairSqueeze must act on the same
     modes, of equal dimension D.  The product is walked sector by
-    sector (_sector_blocks) on a working ladder of 2D, 4D, ... levels per
-    squeezed mode (at most MAX_WORK_FACTOR * D) until the box columns'
+    sector (_sector_blocks) on the working ladders doublings(2D,
+    MAX_WORK_FACTOR * D) per squeezed mode until the box columns'
     leakage onto the ladder's top tenth (_sector_blocks) falls below
     SETTLE_TOL; the returned Compression holds that ladder's blocks,
     its work_dim is the ladder and its leakage the certified figure.  A
@@ -716,24 +689,17 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     dim = layout.dims[modes[0]]
     spectators = _spectators(layout, modes)
-
-    def evaluate(work):
+    cap = MAX_WORK_FACTOR * dim
+    for work in doublings(2 * dim, cap):
         # below the cap a ladder is kept only if it settles, so its walk may
         # stop at SETTLE_TOL; the cap's leakage goes into the error in full
-        stop = SETTLE_TOL if 2 * work <= MAX_WORK_FACTOR * dim else math.inf
-        return _sector_blocks(layout, factors, modes, spectators, (work,) * len(modes), stop)
-
-    settled = double_until_settled(
-        evaluate,
-        start_dim=2 * dim,
-        max_dim=MAX_WORK_FACTOR * dim,
-        tol=SETTLE_TOL,
-        distance=lambda new, old: new[1],
-    )
-    walked, leakage = settled.value
-    if not settled.converged:
-        raise TruncationError(
-            f"compression did not settle by working ladder {settled.dim}: "
-            f"leakage {leakage:.2e} >= tol {SETTLE_TOL:.0e}"
+        stop = SETTLE_TOL if 2 * work <= cap else math.inf
+        walked, leakage = _sector_blocks(
+            layout, factors, modes, spectators, (work,) * len(modes), stop
         )
-    return Compression(layout, tuple(walked), settled.dim, leakage)
+        if leakage < SETTLE_TOL:
+            return Compression(layout, tuple(walked), work, leakage)
+    raise TruncationError(
+        f"compression did not settle by working ladder {work}: "
+        f"leakage {leakage:.2e} >= tol {SETTLE_TOL:.0e}"
+    )

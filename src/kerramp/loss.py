@@ -305,12 +305,14 @@ def _damp_first_qubit(state, reflectance, scratch) -> None:
 
 @dataclass(frozen=True)
 class LossyRunReport:
-    """Outcome of a lossy amplifier run at converged truncation.
+    """Outcome of a lossy amplifier run on its last truncation.
 
     rho_ideal is the ideal K(2 gamma) output on the input's box, which
-    fock.fidelity reads against rho_out.  convergence_delta is |dF| over the
-    last doubling; leakage is the largest population on the top tenth of
-    the b ladder (fock.tail_index) after any stage of the last pass.
+    fock.fidelity reads against rho_out.  truncation is the last b ladder
+    walked and convergence_delta the |dF| from the ladder before it, inf
+    on a run of one ladder; leakage is the largest population on the top
+    tenth of the b ladder (fock.tail_index) after any stage of the last
+    pass.  converged says whether both fell below the run's tol.
     """
 
     rho_out: DensityMatrix
@@ -450,48 +452,41 @@ def run_lossy_amplifier(
 ) -> LossyRunReport:
     """Lossy two-mode amplifier run with truncation-doubling convergence.
 
-    rho_in lives on layout (a: 2, b: D), and the first ladder is its own D;
-    the bosonic mode is zero-padded to D, 2D, 4D, ... until the fidelity
-    between lossy and ideal outputs changes by less than tol under doubling
-    and the pass's leakage onto the top tenth of the b ladder is below tol
-    too.  The run builds the stages (lossy_stages) and the ideal output
+    rho_in lives on layout (a: 2, b: D).  The run walks the b ladders
+    fock.doublings(D, max_dim), one pass each, and stops on the first
+    ladder where the fidelity between lossy and ideal outputs has moved by
+    less than tol since the ladder before (|dF|, inf on the first) and the
+    pass's leakage onto the top tenth of the b ladder is below tol too.
+    The run builds the stages (lossy_stages) and the ideal output
     K(2 gamma) rho_in K(2 gamma)† on rho_in's box once; each pass
     (_run_fixed_dim) runs the stages, and fock.fidelity reads the box ideal
-    against its output.  A non-convergent run returns the best estimate
-    with converged=False; a D above max_dim raises fock.TruncationError,
-    and so does, before the first pass, a schedule that can reach a b
-    ladder above MAX_LOSS_LADDER while a splitter on b has R > 0; a layout
-    other than (a: 2, b: D) raises fock.LayoutError.
+    against its output.  A run that uses up its ladders returns the last
+    one's estimate with converged=False; a D above max_dim raises
+    fock.TruncationError, and so does, before the first pass, a ladder of
+    the schedule above MAX_LOSS_LADDER while a splitter on b has R > 0; a
+    layout other than (a: 2, b: D) raises fock.LayoutError.
     """
     stages = lossy_stages(params, rho_in.layout)
-    lossy_b = any(
-        loss.reflectance(name) for _, after in stages for name, mode in after if mode == 1
-    )
-    dim = rho_in.layout.dims[1]
-    while lossy_b and dim <= max_dim:
-        _check_lost_ladder(dim)
-        dim *= 2
+    ladders = list(fock.doublings(rho_in.layout.dims[1], max_dim))
+    if any(loss.reflectance(name) for _, after in stages for name, mode in after if mode == 1):
+        for dim in ladders:
+            _check_lost_ladder(dim)
     rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp))
-
-    def run(dim):
+    f_prev = None
+    for dim in ladders:
         rho_out, leakage = _run_fixed_dim(rho_in, stages, loss, dim)
-        return rho_out, fock.fidelity(rho_ideal, rho_out), leakage
-
-    settled = fock.double_until_settled(
-        run,
-        start_dim=rho_in.layout.dims[1],
-        max_dim=max_dim,
-        tol=tol,
-        distance=lambda new, old: math.inf if old is None else max(abs(new[1] - old[1]), new[2]),
-    )
-    rho_out, f, leakage = settled.value
-    previous = settled.previous
+        f = fock.fidelity(rho_ideal, rho_out)
+        delta = math.inf if f_prev is None else abs(f - f_prev)
+        converged = max(delta, leakage) < tol
+        if converged:
+            break
+        f_prev = f
     return LossyRunReport(
         rho_out=rho_out,
         rho_ideal=rho_ideal,
         fidelity=f,
-        truncation=settled.dim,
-        convergence_delta=math.inf if previous is None else abs(f - previous[1]),
-        converged=settled.converged,
+        truncation=dim,
+        convergence_delta=delta,
+        converged=converged,
         leakage=leakage,
     )

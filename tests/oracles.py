@@ -263,7 +263,7 @@ def commutator_residual(gens: su11.Su11Generators, block: int | None = None) -> 
         g3 @ g1 - g1 @ g3 - 2j * g2,
     ]
     if block is not None and gens.layout is not None:
-        idx = gens.layout.interior_indices(block, modes=range(1, gens.layout.num_modes))
+        idx = gens.layout.interior_indices(block)
         residuals = [r[np.ix_(idx, idx)] for r in residuals]
     return float(max(np.max(np.abs(r)) for r in residuals))
 

@@ -277,7 +277,7 @@ def test_criterion_8_property_suite():
     # interior unitarity of the composed amplifier
     layout = fock.make_layout([2, 60])
     _, lhs, _ = circuits.build_two_mode_amplifier(params, layout)
-    idx = layout.interior_indices(15, modes=[1])
+    idx = layout.interior_indices(15)
     gram = (lhs.matrix.conj().T @ lhs.matrix)[np.ix_(idx, idx)]
     res_u = float(np.max(np.abs(gram - np.eye(len(idx)))))
     checks.append((res_u < 1e-8, f"interior unitarity {res_u:.2e}"))

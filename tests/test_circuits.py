@@ -44,7 +44,7 @@ class TestSqueezeSingle:
         S = oracles.squeeze_single(layout, 1, 0.5)
         Sinv = oracles.squeeze_single(layout, 1, -0.5)
         prod = S.matrix @ Sinv.matrix
-        idx = layout.interior_indices(15, modes=[1])
+        idx = layout.interior_indices(15)
         assert np.max(np.abs((prod - np.eye(60))[np.ix_(idx, idx)])) < 1e-10
 
     def test_vacuum_overlap(self):
@@ -231,7 +231,7 @@ class TestTwoModeAmplifier:
         layout = fock.make_layout([2, 60])
         _, lhs, _ = circuits.build_two_mode_amplifier(params, layout)
         prod = lhs.matrix.conj().T @ lhs.matrix
-        idx = layout.interior_indices(15, modes=[1])
+        idx = layout.interior_indices(15)
         assert (
             np.max(np.abs((prod - np.eye(layout.total_dim))[np.ix_(idx, idx)])) < 1e-9
         )

@@ -69,9 +69,11 @@ class TestModeLayout:
 
     def test_interior_indices(self):
         layout = fock.make_layout([2, 6])
-        idx = layout.interior_indices(2, modes=[1])
+        idx = layout.interior_indices(2)
         assert all(layout.multi_index(i)[1] <= 2 for i in idx)
         assert len(idx) == 6
+        # every mode but the qubit mode 0 is bounded
+        assert list(fock.make_layout([2, 3, 3]).interior_indices(0)) == [0, 9]
 
 
 class TestLadderOperators:
@@ -163,6 +165,18 @@ class TestExpm:
         with pytest.raises(fock.OperatorError):
             fock.expm(fock.Operator(layout, np.eye(3, dtype=complex)))
 
+    def test_rejects_a_matrix_of_another_shape(self):
+        layout = fock.make_layout([2, 3])
+        refusal = r"matrix shape \(5, 5\) does not match layout dim 6"
+        with pytest.raises(fock.OperatorError, match=refusal):
+            fock.Operator(layout, np.eye(5, dtype=complex))
+
+    def test_rejects_a_product_across_layouts(self):
+        a = fock.Operator(fock.make_layout([2, 3]), np.eye(6, dtype=complex))
+        b = fock.Operator(fock.make_layout([3, 2]), np.eye(6, dtype=complex))
+        with pytest.raises(fock.OperatorError, match="layout mismatch in operator product"):
+            a @ b
+
 
 class TestPartialTrace:
     def test_product_state_reduces_to_factor(self):
@@ -213,6 +227,8 @@ class TestPartialTrace:
             fock.partial_trace(rho, keep=[])
         with pytest.raises(fock.LayoutError):
             fock.partial_trace(rho, keep=[2])
+        with pytest.raises(fock.LayoutError, match="duplicate modes in keep"):
+            fock.partial_trace(rho, keep=[1, 1])
 
 
 class TestEvolve:
@@ -320,7 +336,7 @@ class TestDiagonalOperators:
         noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         M = np.diag(u + 0.5) + 0.01 * noise
         U = fock.Operator(layout, M.copy())
-        idx = np.arange(n) if block is None else layout.interior_indices(block, modes=[1, 2])
+        idx = np.arange(n) if block is None else layout.interior_indices(block)
         want = np.max(np.abs((M - np.diag(u))[np.ix_(idx, idx)]))
         assert fock.diagonal_residual(U, u, block) == want
         assert np.array_equal(U.matrix, M)
@@ -747,31 +763,27 @@ class TestDensityMatrixValidation:
         with pytest.raises(fock.StateError):
             fock.DensityMatrix(layout, np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_a_matrix_of_another_shape(self):
+        layout = fock.make_layout([2, 2])
+        refusal = r"matrix shape \(2, 2\) does not match layout dim 4"
+        with pytest.raises(fock.StateError, match=refusal):
+            fock.DensityMatrix(layout, np.eye(2, dtype=complex) / 2)
 
-class TestDoubleUntilSettled:
-    def test_stops_at_first_small_change(self):
-        seen = []
 
-        def evaluate(dim):
-            seen.append(dim)
-            return 1.0 / dim
+class TestDoublings:
+    """The ladder schedule alone; each caller's stopping rule is checked
+    with the caller (TestLeakageCertificate, TestEarlyExit and
+    tests/test_loss.py's TestLossyLeakage and TestDoublingRun)."""
 
-        s = fock.double_until_settled(
-            evaluate, 4, 1000, 0.01, lambda a, b: math.inf if b is None else abs(a - b)
-        )
-        assert seen == [4, 8, 16, 32, 64, 128]
-        assert (s.dim, s.converged) == (128, True)
-        assert s.change == pytest.approx(1 / 128)
+    def test_doubles_from_the_start(self):
+        assert list(fock.doublings(4, 1000)) == [4, 8, 16, 32, 64, 128, 256, 512]
 
-    def test_cap_returns_unconverged(self):
-        s = fock.double_until_settled(
-            lambda d: d, 4, 20, 0.5, lambda a, b: math.inf if b is None else a - b
-        )
-        assert (s.value, s.dim, s.change, s.converged) == (16, 16, 8, False)
+    def test_cap_is_inclusive(self):
+        assert list(fock.doublings(4, 16)) == [4, 8, 16]
 
     def test_start_above_cap_rejected(self):
-        with pytest.raises(fock.TruncationError):
-            fock.double_until_settled(lambda d: d, 40, 20, 0.5, lambda a, b: a - b)
+        with pytest.raises(fock.TruncationError, match="start ladder 40 exceeds the cap 20"):
+            list(fock.doublings(40, 20))
 
 
 class TestCompressProduct:
@@ -846,6 +858,12 @@ class TestCompressProduct:
         with pytest.raises(fock.OperatorError):
             fock.compress_product(layout, factors)
 
+    def test_rejects_two_mode_squeezer_on_unequal_modes(self):
+        layout = fock.make_layout([2, 4, 6])
+        refusal = r"squeezed modes \(1, 2\) need equal dimensions"
+        with pytest.raises(fock.LayoutError, match=refusal):
+            fock.compress_product(layout, [fock.PairSqueeze((1, 2), 0.1)])
+
     def test_holds_no_dense_algebra(self):
         # a compression is read by its blocks, or as .matrix; it has no
         # operator product, adjoint or unitary flag of its own
@@ -857,18 +875,21 @@ class TestCompressProduct:
 
 @pytest.fixture
 def next_doubling(monkeypatch):
-    """Records the certified blocks of the next compress_product call and
-    the blocks the same product gives on twice its working ladder."""
+    """Records the certified blocks of the next compress_product call, the
+    walk whose leakage settles, and the blocks the same walk gives on twice
+    its working ladder, with the same early-abandon stop."""
     seen = {}
-    settle = fock.double_until_settled
+    sector_blocks = fock._sector_blocks
 
-    def spy(evaluate, start_dim, max_dim, tol, distance):
-        settled = settle(evaluate, start_dim, max_dim, tol, distance)
-        seen["certified"] = settled.value[0]
-        seen["doubled"] = evaluate(2 * settled.dim)[0]
-        return settled
+    def spy(layout, factors, modes, spectators, work, *stop):
+        walked, leakage = sector_blocks(layout, factors, modes, spectators, work, *stop)
+        if leakage < fock.SETTLE_TOL:
+            doubled = tuple(2 * w for w in work)
+            seen["certified"] = walked
+            seen["doubled"] = sector_blocks(layout, factors, modes, spectators, doubled, *stop)[0]
+        return walked, leakage
 
-    monkeypatch.setattr(fock, "double_until_settled", spy)
+    monkeypatch.setattr(fock, "_sector_blocks", spy)
     return seen
 
 

@@ -528,6 +528,13 @@ class TestInputStates:
         with pytest.raises(ValueError, match="p must lie in"):
             loss.make_werner(fock.make_layout([2, 6]), p)
 
+    def test_one_mode_layout_is_refused(self):
+        layout = fock.make_layout([6])
+        with pytest.raises(fock.LayoutError, match="need at least two modes"):
+            loss.make_plus_plus(layout)
+        with pytest.raises(fock.LayoutError, match="need at least two modes"):
+            loss.make_werner(layout, 0.5)
+
 
 class TestMasterEquationTime:
     def test_endpoints(self):
@@ -652,6 +659,47 @@ class TestLossyLeakage:
         assert report.convergence_delta < 1e-3
         assert report.leakage > 1e-3
         assert not report.converged
+
+
+class TestDoublingRun:
+    """run_lossy_amplifier walks the ladders fock.doublings(D, max_dim) in
+    its own loop: the report's |dF| and converged flag are the loop's."""
+
+    PARAMS = su11.solve_params(0.5, 0.5)
+    CONFIG = loss.LossConfig(0.1, 0.1)
+
+    def test_one_ladder_run_has_no_fidelity_change(self):
+        rho = loss.make_plus_plus(fock.make_layout([2, 20]))
+        report = loss.run_lossy_amplifier(rho, self.PARAMS, self.CONFIG, max_dim=20)
+        assert report.truncation == 20
+        assert report.convergence_delta == math.inf
+        assert report.converged is False
+
+    def test_two_ladder_delta_is_the_fidelity_change(self):
+        # theta1 = 2.5 on the ladders 40 and 80: the leakage, not |dF|,
+        # keeps the run from converging, so |dF| is reported on its own
+        params = su11.solve_params(0.5, 2.5)
+        rho = loss.make_plus_plus(fock.make_layout([2, 40]))
+        report = loss.run_lossy_amplifier(rho, params, self.CONFIG, max_dim=80)
+        ideal = fock.evolve(rho, circuits.Kerr(0, 1, params.dphi_amp))
+        stages = loss.lossy_stages(params, rho.layout)
+        f = [
+            fock.fidelity(ideal, loss._run_fixed_dim(rho, stages, self.CONFIG, dim)[0])
+            for dim in (40, 80)
+        ]
+        assert report.truncation == 80
+        assert report.fidelity == f[1]
+        assert report.convergence_delta == abs(f[1] - f[0])
+        assert report.convergence_delta < 1e-3 < report.leakage
+        assert report.converged is False
+
+    def test_start_above_the_cap_is_refused_before_any_pass(self, monkeypatch):
+        passes = []
+        monkeypatch.setattr(loss, "_run_fixed_dim", lambda *args: passes.append(args))
+        rho = loss.make_plus_plus(fock.make_layout([2, 40]))
+        with pytest.raises(fock.TruncationError, match="start ladder 40 exceeds the cap 20"):
+            loss.run_lossy_amplifier(rho, self.PARAMS, self.CONFIG, max_dim=20)
+        assert passes == []
 
 
 class TestLossyCircuitPlan:

@@ -267,7 +267,7 @@ class TestVerifyIdentity:
         left, right = oracles.identity_factors(p, g)
 
         def residual(block):
-            idx = layout.interior_indices(block, modes=[1])
+            idx = layout.interior_indices(block)
             return np.max(np.abs((left - right)[np.ix_(idx, idx)]))
 
         r_quarter = residual(20)
@@ -286,7 +286,7 @@ class TestVerifyIdentity:
         th = 0.3
         squeezes = [fock.PairSqueeze((1,), t) for t in (th, -2 * th, th)]
         left = oracles.truncated_product(layout, squeezes).matrix
-        idx = layout.interior_indices(10, modes=[1])
+        idx = layout.interior_indices(10)
         assert np.max(np.abs((left - np.eye(80))[np.ix_(idx, idx)])) < 1e-10
 
 
