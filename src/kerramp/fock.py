@@ -43,11 +43,13 @@ propagated box columns put less than SETTLE_TOL on the top tenth of the
 ladder after every squeezer: a leakage certificate read off the ladder in
 hand, not a confirming doubling.  A ladder that will not settle is
 abandoned at its first column past SETTLE_TOL (1e-12); only the kept
-ladder, or the cap's, is walked in full.  At the `kerramp verify` defaults
-that stops on ladders 400 (single-mode identity, D=100), 320 (two-mode
-circuit, D=40) and 112 (three-mode circuit, D=14).  The compression keeps
-the kept ladder's sector blocks (Compression); its N x N matrix is built
-only when read.
+ladder, or the cap's, is walked in full.  A check that reads only the
+interior block compresses only its box (ModeLayout.interior_box), from a
+ladder twice the box under the layout's cap; at the `kerramp verify`
+defaults that stops on ladders 328 (single-mode identity, D=100, block
+40), 256 (two-mode circuit, D=40, block 15) and 96 (three-mode circuit,
+D=14, block 5).  The compression keeps the kept ladder's sector blocks
+(Compression); its N x N matrix is built only when read.
 """
 
 from __future__ import annotations
@@ -134,6 +136,15 @@ class ModeLayout:
         for n in grids[1:]:
             mask &= n <= bound
         return np.nonzero(mask)[0]
+
+    def interior_box(self, bound: int) -> "ModeLayout":
+        """The layout cut to its interior block: every mode but the qubit
+        mode 0 keeps min(D, max(bound + 1, 2)) levels.  The box's states are
+        the interior block's, with the same multi-indices."""
+        if bound < 0:
+            raise ValueError(f"interior block bound must be >= 0, got block={bound}")
+        cut = max(bound + 1, 2)
+        return ModeLayout(self.dims[:1] + tuple(min(d, cut) for d in self.dims[1:]))
 
 
 def make_layout(dims) -> ModeLayout:
@@ -662,7 +673,9 @@ def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     }
 
 
-def compress_product(layout: ModeLayout, factors) -> Compression:
+def compress_product(
+    layout: ModeLayout, factors, block: int | None = None
+) -> Compression:
     """Compression to layout of the untruncated product of factors, kept as
     its sector blocks.
 
@@ -679,26 +692,32 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
     cap is reached first; the cap ladder is walked in full, so that leakage
     is the whole figure.  With no squeezer the product is its phase vector,
     held as one 1 x 1 Block per flat index, exact on any ladder.
+
+    With a block, the compression is to layout.interior_box(block) instead,
+    whose states are the interior block of layout: a compression is the
+    exact operator restricted to its box, so this is that interior block,
+    composed without the columns past it.  The ladders then start from
+    twice the box's squeezed dimension; the cap stays MAX_WORK_FACTOR * D.
     """
+    box = layout if block is None else layout.interior_box(block)
     modes = _squeezed_modes(layout, factors)
     if modes is None:
-        flat = np.arange(layout.total_dim)[:, None]
-        u = phase_vector(layout, factors)[:, None, None]
-        return Compression(layout, tuple(map(Block, flat, u)))
+        flat = np.arange(box.total_dim)[:, None]
+        u = phase_vector(box, factors)[:, None, None]
+        return Compression(box, tuple(map(Block, flat, u)))
     if len({layout.dims[m] for m in modes}) != 1:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
-    dim = layout.dims[modes[0]]
-    spectators = _spectators(layout, modes)
-    cap = MAX_WORK_FACTOR * dim
-    for work in doublings(2 * dim, cap):
+    spectators = _spectators(box, modes)
+    cap = MAX_WORK_FACTOR * layout.dims[modes[0]]
+    for work in doublings(2 * max(box.dims[m] for m in modes), cap):
         # below the cap a ladder is kept only if it settles, so its walk may
         # stop at SETTLE_TOL; the cap's leakage goes into the error in full
         stop = SETTLE_TOL if 2 * work <= cap else math.inf
         walked, leakage = _sector_blocks(
-            layout, factors, modes, spectators, (work,) * len(modes), stop
+            box, factors, modes, spectators, (work,) * len(modes), stop
         )
         if leakage < SETTLE_TOL:
-            return Compression(layout, tuple(walked), work, leakage)
+            return Compression(box, tuple(walked), work, leakage)
     raise TruncationError(
         f"compression did not settle by working ladder {work}: "
         f"leakage {leakage:.2e} >= tol {SETTLE_TOL:.0e}"

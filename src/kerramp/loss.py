@@ -474,6 +474,7 @@ def run_lossy_amplifier(
     rho_ideal = fock.evolve(rho_in, circuits.Kerr(0, 1, params.dphi_amp))
     f_prev = None
     for dim in ladders:
+        rho_out = None  # the last ladder's output goes before the next pass
         rho_out, leakage = _run_fixed_dim(rho_in, stages, loss, dim)
         f = fock.fidelity(rho_ideal, rho_out)
         delta = math.inf if f_prev is None else abs(f - f_prev)

@@ -406,15 +406,43 @@ class TestVerify:
         assert "working ladder 64" in captured.err
 
     def test_unallocatable_compression_is_an_error_line(self, capsys, monkeypatch):
-        def refuse(layout, factors):
-            raise MemoryError(f"Unable to allocate the compression on {layout.dims}")
+        def refuse(layout, factors, block=None):
+            box = layout.interior_box(block).dims
+            raise MemoryError(f"Unable to allocate the compression on {box}")
 
         monkeypatch.setattr(fock, "compress_product", refuse)
         code = cli.main(["verify", "--dim", "99999"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: Unable to allocate the compression on (2, 99999)\n"
+        assert captured.err == "error: Unable to allocate the compression on (2, 41)\n"
+
+    @pytest.mark.parametrize(
+        "dim, block, code",
+        [
+            (2, 0, 3), (2, 40, 3),
+            (100, 0, 0), (100, 1, 0), (21, 5, 0), (60, 12, 0), (100000, 5, 0),
+        ],
+    )
+    def test_exit_codes_of_block_boxes(self, capsys, dim, block, code):
+        # a check compresses its block box, but its working-ladder cap stays
+        # 32 D: a two-level box on D = 100 settles past 64, on D = 2 it cannot
+        assert cli.main(["verify", "--dim", str(dim), "--block", str(block)]) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.out == ""
+            assert "working ladder 64" in captured.err
+        else:
+            assert all(r["passed"] == "true" for r in parse_csv(captured.out))
+
+    def test_default_rows_compose_on_their_block_boxes(self, capsys):
+        _, out = run_cli(capsys, "verify")
+        work = {r["check"]: r["work_dim"] for r in parse_csv(out) if r["work_dim"]}
+        assert work == {
+            "identity-fock-d100-block40": "328",
+            "two-mode-circuit-equivalence": "256",
+            "three-mode-circuit-equivalence": "96",
+        }
 
     def test_report_structure_and_exit_code(self, capsys):
         # smaller dims keep this test quick; the exit code must agree with

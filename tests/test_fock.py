@@ -75,6 +75,16 @@ class TestModeLayout:
         # every mode but the qubit mode 0 is bounded
         assert list(fock.make_layout([2, 3, 3]).interior_indices(0)) == [0, 9]
 
+    def test_interior_box(self):
+        # every mode but the qubit mode 0 keeps min(D, max(bound + 1, 2)) levels
+        layout = fock.make_layout([2, 10, 10])
+        assert layout.interior_box(3).dims == (2, 4, 4)
+        assert layout.interior_box(0).dims == (2, 2, 2)
+        assert layout.interior_box(9) == layout
+        assert layout.interior_box(40) == layout
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            layout.interior_box(-1)
+
 
 class TestLadderOperators:
     def test_annihilation_on_fock_state(self):
@@ -939,7 +949,8 @@ class TestLeakageCertificate:
         assert gap < 1e-12
 
     def test_verify_layouts_stop_one_ladder_before_a_confirming_doubling(self):
-        # the working ladders of `kerramp verify` at its defaults
+        # the whole-layout working ladders at `kerramp verify`'s default
+        # layouts; verify itself compresses the block boxes (TestBlockBox)
         gens = su11.generators(fock.make_layout([2, 100]), "fock-single")
         single, _ = su11.identity_factors(su11.solve_params(0.3, 0.4), gens)
         two = self.build("two-mode", [2, 40])
@@ -979,6 +990,79 @@ class TestLeakageCertificate:
         assert [fock.tail_index(w) for w in (2, 10, 20, 112, 224, 400)] == [
             1, 9, 18, 101, 202, 360,
         ]
+
+
+class TestBlockBox:
+    """A compression with a block is the compression to the layout's
+    interior box: the whole layout's compression read on the box's states,
+    composed without the columns past it."""
+
+    @staticmethod
+    def build(case, dims, block=None):
+        layout = fock.make_layout(dims)
+        if case in ("fock-single", "fock-two-mode"):
+            gens = su11.generators(layout, case)
+            return su11.identity_factors(su11.solve_params(0.3, 0.4), gens, block)
+        params = su11.solve_params(0.5, 0.5)
+        if case == "two-mode":
+            return circuits.build_two_mode_amplifier(params, layout, block)[1:]
+        return circuits.build_three_mode_amplifier(params, layout, block=block)[1:]
+
+    @pytest.mark.parametrize(
+        "case, dims, block",
+        [
+            # verify's own (D, block) pairs
+            ("fock-single", [2, 100], 40),
+            ("fock-single", [2, 21], 5),
+            ("fock-single", [2, 60], 12),
+            ("two-mode", [2, 40], 15),
+            ("three-mode", [2, 14, 14], 5),
+            ("fock-two-mode", [2, 14, 14], 5),
+            # block 0: a two-level box
+            ("fock-single", [2, 100], 0),
+            ("fock-two-mode", [2, 14, 14], 0),
+            ("two-mode", [2, 40], 0),
+            ("three-mode", [2, 14, 14], 0),
+            # a block >= D - 1: the box is the whole layout
+            ("fock-single", [2, 21], 20),
+            ("fock-two-mode", [2, 8, 8], 40),
+            ("two-mode", [2, 40], 39),
+            ("three-mode", [2, 14, 14], 20),
+        ],
+    )
+    def test_box_equals_the_whole_compression_on_its_states(self, case, dims, block):
+        whole, whole_u = self.build(case, dims)
+        box, box_u = self.build(case, dims, block)
+        assert box.layout == whole.layout.interior_box(block)
+        # the box's states, at their flat indices in the whole layout
+        idx = np.ravel_multi_index(
+            np.unravel_index(np.arange(box.layout.total_dim), box.layout.dims), dims
+        )
+        gap = np.max(np.abs(box.matrix - whole.matrix[np.ix_(idx, idx)]))
+        assert gap <= 1e-12
+        assert np.array_equal(box_u, whole_u[idx])
+        assert box.leakage < fock.SETTLE_TOL
+        if box.layout == whole.layout:
+            assert box.work_dim == whole.work_dim
+            assert np.array_equal(box.matrix, whole.matrix)
+
+    def test_box_walk_starts_from_the_box_and_keeps_the_layout_cap(self, walks):
+        # a two-level box starts at ladder 4 but may double up to 32 D = 3200
+        layout = fock.make_layout([2, 100])
+        factors = [fock.PairSqueeze((1,), 1.3)]
+        U = fock.compress_product(layout, factors, 0)
+        assert walks[0]["work"] == (4,)
+        assert U.work_dim > 32 * 2
+        with pytest.raises(fock.TruncationError, match="working ladder 64"):
+            fock.compress_product(fock.make_layout([2, 2]), factors, 0)
+
+    def test_phase_product_is_its_box_vector(self):
+        layout = fock.make_layout([2, 10, 10])
+        kerr = [circuits.Kerr(0, 1, 0.4), circuits.Kerr(0, 2, -0.3)]
+        C = fock.compress_product(layout, kerr, 3)
+        assert C.layout.dims == (2, 4, 4)
+        want = fock.phase_vector(C.layout, kerr)
+        assert np.array_equal(np.diag(C.matrix), want)
 
 
 @pytest.fixture

@@ -869,10 +869,11 @@ class TestPassRunsOnlyTheCircuit:
     def test_run_peak_memory_is_the_pass_buffers(self):
         # the run doubles to 160: N = 320 and an N x N complex matrix is
         # N^2 16 B = 1.64 MB.  The pass's two buffers take 2 of that, and
-        # the run peaks near 2.90 of it.  A per-pass embed and an ideal
+        # the run peaks near 2.65 of it.  A per-pass embed and an ideal
         # evolved on the pass layout took it to 5.1, _damp's S scale on a
-        # 4-D strided view, whose output numpy copies whole, to 3.8, and a
-        # fresh (N / 2)^2 temporary per loss on a to 3.07.
+        # 4-D strided view, whose output numpy copies whole, to 3.8, a
+        # fresh (N / 2)^2 temporary per loss on a to 3.07, and the last
+        # ladder's output kept alive through the next pass to 2.90.
         rho = loss.make_plus_plus(fock.make_layout([2, 20]))
         loss.run_lossy_amplifier(rho, self.PARAMS, self.CONFIG)  # caches warm
         tracemalloc.start()
@@ -883,5 +884,5 @@ class TestPassRunsOnlyTheCircuit:
             tracemalloc.stop()
         n = report.rho_out.layout.total_dim
         assert n == 320
-        assert peak < 3.0 * n * n * 16
+        assert peak < 2.75 * n * n * 16
 
