@@ -10,12 +10,10 @@ vector (fock.phase_vector), and equivalence_residual compares the circuit
 with it on the interior block (fock.diagonal_residual).
 
 A plan's product is compress(plan), which the builders return as lhs: the
-compression of the untruncated circuit to the layout, or given a block to
-the layout's interior box, the states equivalence_residual reads (see
-fock.compress_product).  Its elements are the exact operator's, composed
-on a working ladder (its work_dim) that doubles until the box columns'
-leakage onto the ladder's top tenth (its leakage) is below
-fock.SETTLE_TOL.  It is kept as its conserved-sector blocks
+compression of the untruncated circuit to the layout.  Its elements are the
+exact operator's, composed on a working ladder (its work_dim) that doubles
+until the box columns' leakage onto the ladder's top tenth (its leakage)
+is below fock.SETTLE_TOL.  It is kept as its conserved-sector blocks
 (fock.Compression), principal blocks that partition the flat indices,
 which equivalence_residual and conditional_phase read one by one; its
 N x N matrix is built only when .matrix is read.  A plan's SWAPs must
@@ -113,12 +111,12 @@ def _factor(layout: ModeLayout, gate: Gate, where):
     return fock.PairSqueeze(tuple(where[m] for m in gate.modes), gate.theta)
 
 
-def compress(plan: CircuitPlan, block: int | None = None) -> fock.Compression:
-    """Compression to plan.layout of the untruncated circuit, or with a
-    block to its interior box, kept as its sector blocks (fock.Compression).
+def compress(plan: CircuitPlan) -> fock.Compression:
+    """Compression to plan.layout of the untruncated circuit, kept as its
+    sector blocks (fock.Compression).
 
-    See fock.compress_product for the box, the working ladder (reported as
-    the result's work_dim), the leakage that certifies it and the cap.  A SWAP
+    See fock.compress_product for the working ladder (reported as the
+    result's work_dim), the leakage that certifies it and the cap.  A SWAP
     maps the layout's box onto itself, so every SWAP is moved to the end of
     the circuit, relabelling the modes of the gates it passes.  There the
     SWAPs must cancel, as the pairs of three_mode_plan do: a plan whose
@@ -136,7 +134,7 @@ def compress(plan: CircuitPlan, block: int | None = None) -> fock.Compression:
             factors.append(_factor(layout, gate, where))
     if where != list(range(layout.num_modes)):
         raise fock.OperatorError(f"the plan's SWAPs leave the modes permuted as {where}")
-    return fock.compress_product(layout, factors, block)
+    return fock.compress_product(layout, factors)
 
 
 def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:
@@ -194,40 +192,33 @@ def three_mode_plan(
     return CircuitPlan(layout, gates)
 
 
-def build_two_mode_amplifier(
-    params: CircuitParams, layout: ModeLayout, block: int | None = None
-):
+def build_two_mode_amplifier(params: CircuitParams, layout: ModeLayout):
     """Two-mode amplifier (two_mode_plan) and its equivalent amplified Kerr
     unitary K(2 gamma).
 
-    Returns (plan, lhs, rhs); lhs = compress(plan, block) is the
-    compression of the untruncated circuit to the layout, or to its
-    interior box, rhs the phase vector on lhs's layout of the Kerr gate it
-    must equal on the interior block.
+    Returns (plan, lhs, rhs); lhs = compress(plan) is the compression of
+    the untruncated circuit to the layout, rhs the phase vector of the
+    Kerr gate it must equal on the interior block.
     """
     plan = two_mode_plan(params, layout)
-    lhs = compress(plan, block)
-    return plan, lhs, fock.phase_vector(lhs.layout, [Kerr(0, 1, params.dphi_amp)])
+    rhs = fock.phase_vector(layout, [Kerr(0, 1, params.dphi_amp)])
+    return plan, compress(plan), rhs
 
 
 def build_three_mode_amplifier(
-    params: CircuitParams,
-    layout: ModeLayout,
-    use_swap_decomposition: bool = False,
-    block: int | None = None,
+    params: CircuitParams, layout: ModeLayout, use_swap_decomposition: bool = False
 ):
     """Three-mode amplifier (three_mode_plan) and its equivalent amplified
     Kerr unitary K_ab(2 gamma) K_ac(2 gamma).
 
-    Returns (plan, lhs, rhs); lhs = compress(plan, block) is the
-    compression of the untruncated circuit to the layout, or to its
-    interior box, rhs the phase vector on lhs's layout of the pair of
-    amplified Kerr gates, which lhs must equal on the interior block.
+    Returns (plan, lhs, rhs); lhs = compress(plan) is the compression of
+    the untruncated circuit to the layout, rhs the phase vector of the pair
+    of amplified Kerr gates, which lhs must equal on the interior block.
     """
     plan = three_mode_plan(params, layout, use_swap_decomposition)
-    lhs = compress(plan, block)
     g2 = params.dphi_amp
-    return plan, lhs, fock.phase_vector(lhs.layout, [Kerr(0, 1, g2), Kerr(0, 2, g2)])
+    rhs = fock.phase_vector(layout, [Kerr(0, 1, g2), Kerr(0, 2, g2)])
+    return plan, compress(plan), rhs
 
 
 def equivalence_residual(

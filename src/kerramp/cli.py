@@ -274,13 +274,15 @@ def cmd_lossy(args):
 def verify_report(dim=100, block=40):
     """Residuals of the group identity and the circuit equivalences.
 
-    Each Fock-space check compresses only the box of its interior block
-    (block for the identity on [2, dim], 15 for the two-mode circuit on
-    [2, 40], 5 for the three-mode circuit on [2, 14, 14]), under the
-    working-ladder cap of its whole layout; so dim sets only the identity
-    row's name and cap.  Each Fock-space row carries work_dim, the working
-    ladder its compressed operator was composed on, and the leakage that
-    certified that ladder; the 2x2 rows have neither.
+    Each Fock-space check compresses only the box of its interior block.
+    The identity compresses the block box of [2, dim] under the
+    working-ladder cap of [2, dim] (su11.identity_factors), so dim sets only
+    its row's name and cap.  The circuits are built on the boxes of their
+    fixed layouts, [2, 40] cut to block 15 and [2, 14, 14] cut to block 5,
+    where they settle on the ladders the whole layouts' caps would allow.
+    Each Fock-space row carries work_dim, the working ladder its compressed
+    operator was composed on, and the leakage that certified that ladder;
+    the 2x2 rows have neither.
     """
     rng = np.random.default_rng(7)
     gens2 = su11.generators(None, "matrix-2x2")
@@ -303,12 +305,12 @@ def verify_report(dim=100, block=40):
     fock_res = fock.diagonal_residual(left, right, block)
 
     p2 = su11.solve_params(0.5, 0.5)
-    layout2 = fock.make_layout([2, 40])
-    _, lhs, rhs = circuits.build_two_mode_amplifier(p2, layout2, block=15)
+    box2 = fock.make_layout([2, 40]).interior_box(15)
+    _, lhs, rhs = circuits.build_two_mode_amplifier(p2, box2)
     two_mode_res = circuits.equivalence_residual(lhs, rhs, block=15)
 
-    layout3 = fock.make_layout([2, 14, 14])
-    _, lhs3, rhs3 = circuits.build_three_mode_amplifier(p2, layout3, block=5)
+    box3 = fock.make_layout([2, 14, 14]).interior_box(5)
+    _, lhs3, rhs3 = circuits.build_three_mode_amplifier(p2, box3)
     three_mode_res = circuits.equivalence_residual(lhs3, rhs3, block=5)
 
     checks = [

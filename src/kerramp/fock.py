@@ -44,11 +44,12 @@ ladder after every squeezer: a leakage certificate read off the ladder in
 hand, not a confirming doubling.  A ladder that will not settle is
 abandoned at its first column past SETTLE_TOL (1e-12); only the kept
 ladder, or the cap's, is walked in full.  A check that reads only the
-interior block compresses only its box (ModeLayout.interior_box), from a
-ladder twice the box under the layout's cap; at the `kerramp verify`
-defaults that stops on ladders 328 (single-mode identity, D=100, block
-40), 256 (two-mode circuit, D=40, block 15) and 96 (three-mode circuit,
-D=14, block 5).  The compression keeps the kept ladder's sector blocks
+interior block compresses only its box (ModeLayout.interior_box): the
+identity check hands compress_product its block, walking from twice the
+box under the whole layout's cap, and `kerramp verify` builds its circuits
+on their box layouts.  At the `kerramp verify` defaults that stops on
+ladders 328 (single-mode identity, D=100, block 40), 256 (two-mode
+circuit, D=40, block 15) and 96 (three-mode circuit, D=14, block 5).  The compression keeps the kept ladder's sector blocks
 (Compression); its N x N matrix is built only when read.
 """
 
@@ -143,7 +144,7 @@ class ModeLayout:
         the interior block's, with the same multi-indices."""
         if bound < 0:
             raise ValueError(f"interior block bound must be >= 0, got block={bound}")
-        cut = max(bound + 1, 2)
+        cut = max(bound + 1, 2)  # a ModeLayout mode has at least two levels
         return ModeLayout(self.dims[:1] + tuple(min(d, cut) for d in self.dims[1:]))
 
 
@@ -709,7 +710,7 @@ def compress_product(
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
     spectators = _spectators(box, modes)
     cap = MAX_WORK_FACTOR * layout.dims[modes[0]]
-    for work in doublings(2 * max(box.dims[m] for m in modes), cap):
+    for work in doublings(2 * box.dims[modes[0]], cap):
         # below the cap a ladder is kept only if it settles, so its walk may
         # stop at SETTLE_TOL; the cap's leakage goes into the error in full
         stop = SETTLE_TOL if 2 * work <= cap else math.inf
