@@ -2,7 +2,7 @@
 
 Gates: single- and two-mode squeezers (fock.PairSqueeze), cross-Kerr and
 diagonal phase shifters (phase factors with their own phase(n)), SWAP: all
-but SWAP are factors of the fock sector walk as they stand.  Circuits: the
+but SWAP are factors of fock.compress_product as they stand.  Circuits: the
 two-mode squeeze-Kerr-squeeze amplifier and its three-mode analogue built
 on two-mode squeezing, each returned together with the amplified Kerr it
 must equal.  That right side is diagonal, so it is kept as its phase
@@ -10,18 +10,15 @@ vector (fock.phase_vector), and equivalence_residual compares the circuit
 with it on the interior block (fock.diagonal_residual).
 
 A plan's product is compress(plan), which the builders return as lhs: the
-compression of the untruncated circuit to the layout.  Its elements are the
-exact operator's, composed on a working ladder (its work_dim) that doubles
-until the box columns' leakage onto the ladder's top tenth (its leakage)
-is below fock.SETTLE_TOL.  It is kept as its conserved-sector blocks
-(fock.Compression), principal blocks that partition the flat indices,
-which equivalence_residual and conditional_phase read one by one; its
-N x N matrix is built only when .matrix is read.  A plan's SWAPs must
-leave no net mode permutation, as the pairs K_ac = SWAP_bc K_ab SWAP_bc
-of three_mode_plan do: a pair only relabels the modes of the gates
-between them.  No gate is built as a dense matrix here: the gates
-truncated to the layout and their gate-by-gate product are the tests'
-oracles (tests/oracles.py).
+compression of the untruncated circuit to the layout.  At fixed n_a every
+gate is a Gaussian unitary on b, or on b and c, so its elements come
+exactly from the gates' composed Gaussian kernels (fock.compress_product)
+at any squeeze strength.  It is kept as its conserved-sector blocks
+(fock.Compression), which equivalence_residual and conditional_phase read
+one by one.  A plan's SWAPs must leave no net mode permutation, as the
+pairs K_ac = SWAP_bc K_ab SWAP_bc of three_mode_plan do.  No gate is built
+as a dense matrix here: the gates truncated to the layout and their
+gate-by-gate product are the tests' oracles (tests/oracles.py).
 
 Gate products written left-to-right in the docstrings act right-to-left
 on states, i.e. the rightmost factor is applied first.
@@ -96,8 +93,8 @@ def _check_swap(layout: ModeLayout, mode_b: int, mode_c: int) -> None:
 
 def _factor(layout: ModeLayout, gate: Gate, where):
     """A squeezer or diagonal gate, its modes checked against layout, as the
-    same gate with each mode j relabelled to mode where[j]: a factor of the
-    fock sector walk."""
+    same gate with each mode j relabelled to mode where[j]: a factor of
+    fock.compress_product."""
     if not isinstance(gate, (fock.PairSqueeze, Kerr, PhaseShift)):
         raise TypeError(f"unknown gate {gate!r}")
     for mode in gate.modes:
@@ -113,16 +110,16 @@ def _factor(layout: ModeLayout, gate: Gate, where):
 
 def compress(plan: CircuitPlan) -> fock.Compression:
     """Compression to plan.layout of the untruncated circuit, kept as its
-    sector blocks (fock.Compression).
+    sector blocks (fock.compress_product of _plan_factors)."""
+    return fock.compress_product(plan.layout, _plan_factors(plan))
 
-    See fock.compress_product for the working ladder (reported as the
-    result's work_dim), the leakage that certifies it and the cap.  A SWAP
-    maps the layout's box onto itself, so every SWAP is moved to the end of
-    the circuit, relabelling the modes of the gates it passes.  There the
-    SWAPs must cancel, as the pairs of three_mode_plan do: a plan whose
-    SWAPs leave a net mode permutation raises OperatorError, before any
-    walk.
-    """
+
+def _plan_factors(plan: CircuitPlan) -> list:
+    """The plan's gates as compress_product factors.  A SWAP maps the
+    layout's box onto itself, so every SWAP is moved to the end of the
+    circuit, relabelling the modes of the gates it passes.  There the SWAPs
+    must cancel, as the pairs of three_mode_plan do: a net mode permutation
+    raises OperatorError, before any composition."""
     layout = plan.layout
     where = list(range(layout.num_modes))  # gate mode -> mode after pending swaps
     factors = []
@@ -134,7 +131,7 @@ def compress(plan: CircuitPlan) -> fock.Compression:
             factors.append(_factor(layout, gate, where))
     if where != list(range(layout.num_modes)):
         raise fock.OperatorError(f"the plan's SWAPs leave the modes permuted as {where}")
-    return fock.compress_product(layout, factors)
+    return factors
 
 
 def two_mode_plan(params: CircuitParams, layout: ModeLayout) -> CircuitPlan:

@@ -2,67 +2,40 @@
 
 Mode layouts, density matrices and the structured operators of a
 composite Hilbert space built as the tensor product of per-mode truncated
-Fock ladders.
+Fock ladders.  Every squeezer here conserves the Fock index of each mode
+it does not squeeze (a spectator), and no gate is built as a dense N x N
+matrix: that form lives in the tests (tests/oracles.py).
 
-Gates keep the structure the physics gives them.  Every squeezer here
-conserves the Fock index of each mode it does not squeeze; a single-mode
-squeezer also conserves the parity of its mode, and a two-mode squeezer the
-difference of its two modes' indices.  A product of squeezers and diagonal
-phases is therefore walked sector by sector: each parity or
-index-difference ladder is a real antisymmetric tridiagonal generator that
-couples even ladder positions only to odd ones, so its exponential is a
-real rotation, read off the SVD of its half-size even-odd block.  A
-sector's walk starts from its box columns of the identity, for every
-spectator (not squeezed) modes' Fock index at once, and the rotation acts
-on them as one array, a complex one through its float view; a run of
-consecutive phase factors acts as one summed phase.  The walk gives one
-principal block per sector and spectator Fock index, at its states' flat
-indices; the blocks of one product partition the flat indices.
-:func:`compress_product` keeps such a product as its blocks (Compression);
-:func:`parity_blocks` hands out a single-mode squeezer's two parity
-blocks, each its parity ladder's real exponential, for the lossy pass to
-conjugate a state by; a ladder's parity SVDs, like a layout's Fock index
-grid, are built once per process and shared read-only.  A phase factor
-conjugates a state elementwise, as a vector (:func:`evolve`,
-:func:`phase_vector`), and a diagonal right side is checked as its vector,
-block by block (:func:`diagonal_residual`).  No gate is built as a dense
-N x N matrix: that form, with the kron-embedded ladder operators, lives in
-the tests (tests/oracles.py).
+:func:`compress_product` gives a product of squeezers and phases as its
+compression to a layout, the untruncated operator's elements on the
+layout's states: exact, from the product's Gaussian kernel at each
+spectator index (kerramp.gaussian), and kept as its blocks (Compression).
+A check that reads an interior block compresses only its box
+(ModeLayout.interior_box).  :func:`parity_blocks` gives a single-mode
+squeezer truncated to a D-level ladder, for the lossy pass: each parity
+ladder's generator is real antisymmetric tridiagonal, so its exponential
+is a real rotation read off the SVD of its half-size even-odd block
+(_ladder_eig), built once per ladder.  A phase factor acts elementwise, as
+a vector (:func:`evolve`, :func:`phase_vector`), and a diagonal right side
+is checked as its vector, block by block (:func:`diagonal_residual`).
 
 Truncation caveat: on a D-level ladder [b, b†] = 1 holds only away from the
-top level, so identity and unitarity checks for squeezing-like operators are
-restricted to an interior block (all mode indices below a chosen bound).
-Number-conserving operators are exact on the full truncated space.
-
-Products of squeezers are the exception: composed gate by gate on the
-D-level ladder, intermediate states leak past the top level and the
-product's interior block no longer holds the untruncated operator's
-elements.  :func:`compress_product` composes such products on a working
-ladder that doubles from 2D, with the same sector ladders, until the
-propagated box columns put less than SETTLE_TOL on the top tenth of the
-ladder after every squeezer: a leakage certificate read off the ladder in
-hand, not a confirming doubling.  A ladder that will not settle is
-abandoned at its first column past SETTLE_TOL (1e-12); only the kept
-ladder, or the cap's, is walked in full.  A check that reads only the
-interior block compresses only its box (ModeLayout.interior_box): the
-identity check hands compress_product its block, walking from twice the
-box under the whole layout's cap, and `kerramp verify` builds its circuits
-on their box layouts.  At the `kerramp verify` defaults that stops on
-ladders 328 (single-mode identity, D=100, block 40), 256 (two-mode
-circuit, D=40, block 15) and 96 (three-mode circuit, D=14, block 5).  The compression keeps the kept ladder's sector blocks
-(Compression); its N x N matrix is built only when read.
+top level, so a product of truncated squeezers differs from the
+compression near the top; identity and unitarity checks of such products
+are restricted to an interior block (all mode indices below a bound).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from . import gaussian
 
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-8
@@ -165,9 +138,9 @@ def _fock_grid(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 class Block(NamedTuple):
     """Principal block of an operator: values[i, j] is the element at row
-    index[i] and column index[j].  A sector walk gives one block per
-    conserved sector and spectator (not squeezed) modes' Fock index, and
-    the blocks of one operator partition its flat indices."""
+    index[i] and column index[j].  A compression holds one block per
+    conserved band and spectator (not squeezed) modes' Fock index, and the
+    blocks of one operator partition its flat indices."""
 
     index: np.ndarray
     values: np.ndarray
@@ -211,18 +184,13 @@ class Operator:
 @dataclass(frozen=True, eq=False)
 class Compression:
     """Compression to a layout of an untruncated product (compress_product),
-    kept as its blocks; the elements no block holds are zero.
-
-    work_dim is the working ladder the blocks were composed on and leakage
-    the weight the box columns put on its top tenth; both are None for a
-    diagonal product, exact on the layout itself.  The N x N matrix is built
-    (_place_blocks) when .matrix is first read, and then kept.
+    kept as its blocks; the elements no block holds are zero.  The N x N
+    matrix is built (_place_blocks) when .matrix is first read, and then
+    kept.
     """
 
     layout: ModeLayout
     blocks: tuple[Block, ...]
-    work_dim: int | None = None
-    leakage: float | None = None
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -368,10 +336,8 @@ def fidelity(rho_ideal: DensityMatrix, rho_out: DensityMatrix) -> float:
     return float(min(max(f, 0.0), 1.0))
 
 
-# --- the doubling ladder schedule and sector-by-sector composition ---
+# --- the doubling ladder schedule, parity ladders and compressions ---
 
-SETTLE_TOL = 1e-12
-MAX_WORK_FACTOR = 32
 TAIL_FRACTION = 0.9  # a ladder's top tenth starts at Fock index 0.9 * work
 
 
@@ -454,28 +420,17 @@ def diagonal_residual(
 
 
 def _sectors(box, work):
-    """Ladders of the squeezer on modes with dimensions `box`, each ladder
-    running up to Fock index work[j] - 1 on squeezed mode j.
+    """Parity ladders of a single-mode squeezer on a mode of box[0] levels,
+    each ladder running up to Fock index work[0] - 1.
 
-    Yields (key, inside, numbers, coupling) per sector that meets the box:
-    numbers holds the Fock indices of each squeezed mode along the ladder,
-    whose first `inside` states lie in the box; coupling[m] is <m|A|m+1>.
-    Sectors with equal key have equal couplings and come in a row.
+    Yields (parity, inside, numbers, coupling) per ladder: numbers holds
+    the Fock indices along the ladder, whose first `inside` states lie in
+    the box; coupling[m] is <m|b b/2|m+1>.
     """
-    if len(box) == 1:  # parity p of n_b
-        for p in (0, 1):
-            n = p + 2 * np.arange((work[0] - p + 1) // 2)
-            coupling = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-            yield p, (box[0] - p + 1) // 2, (n,), coupling
-        return
-    for a in range(max(box)):  # n_b - n_c = k, |k| = a
-        for off in ((a, 0), (0, a)) if a else ((0, 0),):
-            inside = min(box[0] - off[0], box[1] - off[1])
-            if inside <= 0:
-                continue
-            m = np.arange(min(work[0] - off[0], work[1] - off[1]))
-            coupling = np.sqrt((m[:-1] + a + 1.0) * (m[:-1] + 1.0))
-            yield (a, len(m)), inside, (m + off[0], m + off[1]), coupling
+    for p in (0, 1):
+        n = p + 2 * np.arange((work[0] - p + 1) // 2)
+        coupling = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+        yield p, (box[0] - p + 1) // 2, (n,), coupling
 
 
 def _ladder_eig(coupling: np.ndarray):
@@ -491,15 +446,11 @@ def _ladder_eig(coupling: np.ndarray):
     the zero mode of T (Golub & Kahan 1965).  A half-size SVD thus stands
     for the whole eigensolver, and the eigenbasis holds size^2 / 2 floats.
 
-    gesdd (np.linalg.svd) reduces B to bidiagonal form again, but it stays:
-    at ladder 224, a 112 x 112 block (one OpenBLAS thread, 2-core Xeon), it
-    takes 1.65 ms, against 2.58 ms for scipy's eigh_tridiagonal on the
-    Golub-Kahan form (and scipy is no run-time dependency) and 5.44 ms for
-    np.linalg.eigh of the whole tridiagonal T.  np.linalg.eigh of B^T B
-    takes 1.12 ms but squares the condition number: its singular values
-    are off by 1.3e-12 relative (gesdd 6.5e-14), U = B V / s is orthogonal
-    only to 2.5e-12 (gesdd 2.8e-15), and it gives no U column for an odd
-    ladder's zero mode.
+    gesdd (np.linalg.svd) stays: on a 112 x 112 block (one OpenBLAS thread)
+    it takes 1.65 ms, against 2.58 ms for scipy's eigh_tridiagonal and 5.44
+    ms for np.linalg.eigh of T; eigh of B^T B (1.12 ms) squares the
+    condition number (U orthogonal only to 2.5e-12, gesdd 2.8e-15) and
+    gives no column for an odd ladder's zero mode.
     """
     size = len(coupling) + 1
     even, half = (size + 1) // 2, size // 2  # even and odd positions
@@ -542,89 +493,12 @@ def _ladder_exp(eig, theta: float, X: np.ndarray) -> np.ndarray:
     return out.view(X.dtype).reshape(X.shape)
 
 
-def _spectators(layout: ModeLayout, modes) -> dict:
-    """Fock indices of the modes not in `modes`, flattened over their grid."""
-    others = [j for j in range(layout.num_modes) if j not in modes]
-    grids = np.meshgrid(*[np.arange(layout.dims[j]) for j in others], indexing="ij")
-    return {j: g.ravel() for j, g in zip(others, grids)}
-
-
-def _numbers(num_modes: int, modes, numbers, spectators: dict) -> list:
-    """Per-mode Fock indices of a sector's states: (ladder, 1) arrays on the
-    squeezed modes, (1, S) arrays on the spectator modes."""
-    n = [None] * num_modes
-    for j, numbers_j in zip(modes, numbers):
-        n[j] = numbers_j[:, None]
-    for j, grid in spectators.items():
-        n[j] = grid[None, :]
-    return n
-
-
 def _place_blocks(layout: ModeLayout, blocks) -> np.ndarray:
     """Full matrix holding each Block at its indices, zero elsewhere."""
     U = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     for index, values in blocks:
         U[np.ix_(index, index)] = values
     return U
-
-
-def _sector_blocks(
-    layout: ModeLayout, factors, modes, spectators: dict, work, stop: float = math.inf
-):
-    """Blocks of the factor product on the working ladders `work` (one
-    length per squeezed mode), and their leakage.
-
-    Returns (walked, leakage), walked holding one Block per sector and
-    spectator (unsqueezed) modes' Fock index: the flat indices of the
-    sector's states inside the layout's box, and their values.  A sector is
-    walked for every spectator value at once, as one (ladder, S, inside)
-    array, S = 1 while no phase factor has told the values apart; only its
-    columns inside the box are propagated, and its blocks are read-only
-    views of one copy of the box rows.  Each ladder's eigenbasis serves
-    every squeezer and spectator value of its sectors, and only the current
-    ladder's is kept.  The leakage is the
-    largest 2-norm a propagated column puts on the ladder's top tenth (a
-    Fock index of at least TAIL_FRACTION * work on a squeezed mode, a
-    contiguous tail of the sector ladder) at the end of any squeezer.  Along
-    one squeezer a column's mean photon number is a cosh-sinh combination of
-    the squeeze parameter, so its spread peaks at a stage boundary; a later
-    squeezer may pull it back, hence the maximum over stages.
-
-    The walk stops, incomplete, as soon as the leakage reaches `stop`, so
-    a ladder that will not settle is abandoned at its first column past it;
-    with no `stop` (the default) it is walked in full.
-    """
-    n_spec = math.prod(layout.dims[j] for j in spectators)
-    box = tuple(layout.dims[m] for m in modes)
-    edge = [tail_index(w) for w in work]
-    # a run of consecutive phase factors acts as one summed phase
-    stages = []
-    for squeezes, run in itertools.groupby(factors, lambda f: isinstance(f, PairSqueeze)):
-        stages += run if squeezes else [tuple(run)]
-    walked, worst, eigs = [], 0.0, {}
-    for key, inside, numbers, coupling in _sectors(box, work):
-        size = len(numbers[0])
-        # first state past the edge on any squeezed mode; the top one at least
-        tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
-        n = _numbers(layout.num_modes, modes, numbers, spectators)
-        V = np.eye(size, inside)[:, None]  # the box's identity columns
-        for stage in stages:
-            if isinstance(stage, tuple):
-                phase = np.broadcast_to(sum(f.phase(n) for f in stage), (size, n_spec))
-                V = V * np.exp(1j * phase)[:, :, None]
-                continue
-            if key not in eigs:
-                eigs.clear()  # the previous ladder's eigenbasis goes first
-                eigs[key] = _ladder_eig(coupling)
-            V = _ladder_exp(eigs[key], stage.theta, V)
-            worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
-            if worst >= stop:
-                return walked, worst
-        states = np.broadcast_arrays(*(nj[:inside] for nj in n))
-        flat = np.ravel_multi_index(states, layout.dims).T  # a row per spectator value
-        values = np.broadcast_to(V[:inside].copy(), (inside, n_spec, inside))
-        walked += map(Block, flat, values.transpose(1, 0, 2))
-    return walked, worst
 
 
 def _squeezed_modes(layout: ModeLayout, factors):
@@ -674,52 +548,63 @@ def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     }
 
 
-def compress_product(
-    layout: ModeLayout, factors, block: int | None = None
-) -> Compression:
+def _rotation(phase: np.ndarray, grid: np.ndarray) -> gaussian.Kernel:
+    """Kernel of a phase factor per spectator index s, from its phase[s, i]
+    on the squeezed-mode states grid[:, i] (three levels at least): read at
+    n = 0 and one quantum on each mode, it must be affine in the squeezed
+    indices, or the factor is not Gaussian (OperatorError)."""
+    size, levels = len(grid), int(grid.max()) + 1
+    unit = [levels ** (size - 1 - j) for j in range(size)]  # flat index of n_j = 1
+    slopes = phase[:, unit] - phase[:, :1]
+    if np.max(np.abs(phase - phase[:, :1] - slopes @ grid)) > 1e-9 * (1.0 + np.max(np.abs(phase))):
+        raise OperatorError("a phase factor is not affine in the squeezed modes' Fock indices")
+    return gaussian.rotation(phase[:, 0], slopes)
+
+
+def compress_product(layout: ModeLayout, factors) -> Compression:
     """Compression to layout of the untruncated product of factors, kept as
-    its sector blocks.
+    its blocks; factors[0] is applied first.
 
-    factors[0] is applied first.  Every PairSqueeze must act on the same
-    modes, of equal dimension D.  The product is walked sector by
-    sector (_sector_blocks) on the working ladders doublings(2D,
-    MAX_WORK_FACTOR * D) per squeezed mode until the box columns'
-    leakage onto the ladder's top tenth (_sector_blocks) falls below
-    SETTLE_TOL; the returned Compression holds that ladder's blocks,
-    its work_dim is the ladder and its leakage the certified figure.  A
-    ladder below the cap that will not settle is abandoned at its first
-    column past SETTLE_TOL, so only the kept ladder is walked in full.
-    Raises TruncationError, naming the last ladder and its leakage, when the
-    cap is reached first; the cap ladder is walked in full, so that leakage
-    is the whole figure.  With no squeezer the product is its phase vector,
-    held as one 1 x 1 Block per flat index, exact on any ladder.
-
-    With a block, the compression is to layout.interior_box(block) instead,
-    whose states are the interior block of layout: a compression is the
-    exact operator restricted to its box, so this is that interior block,
-    composed without the columns past it.  The ladders then start from
-    twice the box's squeezed dimension; the cap stays MAX_WORK_FACTOR * D.
+    Every PairSqueeze must act on the same modes, of equal dimension D.  At
+    each spectator index (of the modes no squeezer acts on) the product is
+    Gaussian on the squeezed modes: the factors' kernels, a squeezer's or
+    a phase factor's (_rotation), are composed, and the elements on D
+    levels (gaussian.elements) give one Block per spectator index and band,
+    the ladder for one squeezed mode, each n_b - n_c for two.  With no
+    squeezer the product is its phase vector, one 1 x 1 Block per state.
     """
-    box = layout if block is None else layout.interior_box(block)
     modes = _squeezed_modes(layout, factors)
     if modes is None:
-        flat = np.arange(box.total_dim)[:, None]
-        u = phase_vector(box, factors)[:, None, None]
-        return Compression(box, tuple(map(Block, flat, u)))
+        flat = np.arange(layout.total_dim)[:, None]
+        u = phase_vector(layout, factors)[:, None, None]
+        return Compression(layout, tuple(map(Block, flat, u)))
     if len({layout.dims[m] for m in modes}) != 1:
         raise LayoutError(f"squeezed modes {modes} need equal dimensions")
-    spectators = _spectators(box, modes)
-    cap = MAX_WORK_FACTOR * layout.dims[modes[0]]
-    for work in doublings(2 * box.dims[modes[0]], cap):
-        # below the cap a ladder is kept only if it settles, so its walk may
-        # stop at SETTLE_TOL; the cap's leakage goes into the error in full
-        stop = SETTLE_TOL if 2 * work <= cap else math.inf
-        walked, leakage = _sector_blocks(
-            box, factors, modes, spectators, (work,) * len(modes), stop
-        )
-        if leakage < SETTLE_TOL:
-            return Compression(box, tuple(walked), work, leakage)
-    raise TruncationError(
-        f"compression did not settle by working ladder {work}: "
-        f"leakage {leakage:.2e} >= tol {SETTLE_TOL:.0e}"
-    )
+    levels = layout.dims[modes[0]]
+    others = [j for j in range(layout.num_modes) if j not in modes]
+    stack = math.prod(layout.dims[j] for j in others)
+    spectators = np.indices([layout.dims[j] for j in others]).reshape(len(others), stack)
+
+    def numbers(squeezed):
+        """Per-mode Fock indices over (spectator index, squeezed state)."""
+        n = [None] * layout.num_modes
+        for j, g in zip(others, spectators):
+            n[j] = g[:, None]
+        for m, g in zip(modes, squeezed):
+            n[m] = g[None, :]
+        return n
+
+    grid = np.indices((max(levels, 3),) * len(modes)).reshape(len(modes), -1)
+    n = numbers(grid)
+    kernel = gaussian.rotation(np.zeros(stack), np.zeros((stack, len(modes))))
+    for f in factors:
+        if isinstance(f, PairSqueeze):
+            step = gaussian.squeeze(f.theta, len(modes))
+        else:
+            step = _rotation(np.broadcast_to(f.phase(n), (stack, grid.shape[1])), grid)
+        kernel = gaussian.compose(kernel, step)
+    blocks = []
+    for states, values in gaussian.elements(kernel, levels):
+        flat = np.ravel_multi_index(np.broadcast_arrays(*numbers(states)), layout.dims)
+        blocks += map(Block, flat, values)
+    return Compression(layout, tuple(blocks))

@@ -12,18 +12,13 @@ in the 2x2 non-Hermitian representation and in truncated Fock
 representations (single-mode and two-mode squeezing families).
 
 identity_factors gives the identity's two sides in the representation's
-own form: 2x2 matrices, or in a Fock representation a compression and a
-phase vector.  The identity holds exactly for the untruncated operators,
-so the Fock left side is the compression of the exact left side to the
-layout, or to the box of the interior block a check reads, composed on a
-working ladder that doubles until a leakage certificate holds (see
-fock.compress_product), and kept as its sector blocks.  No Fock generator
-is built as a matrix: exp(i theta G2) is the squeezer fock.PairSqueeze,
-exp(i c G3) a phase factor, and the right side
-exp(i gamma G3), diagonal, is its phase vector; verify_identity compares
-the two block by block (fock.diagonal_residual).  The dense Fock
-generators, their commutators and the identity's sides truncated to the
-layout are the tests' oracles (tests/oracles.py).
+own form: 2x2 matrices, or in a Fock representation the compression of
+the exact left side to the layout (fock.compress_product) and the phase
+vector of the diagonal right side.  No Fock generator is built as a
+matrix: exp(i theta G2) is the squeezer fock.PairSqueeze and exp(i c G3)
+a phase factor.  The dense Fock generators, their commutators and the
+identity's sides truncated to the layout are the tests' oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -237,24 +232,19 @@ def _expm_2x2(M: np.ndarray) -> np.ndarray:
     return np.exp(mu) * (np.cosh(r) * np.eye(2) + sinhc * N)
 
 
-def identity_factors(
-    params: CircuitParams, gens: Su11Generators, block: int | None = None
-):
+def identity_factors(params: CircuitParams, gens: Su11Generators):
     """(left, right) sides of the five-factor identity in the
     representation's own form.
 
     In the 2x2 representation, non-Hermitian (a boost), both are matrices,
-    their factors from the closed-form exponential _expm_2x2, and block is
-    ignored.  In a Fock representation left is the compression to
-    gens.layout of the untruncated left side, or with a block to its
-    interior box (fock.compress_product), kept as its sector blocks, its
-    work_dim and leakage the working ladder it was composed on and the
-    figure that certified it; right is exp(i gamma G3) as its phase vector
-    on left's layout.
+    their factors from the closed-form exponential _expm_2x2.  In a Fock
+    representation left is the compression to gens.layout of the
+    untruncated left side (fock.compress_product), kept as its sector
+    blocks, and right is exp(i gamma G3) as its phase vector.
     """
     if gens.layout is not None:
-        left = fock.compress_product(gens.layout, _left_factors(params, gens), block)
-        return left, fock.phase_vector(left.layout, [_g3_factor(gens, params.gamma)])
+        left = fock.compress_product(gens.layout, _left_factors(params, gens))
+        return left, fock.phase_vector(gens.layout, [_g3_factor(gens, params.gamma)])
     eg2_1 = _expm_2x2(1j * params.theta1 * gens.g2)
     eg3 = _expm_2x2(0.5j * params.delta * gens.g3)
     left = eg2_1 @ eg3 @ _expm_2x2(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1
@@ -267,15 +257,14 @@ def verify_identity(
     """Max-norm residual of the five-factor identity, restricted to the
     interior block for Fock representations (block = max bosonic index).
 
-    In the Fock representations the left side is the compression of the
-    exact product to the box of the interior block (identity_factors), or
-    to the whole layout when block is None, so the residual holds no
-    truncation leakage.  Its working ladder starts from twice the box and
-    is capped at fock.MAX_WORK_FACTOR times the layout's D.  It is read
-    block by block against the phase vector of the right side
+    In the Fock representations the sides (identity_factors) are taken on
+    gens.layout.interior_box(block), or the whole layout when block is None,
+    where the left side is exact, and compared block by block
     (fock.diagonal_residual).
     """
-    left, right = identity_factors(params, gens, block)
+    if gens.layout is not None and block is not None:
+        gens = Su11Generators(gens.representation, layout=gens.layout.interior_box(block))
+    left, right = identity_factors(params, gens)
     if gens.layout is None:
         return float(np.max(np.abs(left - right)))
     return fock.diagonal_residual(left, right, block)

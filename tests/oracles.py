@@ -6,10 +6,13 @@ the tests check that against: kron-embedded ladder operators, every gate
 truncated to a layout as an N x N fock.Operator, gate-by-gate products,
 dense conjugation of a state, a state zero-padded onto longer ladders, the
 beam splitter on an extended space, and the dense SU(1,1) generators and
-identity sides.
+identity sides.  It also keeps the working-ladder walk (walk_product), an
+independent way to the compressions that fock.compress_product builds from
+Gaussian kernels.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -92,7 +95,7 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     """Product of factors, each truncated to layout; factors[0] is applied
     first, and every PairSqueeze must act on the same modes.
 
-    Walked sector by sector on the layout's own ladders (fock._sector_blocks),
+    Walked sector by sector on the layout's own ladders (sector_blocks),
     and the blocks placed in the full matrix.  With no squeezer the product
     is diagonal, and exact on any ladder.
     """
@@ -100,9 +103,145 @@ def truncated_product(layout: ModeLayout, factors) -> Operator:
     if modes is None:
         return Operator(layout, np.diag(fock.phase_vector(layout, factors)), unitary=True)
     box = tuple(layout.dims[m] for m in modes)
-    spectators = fock._spectators(layout, modes)
-    walked, _ = fock._sector_blocks(layout, factors, modes, spectators, box)
+    walked, _ = sector_blocks(layout, factors, modes, spectators(layout, modes), box)
     return Operator(layout, fock._place_blocks(layout, walked), unitary=True)
+
+
+# --- fock: the working-ladder walk, compressions without Gaussian kernels ---
+
+SETTLE_TOL = 1e-12
+MAX_WORK_FACTOR = 32
+
+
+def sectors(box, work):
+    """Ladders of the squeezer on modes with dimensions `box`, each ladder
+    running up to Fock index work[j] - 1 on squeezed mode j: fock._sectors'
+    parity ladders for one mode, and for two the n_b - n_c ladders.
+
+    Yields (key, inside, numbers, coupling) per sector that meets the box:
+    numbers holds the Fock indices of each squeezed mode along the ladder,
+    whose first `inside` states lie in the box; coupling[m] is <m|A|m+1>.
+    Sectors with equal key have equal couplings and come in a row.
+    """
+    if len(box) == 1:
+        yield from fock._sectors(box, work)
+        return
+    for a in range(max(box)):  # n_b - n_c = k, |k| = a
+        for off in ((a, 0), (0, a)) if a else ((0, 0),):
+            inside = min(box[0] - off[0], box[1] - off[1])
+            if inside <= 0:
+                continue
+            m = np.arange(min(work[0] - off[0], work[1] - off[1]))
+            coupling = np.sqrt((m[:-1] + a + 1.0) * (m[:-1] + 1.0))
+            yield (a, len(m)), inside, (m + off[0], m + off[1]), coupling
+
+
+def spectators(layout: ModeLayout, modes) -> dict:
+    """Fock indices of the modes not in `modes`, flattened over their grid."""
+    others = [j for j in range(layout.num_modes) if j not in modes]
+    grids = np.meshgrid(*[np.arange(layout.dims[j]) for j in others], indexing="ij")
+    return {j: g.ravel() for j, g in zip(others, grids)}
+
+
+def sector_numbers(num_modes: int, modes, numbers, spectators: dict) -> list:
+    """Per-mode Fock indices of a sector's states: (ladder, 1) arrays on the
+    squeezed modes, (1, S) arrays on the spectator modes."""
+    n = [None] * num_modes
+    for j, numbers_j in zip(modes, numbers):
+        n[j] = numbers_j[:, None]
+    for j, grid in spectators.items():
+        n[j] = grid[None, :]
+    return n
+
+
+def sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
+    """Blocks of the factor product on the working ladders `work` (one
+    length per squeezed mode), and their leakage.
+
+    Returns (walked, leakage), walked holding one fock.Block per sector and
+    spectator (unsqueezed) modes' Fock index: the flat indices of the
+    sector's states inside the layout's box, and their values.  A sector is
+    walked for every spectator value at once, as one (ladder, S, inside)
+    array, S = 1 while no phase factor has told the values apart; only its
+    columns inside the box are propagated, with the ladder's real rotation
+    (fock._ladder_exp), and a run of consecutive phase factors acts as one
+    summed phase.  The leakage is the largest 2-norm a propagated column
+    puts on the ladder's top tenth (from fock.tail_index on a squeezed
+    mode, a contiguous tail of the sector ladder) at the end of any
+    squeezer.  Along one squeezer a column's mean photon number is a
+    cosh-sinh combination of the squeeze parameter, so its spread peaks at
+    a stage boundary; a later squeezer may pull it back, hence the maximum
+    over stages.
+    """
+    n_spec = math.prod(layout.dims[j] for j in spectators)
+    box = tuple(layout.dims[m] for m in modes)
+    edge = [fock.tail_index(w) for w in work]
+    stages = []
+    for squeezes, run in itertools.groupby(factors, lambda f: isinstance(f, fock.PairSqueeze)):
+        stages += run if squeezes else [tuple(run)]
+    walked, worst, eigs = [], 0.0, {}
+    for key, inside, numbers, coupling in sectors(box, work):
+        size = len(numbers[0])
+        # first state past the edge on any squeezed mode; the top one at least
+        tail = min(size - 1, *(int(np.searchsorted(nj, e)) for nj, e in zip(numbers, edge)))
+        n = sector_numbers(layout.num_modes, modes, numbers, spectators)
+        V = np.eye(size, inside)[:, None]  # the box's identity columns
+        for stage in stages:
+            if isinstance(stage, tuple):
+                phase = np.broadcast_to(sum(f.phase(n) for f in stage), (size, n_spec))
+                V = V * np.exp(1j * phase)[:, :, None]
+                continue
+            if key not in eigs:
+                eigs.clear()  # the previous ladder's eigenbasis goes first
+                eigs[key] = fock._ladder_eig(coupling)
+            V = fock._ladder_exp(eigs[key], stage.theta, V)
+            worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
+        states = np.broadcast_arrays(*(nj[:inside] for nj in n))
+        flat = np.ravel_multi_index(states, layout.dims).T  # a row per spectator value
+        values = np.broadcast_to(V[:inside].copy(), (inside, n_spec, inside))
+        walked += map(fock.Block, flat, values.transpose(1, 0, 2))
+    return walked, worst
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Walked(fock.Compression):
+    """A compression composed on a working ladder: work_dim is the ladder
+    and leakage the weight its box columns put on the ladder's top tenth;
+    both are None for a diagonal product, exact on any ladder."""
+
+    work_dim: int | None = None
+    leakage: float | None = None
+
+
+def walk_product(layout: ModeLayout, factors, block: int | None = None) -> Walked:
+    """Compression to layout of the untruncated product of factors, or with
+    a block to layout.interior_box(block), composed on a working ladder.
+
+    factors[0] is applied first, and every PairSqueeze must act on the same
+    modes, of equal dimension D.  The product is walked (sector_blocks) on
+    the ladders fock.doublings(2 box, MAX_WORK_FACTOR * D) per squeezed
+    mode, each in full, until the leakage falls below SETTLE_TOL; the
+    result holds that ladder's blocks.  Raises fock.TruncationError, naming
+    the cap ladder and its leakage, when the cap is reached first.
+    """
+    box = layout if block is None else layout.interior_box(block)
+    modes = fock._squeezed_modes(layout, factors)
+    if modes is None:
+        u = fock.phase_vector(box, factors)[:, None, None]
+        return Walked(box, tuple(map(fock.Block, np.arange(box.total_dim)[:, None], u)))
+    if len({layout.dims[m] for m in modes}) != 1:
+        raise fock.LayoutError(f"squeezed modes {modes} need equal dimensions")
+    box_spectators = spectators(box, modes)
+    for work in fock.doublings(2 * box.dims[modes[0]], MAX_WORK_FACTOR * layout.dims[modes[0]]):
+        walked, leakage = sector_blocks(
+            box, factors, modes, box_spectators, (work,) * len(modes)
+        )
+        if leakage < SETTLE_TOL:
+            return Walked(box, tuple(walked), work, leakage)
+    raise fock.TruncationError(
+        f"compression did not settle by working ladder {work}: "
+        f"leakage {leakage:.2e} >= tol {SETTLE_TOL:.0e}"
+    )
 
 
 # --- circuits: each gate truncated to a layout, and their product ---

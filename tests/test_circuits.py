@@ -318,12 +318,13 @@ class TestPlanComposition:
 
 class TestCompress:
     def test_matches_dense_product_on_working_ladder(self):
-        # the builders' lhs is the truncated product on its working ladder,
-        # restricted to the requested box
+        # the builders' lhs is the truncated product on the oracle walk's
+        # settled working ladder, restricted to the requested box
         params = su11.solve_params(0.5, 0.5)
         small = fock.make_layout([2, 6])
         plan, lhs, _ = circuits.build_two_mode_amplifier(params, small)
-        big = fock.make_layout([2, lhs.work_dim])
+        work = oracles.walk_product(small, circuits._plan_factors(plan)).work_dim
+        big = fock.make_layout([2, work])
         full = oracles.compose(circuits.CircuitPlan(big, plan.gates)).matrix
         idx = [big.flat_index(small.multi_index(i)) for i in range(small.total_dim)]
         assert np.max(np.abs(full[np.ix_(idx, idx)] - lhs.matrix)) < 1e-12
@@ -337,7 +338,7 @@ class TestCompress:
 
     def test_refuses_a_net_swap_permutation(self, monkeypatch):
         # a plan's SWAPs must cancel: a trailing SWAP, or a three-cycle of
-        # modes, is refused before any walk, though the dense oracle
+        # modes, is refused before any composition, though the dense oracle
         # composes either
         walks = []
         monkeypatch.setattr(fock, "compress_product", lambda *args: walks.append(args))
@@ -356,11 +357,44 @@ class TestCompress:
             assert oracles.compose(plan).matrix.shape == (n, n)
         assert walks == []
 
-    def test_refuses_when_working_ladder_cap_is_reached(self):
-        # at theta1 = 1.5 a D = 8 box needs more than the default 32 D ladder
-        params = su11.solve_params(0.5, 1.5)
-        with pytest.raises(fock.TruncationError, match=r"working ladder 256: leakage"):
-            circuits.build_two_mode_amplifier(params, fock.make_layout([2, 8]))
+    @pytest.mark.parametrize(
+        "case, dims, block, theta1, tol",
+        [
+            # verify's boxes and gates at Fig. 2's right edge, theta1 = 2.5
+            ("two-mode", [2, 40], 15, 2.5, 1e-7),
+            ("three-mode", [2, 14, 14], 5, 2.5, 1e-6),
+            # the whole [2, 8] box at theta1 = 1.5, past a 32 D working ladder
+            ("two-mode", [2, 8], 7, 1.5, 1e-7),
+        ],
+        ids=["two-mode-verify-box", "three-mode-verify-box", "two-mode-d8"],
+    )
+    def test_meets_verify_gates_at_strong_squeezing(self, case, dims, block, theta1, tol):
+        box = fock.make_layout(dims).interior_box(block)
+        params = su11.solve_params(0.5, theta1)
+        if case == "two-mode":
+            _, lhs, rhs = circuits.build_two_mode_amplifier(params, box)
+        else:
+            _, lhs, rhs = circuits.build_three_mode_amplifier(params, box)
+        assert circuits.equivalence_residual(lhs, rhs, block) < tol
+
+
+class TestQubitControl:
+    """At fixed n_a the two-mode circuit is a Gaussian unitary on b.  It is
+    the Kerr gate's rotation of b only at n_a = 0 and 1: at n_a = 2 it
+    squeezes b, so the amplifier serves a qubit control."""
+
+    @pytest.mark.parametrize("theta1, squeeze", [(0.5, 0.787), (1.0, 0.984)])
+    def test_n_a_above_one_squeezes_b(self, theta1, squeeze):
+        params = su11.solve_params(0.5, theta1)
+        gates = circuits.two_mode_plan(params, fock.make_layout([2, 16])).gates
+        lhs = circuits.compress(circuits.CircuitPlan(fock.make_layout([3, 16]), gates))
+        for na, (_, G) in enumerate(lhs.blocks):  # one block per n_a
+            if na < 2:  # a pure rotation: diagonal in n_b
+                assert np.max(np.abs(G - np.diag(np.diag(G)))) < 1e-13
+            else:
+                # <2|U|0> = A_oo <0|U|0> / sqrt(2), A_oo the kernel's out-out entry
+                a_oo = math.sqrt(2.0) * abs(G[2, 0] / G[0, 0])
+                assert a_oo == pytest.approx(squeeze, abs=5e-4)
 
 
 def _three_mode_with_paired_swaps(layout):

@@ -536,11 +536,12 @@ class TestPhaseFirstWalk:
 
     @pytest.mark.parametrize("dims, modes, theta", CASES)
     def test_compression_matches_dense_product_on_working_ladder(self, dims, modes, theta):
-        # the compression is the product truncated to its working ladder,
-        # restricted to the box
+        # the oracle walk's compression is the product truncated to its
+        # working ladder, restricted to the box; its phases are not affine,
+        # so fock.compress_product refuses them (TestCompressProduct)
         layout = fock.make_layout(dims)
         factors = self.factors(modes, theta)
-        C = fock.compress_product(layout, factors)
+        C = oracles.walk_product(layout, factors)
         big = fock.make_layout([C.work_dim if m in modes else d for m, d in enumerate(dims)])
         idx = [big.flat_index(layout.multi_index(i)) for i in range(layout.total_dim)]
         full = dense_product(big, factors)[np.ix_(idx, idx)]
@@ -815,7 +816,6 @@ class TestCompressProduct:
                 )
             got = U.matrix[:, layout.flat_index((na, 0))]
             assert np.max(np.abs(got - want)) < 1e-12
-        assert U.work_dim >= 8
 
     def test_two_mode_squeezed_vacuum(self):
         theta = 0.5
@@ -843,7 +843,6 @@ class TestCompressProduct:
         n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
         phases = 0.3 * n[0] * n[1]
         assert np.allclose(U.matrix, np.diag(np.exp(1j * (phases + 0.1))))
-        assert U.work_dim is None
 
     @pytest.mark.parametrize("dims, modes", [([2, 12], (1,)), ([2, 8, 8], (1, 2))])
     def test_phase_run_is_its_summed_phase(self, dims, modes):
@@ -856,7 +855,6 @@ class TestCompressProduct:
         S = fock.PairSqueeze(modes, 0.4)
         run = fock.compress_product(layout, [S, first, second, S])
         one = fock.compress_product(layout, [S, summed, S])
-        assert run.work_dim == one.work_dim
         assert len(run.blocks) == len(one.blocks)
         for a, b in zip(run.blocks, one.blocks):
             assert np.array_equal(a.index, b.index)
@@ -874,6 +872,23 @@ class TestCompressProduct:
         with pytest.raises(fock.LayoutError, match=refusal):
             fock.compress_product(layout, [fock.PairSqueeze((1, 2), 0.1)])
 
+    @pytest.mark.parametrize(
+        "dims, modes, phase",
+        [
+            ([2, 12], (1,), lambda n: -0.15 * n[1] ** 2),
+            ([2, 5, 5], (1, 2), lambda n: 0.3 * n[1] * n[2]),
+            # a two-level box holds no quadratic, but the factor is still
+            # read on three levels
+            ([2, 2], (1,), lambda n: 0.2 * n[1] * (n[1] - 1) + 0.4 * n[0]),
+        ],
+    )
+    def test_refuses_a_phase_that_is_not_affine(self, dims, modes, phase):
+        # such a factor is no Gaussian unitary on the squeezed modes
+        layout = fock.make_layout(dims)
+        factors = [fock.PairSqueeze(modes, 0.3), fock.PhaseFactor(phase)]
+        with pytest.raises(fock.OperatorError, match="not affine"):
+            fock.compress_product(layout, factors)
+
     def test_holds_no_dense_algebra(self):
         # a compression is read by its blocks, or as .matrix; it has no
         # operator product, adjoint or unitary flag of its own
@@ -885,45 +900,56 @@ class TestCompressProduct:
 
 @pytest.fixture
 def next_doubling(monkeypatch):
-    """Records the certified blocks of the next compress_product call, the
-    walk whose leakage settles, and the blocks the same walk gives on twice
-    its working ladder, with the same early-abandon stop."""
+    """Records the certified blocks of the next oracles.walk_product call,
+    the walk whose leakage settles, and the blocks the same walk gives on
+    twice its working ladder."""
     seen = {}
-    sector_blocks = fock._sector_blocks
+    sector_blocks = oracles.sector_blocks
 
-    def spy(layout, factors, modes, spectators, work, *stop):
-        walked, leakage = sector_blocks(layout, factors, modes, spectators, work, *stop)
-        if leakage < fock.SETTLE_TOL:
+    def spy(layout, factors, modes, spectators, work):
+        walked, leakage = sector_blocks(layout, factors, modes, spectators, work)
+        if leakage < oracles.SETTLE_TOL:
             doubled = tuple(2 * w for w in work)
             seen["certified"] = walked
-            seen["doubled"] = sector_blocks(layout, factors, modes, spectators, doubled, *stop)[0]
+            seen["doubled"] = sector_blocks(layout, factors, modes, spectators, doubled)[0]
         return walked, leakage
 
-    monkeypatch.setattr(fock, "_sector_blocks", spy)
+    monkeypatch.setattr(oracles, "sector_blocks", spy)
     return seen
 
 
-class TestLeakageCertificate:
-    """compress_product stops where the box columns' weight on the top tenth
-    of the working ladder is below SETTLE_TOL; the box it returns must be the
-    one the next doubling would give."""
+def case_factors(case, layout, params):
+    """The factors of a case's product on layout: the left side of a Fock
+    identity ("fock-single", "fock-two-mode") or a circuit's gates
+    ("two-mode", "three-mode", "three-mode-swap")."""
+    if case in ("fock-single", "fock-two-mode"):
+        return su11._left_factors(params, su11.generators(layout, case))
+    if case == "two-mode":
+        return circuits._plan_factors(circuits.two_mode_plan(params, layout))
+    plan = circuits.three_mode_plan(params, layout, case == "three-mode-swap")
+    return circuits._plan_factors(plan)
 
-    PARAMS = su11.solve_params(0.5, 0.5)
+
+def case_params(case):
+    """verify's angles: the identity's, or the circuits'."""
+    if case in ("fock-single", "fock-two-mode"):
+        return su11.solve_params(0.3, 0.4)
+    return su11.solve_params(0.5, 0.5)
+
+
+class TestLeakageCertificate:
+    """The oracle walk (oracles.walk_product) stops where the box columns'
+    weight on the top tenth of the working ladder is below SETTLE_TOL; the
+    box it returns must be the one the next doubling would give."""
 
     @staticmethod
     def build(case, dims):
         layout = fock.make_layout(dims)
-        params = TestLeakageCertificate.PARAMS
-        if case == "fock-single":
-            gens = su11.generators(layout, "fock-single")
-            return su11.identity_factors(params, gens)[0]
-        if case == "two-mode":
-            return circuits.build_two_mode_amplifier(params, layout)[1]
         if case == "inverse-pair":
             factors = [fock.PairSqueeze((1, 2), 0.4), fock.PairSqueeze((1, 2), -0.4)]
-            return fock.compress_product(layout, factors)
-        swap = case == "three-mode-swap"
-        return circuits.build_three_mode_amplifier(params, layout, swap)[1]
+        else:
+            factors = case_factors(case, layout, su11.solve_params(0.5, 0.5))
+        return oracles.walk_product(layout, factors)
 
     @pytest.mark.parametrize(
         "case, dims",
@@ -940,7 +966,7 @@ class TestLeakageCertificate:
     )
     def test_certified_box_equals_next_doubling(self, next_doubling, case, dims):
         U = self.build(case, dims)
-        assert U.leakage < fock.SETTLE_TOL
+        assert U.leakage < oracles.SETTLE_TOL
         assert U.work_dim >= 2 * dims[1]
         gap = max(
             float(np.max(np.abs(a - b)))
@@ -950,9 +976,10 @@ class TestLeakageCertificate:
 
     def test_verify_layouts_stop_one_ladder_before_a_confirming_doubling(self):
         # the whole-layout working ladders at `kerramp verify`'s default
-        # layouts; verify itself compresses the block boxes (TestBlockBox)
-        gens = su11.generators(fock.make_layout([2, 100]), "fock-single")
-        single, _ = su11.identity_factors(su11.solve_params(0.3, 0.4), gens)
+        # layouts; verify itself compresses the block boxes from kernels
+        layout = fock.make_layout([2, 100])
+        factors = case_factors("fock-single", layout, case_params("fock-single"))
+        single = oracles.walk_product(layout, factors)
         two = self.build("two-mode", [2, 40])
         three = self.build("three-mode", [2, 14, 14])
         assert (single.work_dim, two.work_dim, three.work_dim) == (400, 320, 112)
@@ -962,9 +989,9 @@ class TestLeakageCertificate:
         # after the first squeezer can fail the certificate on a short ladder
         layout = fock.make_layout([2, 4])
         pair = [fock.PairSqueeze((1,), 1.0), fock.PairSqueeze((1,), -1.0)]
-        spectators = fock._spectators(layout, (1,))
-        walked, leakage = fock._sector_blocks(layout, pair, (1,), spectators, (16,))
-        _, first = fock._sector_blocks(layout, pair[:1], (1,), spectators, (16,))
+        spectators = oracles.spectators(layout, (1,))
+        walked, leakage = oracles.sector_blocks(layout, pair, (1,), spectators, (16,))
+        _, first = oracles.sector_blocks(layout, pair[:1], (1,), spectators, (16,))
         assert leakage == first > 1e-3
         assert max(float(np.max(np.abs(b - np.eye(len(b))))) for *_, b in walked) < 1e-12
 
@@ -974,16 +1001,16 @@ class TestLeakageCertificate:
             fock.TruncationError,
             match=r"working ladder 128: leakage \d\.\d\de[-+]\d\d >= tol 1e-12",
         ):
-            fock.compress_product(layout, [fock.PairSqueeze((1,), 3.0)])
+            oracles.walk_product(layout, [fock.PairSqueeze((1,), 3.0)])
 
     def test_cap_leakage_is_the_full_walk(self):
         # the cap ladder is walked in full, so its error names the whole figure
         layout = fock.make_layout([2, 4])
         factors = [fock.PairSqueeze((1,), 3.0)]
         with pytest.raises(fock.TruncationError) as err:
-            fock.compress_product(layout, factors)
-        spectators = fock._spectators(layout, (1,))
-        _, full = fock._sector_blocks(layout, factors, (1,), spectators, (128,))
+            oracles.walk_product(layout, factors)
+        spectators = oracles.spectators(layout, (1,))
+        _, full = oracles.sector_blocks(layout, factors, (1,), spectators, (128,))
         assert re.search(r"ladder 128: leakage (\S+) >=", str(err.value))[1] == f"{full:.2e}"
 
     def test_tail_index_is_the_top_tenth(self):
@@ -992,52 +1019,50 @@ class TestLeakageCertificate:
         ]
 
 
+# the (case, dims, block) of TestBlockBox, which tests/test_gaussian.py
+# also checks against the oracle walk
+BLOCK_BOX_CASES = [
+    # verify's own (D, block) pairs
+    ("fock-single", [2, 100], 40),
+    ("fock-single", [2, 21], 5),
+    ("fock-single", [2, 60], 12),
+    ("two-mode", [2, 40], 15),
+    ("three-mode", [2, 14, 14], 5),
+    ("fock-two-mode", [2, 14, 14], 5),
+    # block 0: a two-level box
+    ("fock-single", [2, 100], 0),
+    ("fock-two-mode", [2, 14, 14], 0),
+    ("three-mode", [2, 14, 14], 0),
+    # a three-level box
+    ("two-mode", [2, 40], 2),
+    # a block >= D - 1: the box is the whole layout
+    ("fock-single", [2, 21], 20),
+    ("fock-two-mode", [2, 8, 8], 40),
+    ("two-mode", [2, 40], 39),
+    ("three-mode", [2, 14, 14], 20),
+]
+
+
+def compressed(case, layout):
+    """(lhs, rhs) of a case's product compressed to layout (kerramp's own
+    path): the identity's sides, or a circuit built on the layout."""
+    params = case_params(case)
+    if case in ("fock-single", "fock-two-mode"):
+        return su11.identity_factors(params, su11.generators(layout, case))
+    if case == "two-mode":
+        return circuits.build_two_mode_amplifier(params, layout)[1:]
+    return circuits.build_three_mode_amplifier(params, layout)[1:]
+
+
 class TestBlockBox:
-    """A compression to the layout's interior box, by a block or by the box
-    as the layout, is the whole layout's compression read on the box's
-    states, composed without the columns past it."""
+    """A compression to the layout's interior box is the whole layout's
+    compression read on the box's states: both are exact."""
 
-    @staticmethod
-    def build(case, dims, block=None):
-        layout = fock.make_layout(dims)
-        if case in ("fock-single", "fock-two-mode"):
-            gens = su11.generators(layout, case)
-            return su11.identity_factors(su11.solve_params(0.3, 0.4), gens, block)
-        # a circuit is built on the box itself, as verify builds its circuits
-        box = layout if block is None else layout.interior_box(block)
-        params = su11.solve_params(0.5, 0.5)
-        if case == "two-mode":
-            return circuits.build_two_mode_amplifier(params, box)[1:]
-        return circuits.build_three_mode_amplifier(params, box)[1:]
-
-    @pytest.mark.parametrize(
-        "case, dims, block",
-        [
-            # verify's own (D, block) pairs
-            ("fock-single", [2, 100], 40),
-            ("fock-single", [2, 21], 5),
-            ("fock-single", [2, 60], 12),
-            ("two-mode", [2, 40], 15),
-            ("three-mode", [2, 14, 14], 5),
-            ("fock-two-mode", [2, 14, 14], 5),
-            # block 0: a two-level box
-            ("fock-single", [2, 100], 0),
-            ("fock-two-mode", [2, 14, 14], 0),
-            ("three-mode", [2, 14, 14], 0),
-            # a circuit built on a box walks under the box's own cap, and the
-            # two-mode circuit does not settle by 32 * 2 = 64: a three-level box
-            ("two-mode", [2, 40], 2),
-            # a block >= D - 1: the box is the whole layout
-            ("fock-single", [2, 21], 20),
-            ("fock-two-mode", [2, 8, 8], 40),
-            ("two-mode", [2, 40], 39),
-            ("three-mode", [2, 14, 14], 20),
-        ],
-    )
+    @pytest.mark.parametrize("case, dims, block", BLOCK_BOX_CASES)
     def test_box_equals_the_whole_compression_on_its_states(self, case, dims, block):
-        whole, whole_u = self.build(case, dims)
-        box, box_u = self.build(case, dims, block)
-        assert box.layout == whole.layout.interior_box(block)
+        layout = fock.make_layout(dims)
+        whole, whole_u = compressed(case, layout)
+        box, box_u = compressed(case, layout.interior_box(block))
         # the box's states, at their flat indices in the whole layout
         idx = np.ravel_multi_index(
             np.unravel_index(np.arange(box.layout.total_dim), box.layout.dims), dims
@@ -1045,25 +1070,24 @@ class TestBlockBox:
         gap = np.max(np.abs(box.matrix - whole.matrix[np.ix_(idx, idx)]))
         assert gap <= 1e-12
         assert np.array_equal(box_u, whole_u[idx])
-        assert box.leakage < fock.SETTLE_TOL
         if box.layout == whole.layout:
-            assert box.work_dim == whole.work_dim
             assert np.array_equal(box.matrix, whole.matrix)
 
     def test_box_walk_starts_from_the_box_and_keeps_the_layout_cap(self, walks):
-        # a two-level box starts at ladder 4 but may double up to 32 D = 3200
+        # the oracle walk: a two-level box starts at ladder 4 but may double
+        # up to 32 D = 3200
         layout = fock.make_layout([2, 100])
         factors = [fock.PairSqueeze((1,), 1.3)]
-        U = fock.compress_product(layout, factors, 0)
+        U = oracles.walk_product(layout, factors, 0)
         assert walks[0]["work"] == (4,)
         assert U.work_dim > 32 * 2
         with pytest.raises(fock.TruncationError, match="working ladder 64"):
-            fock.compress_product(fock.make_layout([2, 2]), factors, 0)
+            oracles.walk_product(fock.make_layout([2, 2]), factors, 0)
 
     def test_phase_product_is_its_box_vector(self):
         layout = fock.make_layout([2, 10, 10])
         kerr = [circuits.Kerr(0, 1, 0.4), circuits.Kerr(0, 2, -0.3)]
-        C = fock.compress_product(layout, kerr, 3)
+        C = fock.compress_product(layout.interior_box(3), kerr)
         assert C.layout.dims == (2, 4, 4)
         want = fock.phase_vector(C.layout, kerr)
         assert np.array_equal(np.diag(C.matrix), want)
@@ -1071,36 +1095,35 @@ class TestBlockBox:
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Records each _sector_blocks call: its arguments and its number of
-    squeezer applications (_ladder_exp calls)."""
+    """Records each oracles.sector_blocks call: its arguments and its number
+    of squeezer applications (fock._ladder_exp calls)."""
     seen = []
-    sector_blocks, ladder_exp = fock._sector_blocks, fock._ladder_exp
+    sector_blocks, ladder_exp = oracles.sector_blocks, fock._ladder_exp
 
-    def blocks_spy(layout, factors, modes, spectators, work, *stop):
+    def blocks_spy(layout, factors, modes, spectators, work):
         seen.append({"args": (layout, factors, modes, spectators), "work": work, "exps": 0})
-        return sector_blocks(layout, factors, modes, spectators, work, *stop)
+        return sector_blocks(layout, factors, modes, spectators, work)
 
     def exp_spy(*args):
         seen[-1]["exps"] += 1
         return ladder_exp(*args)
 
-    monkeypatch.setattr(fock, "_sector_blocks", blocks_spy)
+    monkeypatch.setattr(oracles, "sector_blocks", blocks_spy)
     monkeypatch.setattr(fock, "_ladder_exp", exp_spy)
     return seen
 
 
 class TestEarlyExit:
-    """A ladder that will not settle is abandoned at its first column past
-    SETTLE_TOL; only the ladder compress_product keeps is walked in full."""
+    """The oracle walk has no early exit: every ladder of its schedule is
+    walked in full, and the one that settles is kept."""
 
-    def test_unsettled_ladders_stop_at_their_first_squeezer(self, walks):
-        layout = fock.make_layout([2, 14, 14])
-        circuits.build_three_mode_amplifier(su11.solve_params(0.5, 0.5), layout)
+    def test_unsettled_ladders_are_walked_in_full(self, walks):
+        TestLeakageCertificate.build("three-mode", [2, 14, 14])
         assert [w["work"] for w in walks] == [(28, 28), (56, 56), (112, 112)]
-        assert [w["exps"] for w in walks[:2]] == [1, 1]
-        # the kept ladder: three squeezers in every sector that meets the box
-        sectors = list(fock._sectors((14, 14), (112, 112)))
-        assert walks[2]["exps"] == 3 * len(sectors)
+        # three squeezers in every sector that meets the box, on every ladder
+        for w in walks:
+            sectors = list(oracles.sectors((14, 14), w["work"]))
+            assert w["exps"] == 3 * len(sectors)
 
     @pytest.mark.parametrize(
         "case, dims",
@@ -1110,11 +1133,11 @@ class TestEarlyExit:
         U = TestLeakageCertificate.build(case, dims)
         layout, factors, modes, spectators = walks[-1]["args"]
         assert walks[-1]["work"] == (U.work_dim,) * len(modes)
-        walked, leakage = fock._sector_blocks(
+        blocks, leakage = oracles.sector_blocks(
             layout, factors, modes, spectators, walks[-1]["work"]
         )
         assert walks[-1]["exps"] == walks[-2]["exps"]
-        assert np.array_equal(U.matrix, fock._place_blocks(layout, walked))
+        assert np.array_equal(U.matrix, fock._place_blocks(layout, blocks))
         assert U.leakage == leakage
 
     @pytest.mark.parametrize(

@@ -754,7 +754,7 @@ class TestLossyCircuitPlan:
         # blocks, taken straight off the parity ladders, the Kerr and phase
         # gates and the ideal K(2 gamma) as phase vectors
         calls = []
-        for name in ("_place_blocks", "_sector_blocks", "_spectators"):
+        for name in ("_place_blocks", "compress_product"):
 
             def spy(*args, _name=name, _original=getattr(fock, name)):
                 calls.append(_name)

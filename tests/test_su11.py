@@ -333,7 +333,6 @@ class TestIdentityFactors:
         g = su11.generators(fock.make_layout(dims), rep)
         left, right = su11.identity_factors(p, g)
         assert isinstance(left, fock.Compression) and left.layout == g.layout
-        assert left.leakage < fock.SETTLE_TOL and left.work_dim >= 2 * dims[1]
         assert right.shape == (g.layout.total_dim,)
         assert np.max(np.abs(np.abs(right) - 1.0)) <= 1e-15
 
