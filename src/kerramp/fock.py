@@ -14,10 +14,11 @@ A check that reads an interior block compresses only its box
 (ModeLayout.interior_box).  :func:`parity_blocks` gives a single-mode
 squeezer truncated to a D-level ladder, for the lossy pass: each parity
 ladder's generator is real antisymmetric tridiagonal, so its exponential
-is a real rotation read off the SVD of its half-size even-odd block
-(_ladder_eig), built once per ladder.  A phase factor acts elementwise, as
-a vector (:func:`evolve`, :func:`phase_vector`), and a diagonal right side
-is checked as its vector, block by block (:func:`diagonal_residual`).
+is a real rotation (_parity_exp) formed from the SVD of its half-size
+even-odd block (_ladder_eig), built once per ladder: the only matrix
+exponential a kerramp command computes.  A phase factor acts elementwise,
+as a vector (:func:`evolve`, :func:`phase_vector`), and a diagonal right
+side is checked as its vector, block by block (:func:`diagonal_residual`).
 
 Truncation caveat: on a D-level ladder [b, b†] = 1 holds only away from the
 top level, so a product of truncated squeezers differs from the
@@ -55,8 +56,9 @@ class OperatorError(ValueError):
 
 
 class TruncationError(ValueError):
-    """A truncation-doubling run used up its ladder schedule (doublings)
-    before its result settled, or its start ladder exceeds the cap."""
+    """A ladder past its bound: a truncation-doubling run's start ladder
+    above its cap (doublings), or a lost mode's ladder above the loss
+    channel's (kerramp.loss)."""
 
 
 @dataclass(frozen=True)
@@ -419,20 +421,6 @@ def diagonal_residual(
     return worst
 
 
-def _sectors(box, work):
-    """Parity ladders of a single-mode squeezer on a mode of box[0] levels,
-    each ladder running up to Fock index work[0] - 1.
-
-    Yields (parity, inside, numbers, coupling) per ladder: numbers holds
-    the Fock indices along the ladder, whose first `inside` states lie in
-    the box; coupling[m] is <m|b b/2|m+1>.
-    """
-    for p in (0, 1):
-        n = p + 2 * np.arange((work[0] - p + 1) // 2)
-        coupling = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-        yield p, (box[0] - p + 1) // 2, (n,), coupling
-
-
 def _ladder_eig(coupling: np.ndarray):
     """Eigenbasis (s, U, V) of the ladder generator T, real antisymmetric
     tridiagonal with T[m, m+1] = -coupling[m]: the SVD B = U diag(s) V^T of
@@ -461,36 +449,30 @@ def _ladder_eig(coupling: np.ndarray):
     return s, U, Vt.T
 
 
-def _ladder_exp(eig, theta: float, X: np.ndarray) -> np.ndarray:
-    """exp(theta T) X for the ladder whose eigenbasis is eig (_ladder_eig);
-    the first axis of X runs along the ladder, and X is C-contiguous in its
-    trailing axes.
+def _parity_exp(eig, theta: float) -> np.ndarray:
+    """exp(theta T) of the ladder whose eigenbasis is eig (_ladder_eig).
 
     With the even positions first, C = diag(cos(theta s)) and
     S = diag(sin(theta s)), exp(theta T) is the real rotation
     [[U_h C U_h^T + U_0 U_0^T, U_h S V^T], [-V S U_h^T, V C V^T]],
-    U_h the first len(s) columns of U and U_0 the rest.  So A = U^T X_even
-    and B = V^T X_odd go in, and U (C A_h + S B ; A_0) and V (C B - S A_h)
-    come out: four half-size real products.  A complex X goes through them
-    as its float view, real and imaginary parts interleaved along the
-    columns, which the real rotation acts on alike.
+    U_h the first len(s) columns of U and U_0 the rest.  Its even rows are
+    U times [[C U_h^T, S V^T], [U_0^T, 0]] and its odd rows V times
+    [-S U_h^T, C V^T], the columns of each interleaved by position: two
+    half-size real products.
     """
     s, U, V = eig
-    half = len(s)
-    cols = X.reshape(len(U) + half, -1).view(float)
-    A, B = U.T @ cols[0::2], V.T @ cols[1::2]
+    half, size = len(s), len(U) + len(s)
     cos, sin = np.cos(theta * s)[:, None], np.sin(theta * s)[:, None]
-    odd = cos * B
-    odd -= sin * A[:half]
-    A[:half] *= cos
-    B *= sin
-    A[:half] += B
-    del B  # each temporary goes once used
-    out = np.empty(cols.shape)
-    np.matmul(U, A, out=out[0::2])
-    del A
+    even, odd = np.zeros((len(U), size)), np.empty((half, size))
+    even[:, 0::2] = U.T
+    even[:half, 0::2] *= cos
+    even[:half, 1::2] = sin * V.T
+    odd[:, 0::2] = -sin * U.T[:half]
+    odd[:, 1::2] = cos * V.T
+    out = np.empty((size, size))
+    np.matmul(U, even, out=out[0::2])
     np.matmul(V, odd, out=out[1::2])
-    return out.view(X.dtype).reshape(X.shape)
+    return out
 
 
 def _place_blocks(layout: ModeLayout, blocks) -> np.ndarray:
@@ -520,12 +502,16 @@ def _squeezed_modes(layout: ModeLayout, factors):
 @functools.lru_cache(maxsize=4)
 def _parity_eigs(dim: int) -> tuple:
     """Eigenbases (_ladder_eig) of a dim-level mode's even and odd parity
-    ladders, read-only and built once per ladder."""
-    eigs = tuple(_ladder_eig(coupling) for _, _, _, coupling in _sectors((dim,), (dim,)))
+    ladders, read-only and built once per ladder: coupling[m] is
+    <n_m|b b/2|n_m + 2> along the Fock indices n_m = p + 2m of parity p."""
+    eigs = []
+    for p in (0, 1):
+        n = p + 2 * np.arange((dim - p + 1) // 2)
+        eigs.append(_ladder_eig(0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))))
     for eig in eigs:
         for a in eig:
             a.flags.writeable = False
-    return eigs
+    return tuple(eigs)
 
 
 def parity_blocks(layout: ModeLayout, squeezers) -> dict:
@@ -534,18 +520,15 @@ def parity_blocks(layout: ModeLayout, squeezers) -> dict:
     indices of that mode (the same for every spectator Fock index).
 
     Each block is its parity ladder's exponential, a real orthogonal
-    matrix: _ladder_exp of the ladder's identity.  The two eigenbases are
-    built once per ladder (_parity_eigs) and serve every squeezer and every
-    later call on that ladder.
+    matrix formed from the ladder's SVD (_parity_exp).  The two eigenbases
+    are built once per ladder (_parity_eigs) and serve every squeezer and
+    every later call on that ladder.
     """
     modes = _squeezed_modes(layout, squeezers)
     if modes is None or len(modes) != 1:
         raise OperatorError("parity blocks need single-mode squeezers")
     eigs = _parity_eigs(layout.dims[modes[0]])
-    return {
-        s: tuple(_ladder_exp((sv, U, V), s.theta, np.eye(len(U) + len(V))) for sv, U, V in eigs)
-        for s in dict.fromkeys(squeezers)
-    }
+    return {s: tuple(_parity_exp(eig, s.theta) for eig in eigs) for s in dict.fromkeys(squeezers)}
 
 
 def _rotation(phase: np.ndarray, grid: np.ndarray) -> gaussian.Kernel:

@@ -12,13 +12,13 @@ in the 2x2 non-Hermitian representation and in truncated Fock
 representations (single-mode and two-mode squeezing families).
 
 identity_factors gives the identity's two sides in the representation's
-own form: 2x2 matrices, or in a Fock representation the compression of
-the exact left side to the layout (fock.compress_product) and the phase
-vector of the diagonal right side.  No Fock generator is built as a
-matrix: exp(i theta G2) is the squeezer fock.PairSqueeze and exp(i c G3)
-a phase factor.  The dense Fock generators, their commutators and the
-identity's sides truncated to the layout are the tests' oracles
-(tests/oracles.py).
+own form: 2x2 matrices, products of the factors in closed form, or in a
+Fock representation (FOCK_MODES) the compression of the exact left side
+to the layout (fock.compress_product) and the phase vector of the
+diagonal right side.  No Fock generator is built as a matrix:
+exp(i theta G2) is the squeezer fock.PairSqueeze and exp(i c G3) a phase
+factor.  The dense Fock generators, their commutators and the identity's
+sides truncated to the layout are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -156,12 +156,14 @@ class Su11Generators:
     layout: ModeLayout | None = None
 
 
-def _g3_values(representation: str, n) -> np.ndarray:
-    """G3 (diagonal) from the per-mode Fock indices n of a Fock representation."""
-    z = 2.0 * n[0] - 1.0
-    if representation == "fock-single":
-        return 0.5 * (2.0 * n[1] + 1.0) * z
-    return (n[1] + n[2] + 1.0) * z
+# The modes each Fock representation squeezes: b, or b and c (mode 0 is a).
+FOCK_MODES = {"fock-single": (1,), "fock-two-mode": (1, 2)}
+
+
+def _g3_values(modes, n) -> np.ndarray:
+    """G3 (diagonal) from the per-mode Fock indices n of a Fock representation
+    squeezing modes: (sum_j n_j + len(modes) / 2) (2 n_a - 1)."""
+    return (sum(n[j] for j in modes) + len(modes) / 2) * (2.0 * n[0] - 1.0)
 
 
 def generators(layout: ModeLayout | None, representation: str) -> Su11Generators:
@@ -181,31 +183,25 @@ def generators(layout: ModeLayout | None, representation: str) -> Su11Generators
 
     if layout is None:
         raise fock.LayoutError(f"representation {representation} requires a layout")
-    if representation == "fock-single":
-        if layout.num_modes < 2 or layout.dims[0] != 2:
-            raise fock.LayoutError(
-                "fock-single needs layout (a: 2, b: D), got " + str(layout.dims)
-            )
-    elif representation == "fock-two-mode":
-        if layout.num_modes < 3 or layout.dims[0] != 2:
-            raise fock.LayoutError(
-                "fock-two-mode needs layout (a: 2, b: D, c: D), got "
-                + str(layout.dims)
-            )
-    else:
+    if representation not in FOCK_MODES:
         raise ValueError(f"unknown representation {representation!r}")
+    modes = FOCK_MODES[representation]
+    if layout.num_modes <= modes[-1] or layout.dims[0] != 2:
+        names = ", ".join(["a: 2"] + [f"{'abc'[j]}: D" for j in modes])
+        raise fock.LayoutError(f"{representation} needs layout ({names}), got {layout.dims}")
     return Su11Generators(representation, layout=layout)
 
 
 def _g3_factor(gens: Su11Generators, coeff: float) -> fock.PhaseFactor:
     """exp(i coeff G3) in a Fock representation, as a diagonal factor."""
-    return fock.PhaseFactor(lambda n: coeff * _g3_values(gens.representation, n))
+    modes = FOCK_MODES[gens.representation]
+    return fock.PhaseFactor(lambda n: coeff * _g3_values(modes, n))
 
 
 def _left_factors(params: CircuitParams, gens: Su11Generators) -> tuple:
     """The five factors of the identity's left side in a Fock representation;
     exp(i theta G2) is the squeezer with that theta on b, or on b and c."""
-    modes = (1,) if gens.representation == "fock-single" else (1, 2)
+    modes = FOCK_MODES[gens.representation]
     g3 = _g3_factor(gens, params.delta / 2.0)
     return (
         fock.PairSqueeze(modes, params.theta1),
@@ -216,39 +212,34 @@ def _left_factors(params: CircuitParams, gens: Su11Generators) -> tuple:
     )
 
 
-def _expm_2x2(M: np.ndarray) -> np.ndarray:
-    """exp(M) of a 2x2 matrix in closed form.
+def _exp_g2(theta: float) -> np.ndarray:
+    """exp(i theta G2) in the 2x2 representation, the boost
+    [[cosh theta, sinh theta], [sinh theta, cosh theta]]."""
+    c, sh = math.cosh(theta), math.sinh(theta)
+    return np.array([[c, sh], [sh, c]], dtype=complex)
 
-    With mu = tr M / 2 and N = M - mu I, Cayley-Hamilton gives N^2 = r^2 I,
-    r^2 = -det N, so exp(M) = e^mu (cosh(r) I + sinh(r) / r N).  r is
-    imaginary for a rotation (a G3 factor) and real for a boost (a G2
-    factor); below |r| = 1e-4 sinh(r) / r takes its series 1 + r^2 / 6,
-    whose next term, r^4 / 120, is below round-off.
-    """
-    mu = np.trace(M) / 2.0
-    N = M - mu * np.eye(2)
-    r = np.sqrt(complex(N[0, 0] ** 2 + N[0, 1] * N[1, 0]))  # -det N, N traceless
-    sinhc = 1.0 + r * r / 6.0 if abs(r) < 1e-4 else np.sinh(r) / r
-    return np.exp(mu) * (np.cosh(r) * np.eye(2) + sinhc * N)
+
+def _exp_g3(coeff: float) -> np.ndarray:
+    """exp(i coeff G3) in the 2x2 representation, diag(e^(i coeff), e^(-i coeff))."""
+    return np.diag([np.exp(1j * coeff), np.exp(-1j * coeff)])
 
 
 def identity_factors(params: CircuitParams, gens: Su11Generators):
     """(left, right) sides of the five-factor identity in the
     representation's own form.
 
-    In the 2x2 representation, non-Hermitian (a boost), both are matrices,
-    their factors from the closed-form exponential _expm_2x2.  In a Fock
-    representation left is the compression to gens.layout of the
+    In the 2x2 representation, non-Hermitian, both are matrices, products
+    of the closed-form factors _exp_g2 (a boost) and _exp_g3 (a phase).  In
+    a Fock representation left is the compression to gens.layout of the
     untruncated left side (fock.compress_product), kept as its sector
     blocks, and right is exp(i gamma G3) as its phase vector.
     """
     if gens.layout is not None:
         left = fock.compress_product(gens.layout, _left_factors(params, gens))
         return left, fock.phase_vector(gens.layout, [_g3_factor(gens, params.gamma)])
-    eg2_1 = _expm_2x2(1j * params.theta1 * gens.g2)
-    eg3 = _expm_2x2(0.5j * params.delta * gens.g3)
-    left = eg2_1 @ eg3 @ _expm_2x2(1j * params.theta2 * gens.g2) @ eg3 @ eg2_1
-    return left, _expm_2x2(1j * params.gamma * gens.g3)
+    eg2_1, eg3 = _exp_g2(params.theta1), _exp_g3(params.delta / 2.0)
+    left = eg2_1 @ eg3 @ _exp_g2(params.theta2) @ eg3 @ eg2_1
+    return left, _exp_g3(params.gamma)
 
 
 def verify_identity(
@@ -274,18 +265,15 @@ def verify_matrix_derivation(params: CircuitParams):
     """Evaluate the 2x2 product V D(d) w[[1,x],[x,1]] D(d) V and return
     (x, w, y) with y the resulting diagonal entry.
 
-    Here x = -cos(delta) tanh(2 theta1), w = 1/sqrt(1-x^2), and the product
+    Here V = exp(i theta1 G2), D(d) = exp(i delta/2 G3),
+    x = -cos(delta) tanh(2 theta1), w = 1/sqrt(1-x^2), and the product
     must be diag(y, y*) with |y| = 1 and arg y = gamma.  Raises if the
     product fails to be of that form.
     """
     d, t1 = params.delta, params.theta1
     x = -math.cos(d) * math.tanh(2.0 * t1)
     w = 1.0 / math.sqrt(1.0 - x * x)
-    V = np.array(
-        [[math.cosh(t1), math.sinh(t1)], [math.sinh(t1), math.cosh(t1)]],
-        dtype=complex,
-    )
-    D = np.diag([np.exp(1j * d / 2.0), np.exp(-1j * d / 2.0)])
+    V, D = _exp_g2(t1), _exp_g3(d / 2.0)
     M = V @ D @ (w * np.array([[1.0, x], [x, 1.0]], dtype=complex)) @ D @ V
     off = max(abs(M[0, 1]), abs(M[1, 0]))
     if off > 1e-10:

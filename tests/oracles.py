@@ -8,7 +8,8 @@ dense conjugation of a state, a state zero-padded onto longer ladders, the
 beam splitter on an extended space, and the dense SU(1,1) generators and
 identity sides.  It also keeps the working-ladder walk (walk_product), an
 independent way to the compressions that fock.compress_product builds from
-Gaussian kernels.
+Gaussian kernels, and the walk's rotation of any columns along a ladder
+(ladder_exp), of which fock._parity_exp is the identity's case.
 """
 
 import dataclasses
@@ -115,8 +116,8 @@ MAX_WORK_FACTOR = 32
 
 def sectors(box, work):
     """Ladders of the squeezer on modes with dimensions `box`, each ladder
-    running up to Fock index work[j] - 1 on squeezed mode j: fock._sectors'
-    parity ladders for one mode, and for two the n_b - n_c ladders.
+    running up to Fock index work[j] - 1 on squeezed mode j: the parity
+    ladders for one mode, and for two the n_b - n_c ladders.
 
     Yields (key, inside, numbers, coupling) per sector that meets the box:
     numbers holds the Fock indices of each squeezed mode along the ladder,
@@ -124,7 +125,10 @@ def sectors(box, work):
     Sectors with equal key have equal couplings and come in a row.
     """
     if len(box) == 1:
-        yield from fock._sectors(box, work)
+        for p in (0, 1):
+            n = p + 2 * np.arange((work[0] - p + 1) // 2)
+            coupling = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+            yield p, (box[0] - p + 1) // 2, (n,), coupling
         return
     for a in range(max(box)):  # n_b - n_c = k, |k| = a
         for off in ((a, 0), (0, a)) if a else ((0, 0),):
@@ -134,6 +138,39 @@ def sectors(box, work):
             m = np.arange(min(work[0] - off[0], work[1] - off[1]))
             coupling = np.sqrt((m[:-1] + a + 1.0) * (m[:-1] + 1.0))
             yield (a, len(m)), inside, (m + off[0], m + off[1]), coupling
+
+
+def ladder_exp(eig, theta: float, X: np.ndarray) -> np.ndarray:
+    """exp(theta T) X for the ladder whose eigenbasis is eig
+    (fock._ladder_eig); the first axis of X runs along the ladder, and X is
+    C-contiguous in its trailing axes.
+
+    With the even positions first, C = diag(cos(theta s)) and
+    S = diag(sin(theta s)), exp(theta T) is the real rotation
+    [[U_h C U_h^T + U_0 U_0^T, U_h S V^T], [-V S U_h^T, V C V^T]],
+    U_h the first len(s) columns of U and U_0 the rest.  So A = U^T X_even
+    and B = V^T X_odd go in, and U (C A_h + S B ; A_0) and V (C B - S A_h)
+    come out: four half-size real products.  A complex X goes through them
+    as its float view, real and imaginary parts interleaved along the
+    columns, which the real rotation acts on alike.  fock._parity_exp is
+    the same rotation applied to the ladder's identity.
+    """
+    s, U, V = eig
+    half = len(s)
+    cols = X.reshape(len(U) + half, -1).view(float)
+    A, B = U.T @ cols[0::2], V.T @ cols[1::2]
+    cos, sin = np.cos(theta * s)[:, None], np.sin(theta * s)[:, None]
+    odd = cos * B
+    odd -= sin * A[:half]
+    A[:half] *= cos
+    B *= sin
+    A[:half] += B
+    del B  # each temporary goes once used
+    out = np.empty(cols.shape)
+    np.matmul(U, A, out=out[0::2])
+    del A
+    np.matmul(V, odd, out=out[1::2])
+    return out.view(X.dtype).reshape(X.shape)
 
 
 def spectators(layout: ModeLayout, modes) -> dict:
@@ -164,7 +201,7 @@ def sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
     walked for every spectator value at once, as one (ladder, S, inside)
     array, S = 1 while no phase factor has told the values apart; only its
     columns inside the box are propagated, with the ladder's real rotation
-    (fock._ladder_exp), and a run of consecutive phase factors acts as one
+    (ladder_exp), and a run of consecutive phase factors acts as one
     summed phase.  The leakage is the largest 2-norm a propagated column
     puts on the ladder's top tenth (from fock.tail_index on a squeezed
     mode, a contiguous tail of the sector ladder) at the end of any
@@ -194,7 +231,7 @@ def sector_blocks(layout: ModeLayout, factors, modes, spectators: dict, work):
             if key not in eigs:
                 eigs.clear()  # the previous ladder's eigenbasis goes first
                 eigs[key] = fock._ladder_eig(coupling)
-            V = fock._ladder_exp(eigs[key], stage.theta, V)
+            V = ladder_exp(eigs[key], stage.theta, V)
             worst = max(worst, float(np.linalg.norm(V[tail:], axis=0).max()))
         states = np.broadcast_arrays(*(nj[:inside] for nj in n))
         flat = np.ravel_multi_index(states, layout.dims).T  # a row per spectator value
@@ -376,14 +413,15 @@ def dense_generators(layout, representation):
     dense matrices: G1 = (A + A†) Z_a and G2 = i (A - A†), with A = b b / 2
     (fock-single) or b c (fock-two-mode), and G3 = diag(su11._g3_values)."""
     gens = su11.generators(layout, representation)  # checks the layout
-    A = pair_lowering(layout, (1,) if representation == "fock-single" else (1, 2))
+    modes = su11.FOCK_MODES[representation]
+    A = pair_lowering(layout, modes)
     n = np.unravel_index(np.arange(layout.total_dim), layout.dims)
     z = 2.0 * n[0] - 1.0
     return dataclasses.replace(
         gens,
         g1=(A + A.conj().T) * z,  # times diag(Z_a): scale the columns
         g2=1j * (A - A.conj().T),
-        g3=np.diag(su11._g3_values(representation, n)),
+        g3=np.diag(su11._g3_values(modes, n)),
     )
 
 

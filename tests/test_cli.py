@@ -492,8 +492,9 @@ class TestDenseFree:
 class TestStartup:
     def test_commands_load_no_scipy(self):
         # importing scipy.linalg cost about 0.3 s of every start-up.  In a
-        # fresh interpreter: amplify loads the modules, lossy and verify build
-        # ladder eigenbases, and verify exponentiates the 2x2 representation
+        # fresh interpreter: amplify loads the modules, lossy builds the
+        # parity ladders' eigenbases, and verify builds Gaussian kernels and
+        # the 2x2 factors in closed form
         script = """
 import contextlib, io, json, sys
 from kerramp import cli

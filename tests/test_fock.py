@@ -383,21 +383,34 @@ class TestLadderExp:
     )
     @pytest.mark.parametrize("theta", [0.7, -1.3])
     def test_matches_dense_exponential(self, size, kind, theta):
-        # the real even-odd rotation against scipy's expm of the ladder
-        # generator, on the real identity and on complex columns
+        # the oracle walk's real even-odd rotation against scipy's expm of
+        # the ladder generator, on complex columns
         coupling = ladder_coupling(kind, size)
         T = np.diag(-coupling, 1) + np.diag(coupling, -1)
         want = scipy.linalg.expm(theta * T)
         eig = fock._ladder_eig(coupling)
-        exp = fock._ladder_exp(eig, theta, np.eye(size))
-        assert np.max(np.abs(exp - want)) <= 2e-11
-        assert exp.dtype == float
-        assert np.max(np.abs(exp.T @ exp - np.eye(size))) <= 1e-13
         rng = np.random.default_rng(size)
         V = rng.normal(size=(size, 2, 3)) + 1j * rng.normal(size=(size, 2, 3))
-        got = fock._ladder_exp(eig, theta, V)
+        got = oracles.ladder_exp(eig, theta, V)
         assert got.shape == V.shape and got.dtype == V.dtype
         assert np.max(np.abs(got - np.einsum("ij,jkl->ikl", want, V))) <= 2e-11
+
+
+class TestParityExp:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 201])
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @pytest.mark.parametrize("theta", [0.7, -1.3])
+    def test_matches_the_rotation_of_the_identity(self, size, parity, theta):
+        # the block formed from the SVD against the oracle's rotation of the
+        # ladder's identity, bit for bit, and against scipy's expm
+        coupling = ladder_coupling(("parity", parity), size)
+        eig = fock._ladder_eig(coupling)
+        exp = fock._parity_exp(eig, theta)
+        assert exp.dtype == float
+        assert np.array_equal(exp, oracles.ladder_exp(eig, theta, np.eye(size)))
+        T = np.diag(-coupling, 1) + np.diag(coupling, -1)
+        assert np.max(np.abs(exp - scipy.linalg.expm(theta * T))) <= 2e-11
+        assert np.max(np.abs(exp.T @ exp - np.eye(size))) <= 1e-13
 
 
 class TestLadderEig:
@@ -583,7 +596,7 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("dim", [3, 20, 21, 160])
     def test_blocks_equal_the_eye_product(self, dim):
-        # each block is its ladder's exponential times the identity: the
+        # each block is its ladder's exponential, formed from the SVD: the
         # parity slice of the dense squeezer, built and cached alike
         layout = fock.make_layout([2, dim])
         squeezers = [fock.PairSqueeze((1,), t) for t in (0.7, -1.3, 2.5)]
@@ -1096,9 +1109,9 @@ class TestBlockBox:
 @pytest.fixture
 def walks(monkeypatch):
     """Records each oracles.sector_blocks call: its arguments and its number
-    of squeezer applications (fock._ladder_exp calls)."""
+    of squeezer applications (oracles.ladder_exp calls)."""
     seen = []
-    sector_blocks, ladder_exp = oracles.sector_blocks, fock._ladder_exp
+    sector_blocks, ladder_exp = oracles.sector_blocks, oracles.ladder_exp
 
     def blocks_spy(layout, factors, modes, spectators, work):
         seen.append({"args": (layout, factors, modes, spectators), "work": work, "exps": 0})
@@ -1109,7 +1122,7 @@ def walks(monkeypatch):
         return ladder_exp(*args)
 
     monkeypatch.setattr(oracles, "sector_blocks", blocks_spy)
-    monkeypatch.setattr(fock, "_ladder_exp", exp_spy)
+    monkeypatch.setattr(oracles, "ladder_exp", exp_spy)
     return seen
 
 

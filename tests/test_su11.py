@@ -351,9 +351,15 @@ class TestIdentityFactors:
             1j * theta2 * g.g2,
             1j * gamma * g.g3,
         ]
-        for M in factors:
+        closed = [
+            su11._exp_g2(theta1),
+            su11._exp_g3(delta / 2.0),
+            su11._exp_g2(theta2),
+            su11._exp_g3(gamma),
+        ]
+        for M, got in zip(factors, closed):
             want = scipy.linalg.expm(M)
-            assert np.max(np.abs(su11._expm_2x2(M) - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         eg2_1, eg3, eg2_2, right_want = (scipy.linalg.expm(M) for M in factors)
         left_want = eg2_1 @ eg3 @ eg2_2 @ eg3 @ eg2_1
         left, right = su11.identity_factors(p, g)
@@ -362,19 +368,6 @@ class TestIdentityFactors:
         assert np.max(np.abs(left - left_want)) <= 1e-14 * scale
         assert np.max(np.abs(right - right_want)) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "M",
-        [
-            np.zeros((2, 2)),
-            np.array([[1.0, 1.0], [-1.0, -1.0]]),  # nilpotent: r = 0 exactly
-            1e-9 * np.array([[1.0, 2.0j], [3.0, -1.0]]),  # r inside the series
-            np.array([[0.3 + 1j, 2.0], [0.5j, -0.7]]),  # general, complex r
-        ],
-        ids=["zero", "nilpotent", "small-r", "general"],
-    )
-    def test_closed_form_2x2_exponential(self, M):
-        want = scipy.linalg.expm(M)
-        assert np.max(np.abs(su11._expm_2x2(M) - want)) <= 1e-14 * np.max(np.abs(want))
 
 class TestMatrixDerivation:
     def test_no_squeezing_limit(self):
