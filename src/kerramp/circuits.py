@@ -14,11 +14,12 @@ compression of the untruncated circuit to the layout.  At fixed n_a every
 gate is a Gaussian unitary on b, or on b and c, so its elements come
 exactly from the gates' composed Gaussian kernels (fock.compress_product)
 at any squeeze strength.  It is kept as its conserved-sector blocks
-(fock.Compression), which equivalence_residual and conditional_phase read
-one by one.  A plan's SWAPs must leave no net mode permutation, as the
-pairs K_ac = SWAP_bc K_ab SWAP_bc of three_mode_plan do.  No gate is built
-as a dense matrix here: the gates truncated to the layout and their
-gate-by-gate product are the tests' oracles (tests/oracles.py).
+(fock.Compression), which equivalence_residual reads one by one.  A
+plan's SWAPs must leave no net mode permutation, as the pairs
+K_ac = SWAP_bc K_ab SWAP_bc of three_mode_plan do.  No gate is built as a
+dense matrix here: the gates truncated to the layout, their gate-by-gate
+product and the conditional phase read off a circuit's blocks are the
+tests' oracles (tests/oracles.py).
 
 Gate products written left-to-right in the docstrings act right-to-left
 on states, i.e. the rightmost factor is applied first.
@@ -229,29 +230,3 @@ def equivalence_residual(
     layout, as the tests build it, it also holds their truncation leakage.
     """
     return fock.diagonal_residual(lhs, rhs, block)
-
-
-def conditional_phase(U: Operator | fock.Compression, n_b: int = 1) -> float:
-    """Cross-Kerr coefficient of a circuit diagonal in n_a, per unit n_b.
-
-    For a diagonal-in-number circuit the n_a n_b cross term is isolated from
-    linear phase shifts by
-
-        arg[<1,n|U|1,n> <0,n|U|0,n>* <1,0|U|1,0>* <0,0|U|0,0>] / n.
-
-    Each element is read off the diagonal of the block (U.blocks) that
-    holds its index.  It stays in the package, though no command calls
-    it, because it reads the blocks and builds no matrix.
-    """
-    if n_b < 1:
-        raise ValueError("probe level n_b must be >= 1")
-    layout = U.layout
-
-    def amp(na, nb):
-        i = layout.flat_index((na, nb) + (0,) * (layout.num_modes - 2))
-        index, values = next(b for b in U.blocks if i in b.index)
-        k = int(np.flatnonzero(index == i)[0])
-        return values[k, k]
-
-    z = amp(1, n_b) * np.conj(amp(0, n_b)) * np.conj(amp(1, 0)) * amp(0, 0)
-    return float(np.angle(z)) / n_b

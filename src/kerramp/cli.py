@@ -271,13 +271,13 @@ def cmd_lossy(args):
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def verify_report(dim=100, block=40):
+def verify_report(block=40):
     """Residuals of the group identity and the circuit equivalences.
 
     Each Fock-space check compresses, exactly, only the box of the interior
-    block it reads: the identity row the box of [2, dim], b cut to
-    min(dim, block + 1) levels (su11.verify_identity), and the circuits
-    [2, 40] cut to block 15 and [2, 14, 14] cut to block 5.
+    block it reads: the identity row the box of [2, 100], b cut to
+    min(100, block + 1) levels (su11.verify_identity), and the circuits
+    their block boxes, [2, 16] at block 15 and [2, 6, 6] at block 5.
     """
     rng = np.random.default_rng(7)
     gens2 = su11.generators(None, "matrix-2x2")
@@ -294,22 +294,20 @@ def verify_report(dim=100, block=40):
         )
 
     p = su11.solve_params(0.3, 0.4)
-    gens_f = su11.generators(fock.make_layout([2, dim]), "fock-single")
+    gens_f = su11.generators(fock.make_layout([2, 100]), "fock-single")
     fock_res = su11.verify_identity(p, gens_f, block)
 
     p2 = su11.solve_params(0.5, 0.5)
-    box2 = fock.make_layout([2, 40]).interior_box(15)
-    _, lhs, rhs = circuits.build_two_mode_amplifier(p2, box2)
+    _, lhs, rhs = circuits.build_two_mode_amplifier(p2, fock.make_layout([2, 16]))
     two_mode_res = circuits.equivalence_residual(lhs, rhs, block=15)
 
-    box3 = fock.make_layout([2, 14, 14]).interior_box(5)
-    _, lhs3, rhs3 = circuits.build_three_mode_amplifier(p2, box3)
+    _, lhs3, rhs3 = circuits.build_three_mode_amplifier(p2, fock.make_layout([2, 6, 6]))
     three_mode_res = circuits.equivalence_residual(lhs3, rhs3, block=5)
 
     checks = [
         ("identity-2x2-random-grid", max_2x2, 1e-12),
         ("matrix-derivation-consistency", max_consistency, 1e-12),
-        (f"identity-fock-d{dim}-block{block}", fock_res, 1e-6),
+        (f"identity-fock-d100-block{block}", fock_res, 1e-6),
         ("two-mode-circuit-equivalence", two_mode_res, 1e-7),
         ("three-mode-circuit-equivalence", three_mode_res, 1e-6),
     ]
@@ -322,7 +320,7 @@ def verify_report(dim=100, block=40):
 def cmd_verify(args):
     if args.block < 0:
         raise UsageError(f"--block must be >= 0, got {args.block}")
-    rows = verify_report(dim=args.dim, block=args.block)
+    rows = verify_report(block=args.block)
     columns = ["check", "residual", "tolerance", "passed"]
     _write_output(_out_path(args), args.format, _meta(args), columns, rows)
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_VERIFY
@@ -367,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("table1", "amplified-shift table over dB levels")
     p.add_argument(
-        "--db-list", default=None, help="comma-separated dB levels (default: 6 rows)"
+        "--db-list",
+        default=None,
+        help="comma-separated dB levels, as --db-list=-3,-10 (default: 6 rows)",
     )
     common(p)
 
@@ -397,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "identity and equivalence verification")
     p.add_argument(
-        "--dim",
+        "--block",
         type=int,
-        default=100,
-        help="b ladder of the identity row: names it and bounds its box at min(dim, block + 1)",
+        default=40,
+        help="interior-block bound; the identity row's box has min(100, block + 1) b levels, "
+        "2 at least",
     )
-    p.add_argument("--block", type=int, default=40, help="interior-block bound")
     common(p)
 
     return parser

@@ -4,7 +4,9 @@ Mode layouts, density matrices and the structured operators of a
 composite Hilbert space built as the tensor product of per-mode truncated
 Fock ladders.  Every squeezer here conserves the Fock index of each mode
 it does not squeeze (a spectator), and no gate is built as a dense N x N
-matrix: that form lives in the tests (tests/oracles.py).
+matrix: that form lives in the tests (tests/oracles.py), with the
+helpers only tests read (a state vector's density matrix, a flat index's
+multi-index).
 
 :func:`compress_product` gives a product of squeezers and phases as its
 compression to a layout, the untruncated operator's elements on the
@@ -92,10 +94,6 @@ class ModeLayout:
     def flat_index(self, multi) -> int:
         """Row-major flat index of a multi-index (n_0, n_1, ...)."""
         return int(np.ravel_multi_index(tuple(multi), self.dims))
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`."""
-        return tuple(int(i) for i in np.unravel_index(flat, self.dims))
 
     def basis_vector(self, multi) -> np.ndarray:
         """Unit vector for the Fock basis state |n_0, n_1, ...>."""
@@ -224,14 +222,9 @@ class DensityMatrix:
             if min_eig < -EIGENVALUE_TOL:
                 raise StateError(f"negative eigenvalue {min_eig:.2e}")
 
-    @classmethod
-    def from_state_vector(cls, layout: ModeLayout, psi: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-        return cls(layout, np.outer(psi, psi.conj()))
-
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """tr(rho^2), as sum |rho_ij|^2 for a Hermitian rho: O(N^2)."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 def expm(generator: Operator) -> Operator:

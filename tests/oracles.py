@@ -6,10 +6,13 @@ the tests check that against: kron-embedded ladder operators, every gate
 truncated to a layout as an N x N fock.Operator, gate-by-gate products,
 dense conjugation of a state, a state zero-padded onto longer ladders, the
 beam splitter on an extended space, and the dense SU(1,1) generators and
-identity sides.  It also keeps the working-ladder walk (walk_product), an
-independent way to the compressions that fock.compress_product builds from
-Gaussian kernels, and the walk's rotation of any columns along a ladder
-(ladder_exp), of which fock._parity_exp is the identity's case.
+identity sides.  The helpers only tests read live here too: a state
+vector's density matrix, a flat index's multi-index, and a circuit's
+conditional phase read off its blocks.  It also keeps the working-ladder
+walk (walk_product), an independent way to the compressions that
+fock.compress_product builds from Gaussian kernels, and the walk's
+rotation of any columns along a ladder (ladder_exp), of which
+fock._parity_exp is the identity's case.
 """
 
 import dataclasses
@@ -22,6 +25,18 @@ from kerramp import circuits, fock, loss, su11
 from kerramp.fock import DensityMatrix, ModeLayout, Operator
 
 # --- fock: ladder operators, dense conjugation, the truncated product ---
+
+
+def multi_index(layout: ModeLayout, flat: int) -> tuple[int, ...]:
+    """Inverse of ModeLayout.flat_index."""
+    return tuple(int(i) for i in np.unravel_index(flat, layout.dims))
+
+
+def from_state_vector(layout: ModeLayout, psi: np.ndarray) -> DensityMatrix:
+    """The pure state |psi><psi|, psi normalized first."""
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    return DensityMatrix(layout, np.outer(psi, psi.conj()))
 
 
 def identity(layout: ModeLayout) -> Operator:
@@ -343,6 +358,31 @@ def compose(plan: circuits.CircuitPlan) -> Operator:
     for gate in plan.gates:
         U = gate_operator(plan.layout, gate) @ U
     return U
+
+
+def conditional_phase(U: Operator | fock.Compression, n_b: int = 1) -> float:
+    """Cross-Kerr coefficient of a circuit diagonal in n_a, per unit n_b.
+
+    For a diagonal-in-number circuit the n_a n_b cross term is isolated from
+    linear phase shifts by
+
+        arg[<1,n|U|1,n> <0,n|U|0,n>* <1,0|U|1,0>* <0,0|U|0,0>] / n.
+
+    Each element is read off the diagonal of the block (U.blocks) that
+    holds its index, so no matrix is built.
+    """
+    if n_b < 1:
+        raise ValueError("probe level n_b must be >= 1")
+    layout = U.layout
+
+    def amp(na, nb):
+        i = layout.flat_index((na, nb) + (0,) * (layout.num_modes - 2))
+        index, values = next(b for b in U.blocks if i in b.index)
+        k = int(np.flatnonzero(index == i)[0])
+        return values[k, k]
+
+    z = amp(1, n_b) * np.conj(amp(0, n_b)) * np.conj(amp(1, 0)) * amp(0, 0)
+    return float(np.angle(z)) / n_b
 
 
 # --- loss: the beam splitter on an extended space ---

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -400,25 +401,24 @@ class TestVerify:
             raise MemoryError(f"Unable to allocate the compression on {layout.dims}")
 
         monkeypatch.setattr(fock, "compress_product", refuse)
-        code = cli.main(["verify", "--dim", "99999"])
+        code = cli.main(["verify"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: Unable to allocate the compression on (2, 41)\n"
 
-    @pytest.mark.parametrize(
-        "dim, block, code",
-        [
-            (2, 0, 0), (2, 40, 0),
-            (100, 0, 0), (100, 1, 0), (21, 5, 0), (60, 12, 0), (100000, 5, 0),
-        ],
-    )
-    def test_exit_codes_of_block_boxes(self, capsys, dim, block, code):
+    @pytest.mark.parametrize("block", [0, 1, 5, 12, 40, 150])
+    def test_exit_codes_of_block_boxes(self, capsys, block):
         # a check compresses its block box, exactly: the two-level box of
-        # D = 2 passes as any other
-        assert cli.main(["verify", "--dim", str(dim), "--block", str(block)]) == code
-        captured = capsys.readouterr()
-        assert all(r["passed"] == "true" for r in parse_csv(captured.out))
+        # block 0 passes as any other, and past 99 the box stays 100 levels
+        assert cli.main(["verify", "--block", str(block)]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert all(r["passed"] == "true" for r in rows)
+        assert f"identity-fock-d100-block{block}" in {r["check"] for r in rows}
+
+    def test_dim_is_not_an_option(self, capsys):
+        assert cli.main(["verify", "--dim", "60"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_default_rows_compose_on_their_block_boxes(self, capsys, monkeypatch):
         boxes = []
@@ -432,11 +432,15 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify")
         assert code == 0
         assert boxes == [(2, 41), (2, 16), (2, 6, 6)]
+        boxes.clear()
+        code, _ = run_cli(capsys, "verify", "--block", "150")
+        assert code == 0
+        assert boxes == [(2, 100), (2, 16), (2, 6, 6)]
 
     def test_report_structure_and_exit_code(self, capsys):
-        # smaller dims keep this test quick; the exit code must agree with
+        # a smaller block keeps this test quick; the exit code must agree with
         # the per-check pass flags
-        code, out = run_cli(capsys, "verify", "--dim", "60", "--block", "12")
+        code, out = run_cli(capsys, "verify", "--block", "12")
         assert out.splitlines()[0] == "check,residual,tolerance,passed"
         rows = parse_csv(out)
         assert {r["check"] for r in rows} >= {
@@ -447,11 +451,11 @@ class TestVerify:
         assert code == (0 if all_passed else 2)
 
     def test_2x2_checks_pass(self, capsys):
-        _, out = run_cli(capsys, "verify", "--dim", "60", "--block", "12")
+        _, out = run_cli(capsys, "verify", "--block", "12")
         by_name = {r["check"]: r for r in parse_csv(out)}
         assert by_name["identity-2x2-random-grid"]["passed"] == "true"
         assert by_name["matrix-derivation-consistency"]["passed"] == "true"
-        assert by_name["identity-fock-d60-block12"]["passed"] == "true"
+        assert by_name["identity-fock-d100-block12"]["passed"] == "true"
 
 
 class TestDenseFree:
@@ -474,7 +478,7 @@ class TestDenseFree:
         monkeypatch.setattr(fock, "expm", spy("expm", fock.expm))
         monkeypatch.setattr(fock, "_place_blocks", spy("_place_blocks", fock._place_blocks))
         argvs = (
-            ["verify", "--dim", "60", "--block", "12"],
+            ["verify", "--block", "12"],
             ["lossy", "--theta1", "0.5"],
             ["lossy", "--state", "werner", "--theta1", "0.7", "--rs", "0.2", "--rk", "0.05"],
         )
@@ -654,3 +658,16 @@ class TestConfigFile:
         code, _ = run_cli(capsys, "table1", "--out", "t.csv")
         assert code == 0
         assert (tmp_path / "t.csv").exists()
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys, tmp_path, monkeypatch):
+        # every command of the README's CLI block, its outputs sent to tmp_path
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("kerramp ")]
+        assert len(commands) >= 8
+        monkeypatch.setenv("KERRAMP_OUT_DIR", str(tmp_path))
+        codes = {" ".join(argv): cli.main(argv[1:]) for argv in commands}
+        capsys.readouterr()
+        assert codes == dict.fromkeys(codes, 0)

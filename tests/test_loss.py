@@ -126,7 +126,7 @@ class TestBeamSplitter:
         R = 0.3
         layout = fock.make_layout([3, 3])
         B = oracles.beam_splitter(layout, 0, 1, R)
-        rho = fock.DensityMatrix.from_state_vector(layout, layout.basis_vector((1, 0)))
+        rho = oracles.from_state_vector(layout, layout.basis_vector((1, 0)))
         out = fock.partial_trace(oracles.evolve(rho, B), keep=[0])
         n_mean = np.real(np.trace(oracles.number_op(out.layout, 0).matrix @ out.matrix))
         assert n_mean == pytest.approx(1.0 - R, abs=1e-12)
@@ -490,6 +490,8 @@ class TestInputStates:
         layout = fock.make_layout([2, 6])
         bell = loss.make_werner(layout, 1.0)
         assert bell.purity() == pytest.approx(1.0, abs=1e-12)
+        # p |Phi+><Phi+| + (1 - p) I/4 has purity (1 + 3 p^2) / 4
+        assert loss.make_werner(layout, 0.5).purity() == pytest.approx(0.4375, abs=1e-12)
         phi = (
             layout.basis_vector((0, 0)) + layout.basis_vector((1, 1))
         ) / np.sqrt(2)
@@ -609,9 +611,7 @@ class TestLossyAmplifier:
 
     def test_rejects_wrong_layout(self):
         layout = fock.make_layout([3, 10])
-        rho = fock.DensityMatrix.from_state_vector(
-            layout, layout.basis_vector((0, 0))
-        )
+        rho = oracles.from_state_vector(layout, layout.basis_vector((0, 0)))
         with pytest.raises(fock.LayoutError):
             loss.run_lossy_amplifier(rho, self.PARAMS, loss.LossConfig())
 
