@@ -407,8 +407,33 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: Unable to allocate the compression on (2, 41)\n"
 
+    @pytest.mark.parametrize(
+        "dim, block, code",
+        [
+            (2, 0, 0), (2, 40, 0),
+            (100, 0, 0), (100, 1, 0), (21, 5, 0), (60, 12, 0), (100000, 5, 0),
+        ],
+    )
+    def test_exit_codes_of_block_boxes(self, capsys, monkeypatch, dim, block, code):
+        # the cases of the removed `--dim D --block B`: that pair composed the
+        # identity box of min(B + 1, D) levels, two at least, which
+        # `--block min(B, D - 1)` composes exactly, so the two-level box of
+        # D = 2 passes as any other
+        boxes = []
+        compress_product = fock.compress_product
+
+        def spy(layout, factors):
+            boxes.append(layout.dims)
+            return compress_product(layout, factors)
+
+        monkeypatch.setattr(fock, "compress_product", spy)
+        assert cli.main(["verify", "--block", str(min(block, dim - 1))]) == code
+        assert boxes[0] == (2, max(2, min(block + 1, dim)))
+        captured = capsys.readouterr()
+        assert all(r["passed"] == "true" for r in parse_csv(captured.out))
+
     @pytest.mark.parametrize("block", [0, 1, 5, 12, 40, 150])
-    def test_exit_codes_of_block_boxes(self, capsys, block):
+    def test_exit_codes_of_blocks(self, capsys, block):
         # a check compresses its block box, exactly: the two-level box of
         # block 0 passes as any other, and past 99 the box stays 100 levels
         assert cli.main(["verify", "--block", str(block)]) == 0
