@@ -31,6 +31,7 @@ are restricted to an interior block (all mode indices below a bound).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -525,10 +526,11 @@ def parity_blocks(layout: ModeLayout, squeezers) -> dict:
 
 
 def _rotation(phase: np.ndarray, grid: np.ndarray) -> gaussian.Kernel:
-    """Kernel of a phase factor per spectator index s, from its phase[s, i]
-    on the squeezed-mode states grid[:, i] (three levels at least): read at
-    n = 0 and one quantum on each mode, it must be affine in the squeezed
-    indices, or the factor is not Gaussian (OperatorError)."""
+    """Kernel of a run of phase factors per spectator index s, from its
+    summed phase[s, i] on the squeezed-mode states grid[:, i] (three levels
+    at least): read at n = 0 and one quantum on each mode, it must be
+    affine in the squeezed indices, or the run is not Gaussian
+    (OperatorError)."""
     size, levels = len(grid), int(grid.max()) + 1
     unit = [levels ** (size - 1 - j) for j in range(size)]  # flat index of n_j = 1
     slopes = phase[:, unit] - phase[:, :1]
@@ -543,11 +545,12 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
 
     Every PairSqueeze must act on the same modes, of equal dimension D.  At
     each spectator index (of the modes no squeezer acts on) the product is
-    Gaussian on the squeezed modes: the factors' kernels, a squeezer's or
-    a phase factor's (_rotation), are composed, and the elements on D
-    levels (gaussian.elements) give one Block per spectator index and band,
-    the ladder for one squeezed mode, each n_b - n_c for two.  With no
-    squeezer the product is its phase vector, one 1 x 1 Block per state.
+    Gaussian on the squeezed modes: the kernels are composed in order, a
+    squeezer's each on its own and a run of consecutive phase factors as
+    one rotation of the run's summed phase (_rotation), and the elements on
+    D levels (gaussian.elements) give one Block per spectator index and
+    band, the ladder for one squeezed mode, each n_b - n_c for two.  With
+    no squeezer the product is its phase vector, one 1 x 1 Block per state.
     """
     modes = _squeezed_modes(layout, factors)
     if modes is None:
@@ -573,14 +576,15 @@ def compress_product(layout: ModeLayout, factors) -> Compression:
     grid = np.indices((max(levels, 3),) * len(modes)).reshape(len(modes), -1)
     n = numbers(grid)
     kernel = gaussian.rotation(np.zeros(stack), np.zeros((stack, len(modes))))
-    for f in factors:
-        if isinstance(f, PairSqueeze):
-            step = gaussian.squeeze(f.theta, len(modes))
+    for squeezers, run in itertools.groupby(factors, lambda f: isinstance(f, PairSqueeze)):
+        if squeezers:
+            for f in run:
+                kernel = gaussian.compose(kernel, gaussian.squeeze(f.theta, len(modes)))
         else:
-            step = _rotation(np.broadcast_to(f.phase(n), (stack, grid.shape[1])), grid)
-        kernel = gaussian.compose(kernel, step)
+            phase = np.broadcast_to(sum(f.phase(n) for f in run), (stack, grid.shape[1]))
+            kernel = gaussian.compose(kernel, _rotation(phase, grid))
+    flat_grid = np.arange(layout.total_dim).reshape(layout.dims)
     blocks = []
     for states, values in gaussian.elements(kernel, levels):
-        flat = np.ravel_multi_index(np.broadcast_arrays(*numbers(states)), layout.dims)
-        blocks += map(Block, flat, values)
+        blocks += map(Block, flat_grid[tuple(numbers(states))], values)
     return Compression(layout, tuple(blocks))

@@ -63,6 +63,10 @@ def compose(first: Kernel, second: Kernel) -> Kernel:
     A unitary's P and Q have norm below 1, so every eigenvalue of I - P Q
     has a positive real part: for one or two modes the principal root of
     the determinant is the continuous one.
+
+    The four blocks are written into one preallocated array over the
+    broadcast stack: np.block would cost more per call than the algebra
+    at these sizes.
     """
     size = first.A.shape[-1] // 2
     Q, P = first.A[..., :size, :size], second.A[..., size:, size:]
@@ -72,7 +76,9 @@ def compose(first: Kernel, second: Kernel) -> Kernel:
     A_oo = second.A[..., :size, :size] + second_oi @ Q @ R @ np.swapaxes(second_oi, -1, -2)
     A_ii = first.A[..., size:, size:] + np.swapaxes(first_oi, -1, -2) @ R @ P @ first_oi
     A_oi = second_oi @ np.swapaxes(R, -1, -2) @ first_oi
-    A = np.block([[A_oo, A_oi], [np.swapaxes(A_oi, -1, -2), A_ii]])
+    A = np.empty(A_oi.shape[:-2] + (2 * size, 2 * size), dtype=A_oi.dtype)
+    A[..., :size, :size], A[..., size:, size:] = A_oo, A_ii
+    A[..., :size, size:], A[..., size:, :size] = A_oi, np.swapaxes(A_oi, -1, -2)
     return Kernel(first.c * second.c / np.sqrt(np.linalg.det(M) + 0j), A)
 
 

@@ -12,7 +12,8 @@ conditional phase read off its blocks.  It also keeps the working-ladder
 walk (walk_product), an independent way to the compressions that
 fock.compress_product builds from Gaussian kernels, and the walk's
 rotation of any columns along a ladder (ladder_exp), of which
-fock._parity_exp is the identity's case.
+fock._parity_exp is the identity's case, and the products the compression
+tests of test_fock.py and test_gaussian.py share (case_factors).
 """
 
 import dataclasses
@@ -494,3 +495,49 @@ def identity_factors(params: su11.CircuitParams, gens: su11.Su11Generators):
     side is the compression of the exact product instead."""
     left = truncated_product(gens.layout, su11._left_factors(params, gens))
     return left.matrix, np.diag(su11.identity_factors(params, gens)[1])
+
+
+# --- the products the compression tests share (test_fock, test_gaussian) ---
+
+
+def case_factors(case, layout, params):
+    """The factors of a case's product on layout: the left side of a Fock
+    identity ("fock-single", "fock-two-mode") or a circuit's gates
+    ("two-mode", "three-mode", "three-mode-swap")."""
+    if case in ("fock-single", "fock-two-mode"):
+        return su11._left_factors(params, su11.generators(layout, case))
+    if case == "two-mode":
+        return circuits._plan_factors(circuits.two_mode_plan(params, layout))
+    plan = circuits.three_mode_plan(params, layout, case == "three-mode-swap")
+    return circuits._plan_factors(plan)
+
+
+def case_params(case):
+    """verify's angles: the identity's, or the circuits'."""
+    if case in ("fock-single", "fock-two-mode"):
+        return su11.solve_params(0.3, 0.4)
+    return su11.solve_params(0.5, 0.5)
+
+
+# the (case, dims, block) of test_fock.py's TestBlockBox, which
+# test_gaussian.py also checks against the oracle walk
+BLOCK_BOX_CASES = [
+    # verify's own (D, block) pairs
+    ("fock-single", [2, 100], 40),
+    ("fock-single", [2, 21], 5),
+    ("fock-single", [2, 60], 12),
+    ("two-mode", [2, 40], 15),
+    ("three-mode", [2, 14, 14], 5),
+    ("fock-two-mode", [2, 14, 14], 5),
+    # block 0: a two-level box
+    ("fock-single", [2, 100], 0),
+    ("fock-two-mode", [2, 14, 14], 0),
+    ("three-mode", [2, 14, 14], 0),
+    # a three-level box
+    ("two-mode", [2, 40], 2),
+    # a block >= D - 1: the box is the whole layout
+    ("fock-single", [2, 21], 20),
+    ("fock-two-mode", [2, 8, 8], 40),
+    ("two-mode", [2, 40], 39),
+    ("three-mode", [2, 14, 14], 20),
+]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import oracles
-from oracles import pair_lowering
+from oracles import BLOCK_BOX_CASES, case_factors, case_params, pair_lowering
 
 from kerramp import circuits, fock, loss, su11
 
@@ -902,6 +902,18 @@ class TestCompressProduct:
         with pytest.raises(fock.OperatorError, match="not affine"):
             fock.compress_product(layout, factors)
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_refuses_a_phase_run_that_holds_a_factor_not_affine(self, at):
+        # the run's phases are summed into one rotation, which is still
+        # read for affinity: the affine factors around it do not hide it
+        layout = fock.make_layout([2, 8])
+        run = [circuits.Kerr(0, 1, 0.4), circuits.PhaseShift(((1, 0.2),), 0.1)]
+        run.insert(at, fock.PhaseFactor(lambda n: -0.15 * n[1] ** 2))
+        S = fock.PairSqueeze((1,), 0.3)
+        for factors in ([S, *run, S], [*run, S]):
+            with pytest.raises(fock.OperatorError, match="not affine"):
+                fock.compress_product(layout, factors)
+
     def test_holds_no_dense_algebra(self):
         # a compression is read by its blocks, or as .matrix; it has no
         # operator product, adjoint or unitary flag of its own
@@ -929,25 +941,6 @@ def next_doubling(monkeypatch):
 
     monkeypatch.setattr(oracles, "sector_blocks", spy)
     return seen
-
-
-def case_factors(case, layout, params):
-    """The factors of a case's product on layout: the left side of a Fock
-    identity ("fock-single", "fock-two-mode") or a circuit's gates
-    ("two-mode", "three-mode", "three-mode-swap")."""
-    if case in ("fock-single", "fock-two-mode"):
-        return su11._left_factors(params, su11.generators(layout, case))
-    if case == "two-mode":
-        return circuits._plan_factors(circuits.two_mode_plan(params, layout))
-    plan = circuits.three_mode_plan(params, layout, case == "three-mode-swap")
-    return circuits._plan_factors(plan)
-
-
-def case_params(case):
-    """verify's angles: the identity's, or the circuits'."""
-    if case in ("fock-single", "fock-two-mode"):
-        return su11.solve_params(0.3, 0.4)
-    return su11.solve_params(0.5, 0.5)
 
 
 class TestLeakageCertificate:
@@ -1030,30 +1023,6 @@ class TestLeakageCertificate:
         assert [fock.tail_index(w) for w in (2, 10, 20, 112, 224, 400)] == [
             1, 9, 18, 101, 202, 360,
         ]
-
-
-# the (case, dims, block) of TestBlockBox, which tests/test_gaussian.py
-# also checks against the oracle walk
-BLOCK_BOX_CASES = [
-    # verify's own (D, block) pairs
-    ("fock-single", [2, 100], 40),
-    ("fock-single", [2, 21], 5),
-    ("fock-single", [2, 60], 12),
-    ("two-mode", [2, 40], 15),
-    ("three-mode", [2, 14, 14], 5),
-    ("fock-two-mode", [2, 14, 14], 5),
-    # block 0: a two-level box
-    ("fock-single", [2, 100], 0),
-    ("fock-two-mode", [2, 14, 14], 0),
-    ("three-mode", [2, 14, 14], 0),
-    # a three-level box
-    ("two-mode", [2, 40], 2),
-    # a block >= D - 1: the box is the whole layout
-    ("fock-single", [2, 21], 20),
-    ("fock-two-mode", [2, 8, 8], 40),
-    ("two-mode", [2, 40], 39),
-    ("three-mode", [2, 14, 14], 20),
-]
 
 
 def compressed(case, layout):

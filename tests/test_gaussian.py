@@ -8,7 +8,7 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_fock import BLOCK_BOX_CASES, case_factors, case_params
+from oracles import BLOCK_BOX_CASES, case_factors, case_params
 
 from kerramp import fock, gaussian, su11
 
@@ -37,6 +37,20 @@ class TestKernels:
         assert abs(got.c - want.c) <= 1e-15
         assert np.max(np.abs(got.A - want.A)) <= 1e-15
 
+    @pytest.mark.parametrize("num_modes", [1, 2])
+    def test_stacked_compose_is_each_entry_composed_alone(self, num_modes):
+        # an unstacked squeezer broadcasts against a stacked rotation, in
+        # either order, and each stack entry gets the bits it gets alone
+        rng = np.random.default_rng(7)
+        S = gaussian.squeeze(0.6, num_modes)
+        R = gaussian.rotation(rng.uniform(-3, 3, 4), rng.uniform(-3, 3, (4, num_modes)))
+        for first, second in ((S, R), (R, S)):
+            got = gaussian.compose(first, second)
+            for i in range(4):
+                entry = [k if k is S else gaussian.Kernel(k.c[i], k.A[i]) for k in (first, second)]
+                want = gaussian.compose(*entry)
+                assert np.array_equal(got.c[i], want.c) and np.array_equal(got.A[i], want.A)
+
     @pytest.mark.parametrize("levels", [2, 7, 30])
     def test_rotation_elements_are_its_phases(self, levels):
         # exp(i (phi0 + phi n)) on one mode, and on two by n_b - n_c band
@@ -48,6 +62,36 @@ class TestKernels:
         for (nb, nc), values in bands:
             want = np.diag(np.exp(1j * (0.2 + 0.9 * nb - 0.4 * nc)))
             assert np.max(np.abs(values - want)) <= 1e-14
+
+
+class TestPhaseRuns:
+    """compress_product composes one rotation per run of phase factors."""
+
+    @pytest.mark.parametrize(
+        "case, dims, composes",
+        [
+            # three squeezers, three phase runs
+            ("two-mode", [2, 6], 6),
+            ("three-mode", [2, 4, 4], 6),
+            ("three-mode-swap", [2, 4, 4], 6),
+            # three squeezers, two one-factor runs
+            ("fock-single", [2, 6], 5),
+            ("fock-two-mode", [2, 4, 4], 5),
+        ],
+    )
+    def test_one_compose_per_squeezer_and_phase_run(self, monkeypatch, case, dims, composes):
+        layout = fock.make_layout(dims)
+        factors = case_factors(case, layout, case_params(case))
+        calls = []
+        compose = gaussian.compose
+
+        def spy(*kernels):
+            calls.append(1)
+            return compose(*kernels)
+
+        monkeypatch.setattr(gaussian, "compose", spy)
+        fock.compress_product(layout, factors)
+        assert len(calls) == composes
 
 
 class TestAgainstTheWalk:
