@@ -54,10 +54,10 @@ second buffer, with its padding column zero, and the (P, d, N) reshape of
 that buffer shifts row m back by m: the upper triangle of every block
 holds U, and exact zeros lie below it.
 
-On a long ladder F @ Q is split by ladder halves, h = ceil(d / 2), to skip
-zeros: F[h:, :h] = 0, Q[j, delta] = 0 for j, delta >= h, and the output is
-0 for m, delta >= h, as m + delta >= d.  Three GEMMs, batched over the
-(p, p') blocks, do half the flops.
+From 2 _TILE levels up F @ Q runs by output tiles (m by delta), batched
+over the (p, p') blocks, to skip zeros: a tile with m0 + delta0 >= d is
+zero, and the others sum j over [m0, d - delta0) only, as F[m, j] = 0 for
+j < m and Q[j, delta] = 0 for j + delta >= d.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ def lossy_stages(params: CircuitParams, layout: ModeLayout) -> tuple:
 # stay far enough inside the float range (exp(+-709)) to cost no digits.
 MAX_LOSS_LADDER = 3000
 
-# Smallest lost-mode ladder on which _damp splits its GEMM (its docstring).
-_SPLIT_LADDER = 64
+# Lost-mode levels per tile of _damp's product, and most tiles a side.
+_TILE = 32
+_MAX_TILES = 8
 
 
 class ReflectanceError(ValueError):
@@ -234,16 +235,17 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
     matrix is read only before the product and skew only up to it, so
     product may be the buffer whose head is matrix, and out may be matrix
     itself or the head of skew.  The skew and the unskew are reshapes of
-    the padded buffers (module docstring), so the call makes the same few
-    numpy calls on every ladder, and allocates no N x N temporary: the S
-    scale goes through one 3-D view per block column, since an in-place
-    product on the strided 4-D view makes numpy copy it whole (1.16 N^2
-    complex at [2, 160], by tracemalloc).  Returns out.
+    the padded buffers (module docstring), so the call makes a few numpy
+    calls per tile and allocates no N x N temporary: the S scale goes
+    through one 3-D view per block column, since an in-place product on the
+    strided 4-D view makes numpy copy it whole (1.16 N^2 complex at
+    [2, 160], by tracemalloc).  Returns out.
 
-    From _SPLIT_LADDER levels up the product is split (module docstring).
-    The GEMM at [2, d], whole / split (one OpenBLAS thread, 2-core Xeon):
-    0.006 / 0.022 ms at d = 20, 0.028 / 0.037 at 40, 0.13 / 0.08 at 64,
-    1.7 / 1.2 at 160, 93 / 57 ms at 640.
+    The product runs by d // _TILE tiles a side, at most _MAX_TILES, and
+    is one GEMM below two.  The GEMM at [2, d], whole / by halves / by
+    tiles (one OpenBLAS thread, 2-core Xeon): 0.005 ms at d = 20, 0.018 at
+    40, 0.093 / 0.053 / 0.059 at 64, 0.96 / 0.68 / 0.37 at 160, 55 / 34 /
+    24 ms at 640.
     """
     F, A, S = tables
     d = dims[mode]
@@ -264,16 +266,20 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
     skew[:, d * n :] = 0.0
     x = product[..., :n]
     q = skew.reshape(p, d, n + 1)[..., :n]
-    if d < _SPLIT_LADDER:
+    tiles = min(d // _TILE, _MAX_TILES)
+    if tiles < 2:
         np.matmul(F, q.view(float), out=x.view(float))
     else:
-        # by ladder halves, batched over (p, p')
-        h = (d + 1) // 2
-        q, y = (b.reshape(p, d, p, d).view(float).transpose(0, 2, 1, 3) for b in (q, x))
-        np.matmul(F[:h], q[..., : 2 * h], out=y[..., :h, : 2 * h])
-        np.matmul(F[:h, :h], q[..., :h, 2 * h :], out=y[..., :h, 2 * h :])
-        np.matmul(F[h:, h:], q[..., h:, : 2 * h], out=y[..., h:, : 2 * h])
-        y[..., h:, 2 * h :] = 0.0
+        # by output tiles, batched over (p, p')
+        edges = [-(-d * i // tiles) for i in range(tiles + 1)]
+        q, y = (b.reshape(p, d, p, d).transpose(0, 2, 1, 3) for b in (q, x))
+        for m0, m1 in zip(edges, edges[1:]):
+            for e0, e1 in zip(edges, edges[1:]):
+                tile, k = y[..., m0:m1, e0:e1], slice(m0, d - e0)
+                if m0 + e0 >= d:
+                    tile[...] = 0.0
+                else:
+                    np.matmul(F[m0:m1, k], q[..., k, e0:e1].view(float), out=tile.view(float))
     # U[m, delta] *= S[m, delta] in each (p, p') block, one 3-D view per p'
     for block in range(p):
         x[..., block * d : (block + 1) * d] *= S
@@ -357,18 +363,27 @@ def make_werner(layout: ModeLayout, p: float) -> DensityMatrix:
     return DensityMatrix(layout, rho, validate=False)
 
 
-def _squeeze_b(state, blocks, out) -> None:
-    """out = S rho S† for a state rho on (a: 2, b: D) and a real squeezer S
-    on b given by its parity blocks S_p, as S (S rho)†: each round
-    multiplies the p::2 rows by S_p, one real GEMM per parity on the float
-    view, batched over n_a; state is overwritten by (S rho)† between them."""
+def _squeeze_b(state, blocks, out, box) -> None:
+    """out = S rho S† for a state rho on (a: 2, b: d) held on its first box
+    b levels, and a real squeezer S on b given by its parity blocks S_p: X =
+    S[:, :box] rho_box (N x 2 box) into out's head, X† over rho in state's,
+    out = S[:, :box] X†.  Each round is one real GEMM per parity on the
+    float view, batched over n_a (and n_a' in a first round below d)."""
     d = state.shape[0] // 2
-    rows, out_rows = (m.reshape(2, d, 2 * d).view(float) for m in (state, out))
-    for step in range(2):  # out = S rho, then S (S rho)†
-        if step:
-            np.conjugate(out.T, out=state)
-        for p, s_p in enumerate(blocks):
-            np.matmul(s_p, rows[:, p::2], out=out_rows[:, p::2])
+    x, xh = out, state
+    rows, x_rows = (m.reshape(2, d, 2 * d).view(float) for m in (state, out))
+    if box < d:  # rho is dead once X is formed: X† goes over it
+        x, xh = (m.reshape(-1)[: 4 * d * box] for m in (out, state))
+        x, xh = x.reshape(2 * d, 2 * box), xh.reshape(2 * box, 2 * d)
+        x_rows = x.reshape(2, d, 2, box).view(float).transpose(0, 2, 1, 3)
+        rows = state.reshape(2, d, 2, d)[:, :box, :, :box].view(float).transpose(0, 2, 1, 3)
+        blocks = [s_p[:, : (box + 1 - p) // 2] for p, s_p in enumerate(blocks)]
+    for p, s_p in enumerate(blocks):
+        np.matmul(s_p, rows[..., p::2, :], out=x_rows[..., p::2, :])
+    np.conjugate(x.T, out=xh)
+    rows, out_rows = xh.reshape(2, box, 2 * d).view(float), out.reshape(2, d, 2 * d).view(float)
+    for p, s_p in enumerate(blocks):
+        np.matmul(s_p, rows[:, p::2], out=out_rows[:, p::2])
 
 
 def _run_fixed_dim(
@@ -385,13 +400,14 @@ def _run_fixed_dim(
     conjugates the state by its two parity blocks (_squeeze_b) into the
     spare, which then becomes the state; the blocks are the parity ladders'
     exponentials, real orthogonal (fock.parity_blocks), and no N x N gate
-    matrix is built.  The Kerr and phase gates multiply the state in place
-    by their phase vectors, as fock.evolve does.  Loss on a is block
-    arithmetic on the state (_damp_first_qubit, with the spare as its
-    scratch).  Loss on b (_damp) skews into the whole spare, multiplies
-    into the whole state buffer and writes its output into the spare's
-    head, which then becomes the state, with the tables _loss_tables builds
-    once per reflectance; they are dropped with the pass.
+    matrix is built; the first reads only the input's box, where the other
+    stages keep the state until then.  The Kerr and phase gates multiply
+    the state in place by their phase vectors, as fock.evolve does.  Loss
+    on a is block arithmetic on the state (_damp_first_qubit, with the
+    spare as its scratch).  Loss on b (_damp) skews into the whole spare,
+    multiplies into the whole state buffer and writes its output into the
+    spare's head, which then becomes the state, with the tables _loss_tables
+    builds once per reflectance; they are dropped with the pass.
 
     What the ladder alone fixes is not rebuilt per pass: the Fock index
     grid phase_vector reads, the parity eigenbases and the loss tables'
@@ -416,11 +432,13 @@ def _run_fixed_dim(
     rho = head(state)
     inside = tuple(slice(k) for k in box)
     rho.reshape(layout.dims * 2)[inside * 2] = rho_in.matrix.reshape(box * 2)
+    support = box[1]
     tables = {}
     leakage = 0.0
     for gate, splitters in stages:
         if gate in squeezers:
-            _squeeze_b(rho, squeezers[gate], head(spare))
+            _squeeze_b(rho, squeezers[gate], head(spare), support)
+            support = d
             state, spare = spare, state
             rho = head(state)
         else:

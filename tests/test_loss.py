@@ -226,6 +226,10 @@ class TestLossKernel:
             ([2, 65], 1),
             ([2, 81], 1),
             ([3, 65, 2], 1),
+            # three to five tiles a side, the tiles unequal
+            ([2, 121], 1),
+            ([2, 161], 1),
+            ([3, 97, 2], 1),
         ],
     )
     def test_matches_slice_loop(self, dims, mode):
@@ -241,12 +245,13 @@ class TestLossKernel:
 
     def test_stale_buffers_are_never_read(self):
         # the skew and product buffers start as NaN and are reused from a
-        # [2, 20] call for a [3, 5, 4] one, then on ladders split by halves:
-        # the padding and the split's zero quadrant must be rewritten
+        # [2, 20] call for a [3, 5, 4] one, then on ladders the product runs
+        # by tiles (121: three unequal tiles a side): the padding and every
+        # skipped zero tile must be rewritten
         rng = np.random.default_rng(40)
         size = 320 * 321
         skew, product = np.full(size, np.nan, dtype=complex), np.full(size, np.nan, dtype=complex)
-        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2), ([2, 65], 1), ([2, 160], 1)):
+        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2), ([2, 121], 1), ([2, 65], 1), ([2, 160], 1)):
             rho = random_density(rng, fock.make_layout(dims)).matrix
             n = len(rho)
             tables = loss._loss_tables(dims[mode], 0.1)
@@ -259,11 +264,11 @@ class TestLossKernel:
         # the lossy pass's aliasing: the product goes into the buffer whose
         # head is the state matrix and the output into the skew buffer's
         # head, then the two swap; both start as NaN and go on stale, as in
-        # the pass, from a [2, 20] ladder to ladders split by halves
+        # the pass, from a [2, 20] ladder to ladders the product tiles
         rng = np.random.default_rng(42)
         size = 320 * 321
         state, spare = np.full(size, np.nan, dtype=complex), np.full(size, np.nan, dtype=complex)
-        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2), ([2, 65], 1), ([2, 160], 1)):
+        for dims, mode in (([2, 20], 1), ([3, 5, 4], 2), ([2, 121], 1), ([2, 65], 1), ([2, 160], 1)):
             rho = random_density(rng, fock.make_layout(dims)).matrix
             n = len(rho)
             matrix, out = (buf[: n * n].reshape(n, n) for buf in (state, spare))
@@ -434,7 +439,22 @@ class TestRealSqueezer:
         s2 = stages[3][0]
         blocks = fock.parity_blocks(layout, [s2])[s2]
         state, out = rho.matrix.copy(), np.empty_like(rho.matrix)
-        loss._squeeze_b(state, blocks, out)
+        loss._squeeze_b(state, blocks, out, dim)
+        want = complex_squeeze_oracle(rho.matrix, blocks)
+        assert np.max(np.abs(out - want)) <= 1e-15
+
+    @pytest.mark.parametrize("dim, box", [(4, 2), (20, 10), (21, 10), (42, 21), (160, 80)])
+    def test_box_squeeze_matches_complex_blocks(self, dim, box):
+        # a state on the first box levels of b: the squeezer reads the box
+        # only, and the NaN it never reads stay out of its output
+        rng = np.random.default_rng(43)
+        rho = oracles.embed_state(random_density(rng, fock.make_layout([2, box])), fock.make_layout([2, dim]))
+        squeezer = fock.PairSqueeze((1,), 0.7)
+        blocks = fock.parity_blocks(rho.layout, [squeezer])[squeezer]
+        state, out = rho.matrix.copy(), np.full_like(rho.matrix, np.nan)
+        state.reshape(2, dim, 2, dim)[:, box:] = np.nan
+        state.reshape(2, dim, 2, dim)[..., box:] = np.nan
+        loss._squeeze_b(state, blocks, out, box)
         want = complex_squeeze_oracle(rho.matrix, blocks)
         assert np.max(np.abs(out - want)) <= 1e-15
 
@@ -819,12 +839,19 @@ class TestPassRunsOnlyTheCircuit:
     PARAMS = su11.solve_params(0.5, 1.5)
     CONFIG = loss.LossConfig(0.1, 0.1)
 
-    @pytest.mark.parametrize("dim", [3, 21, 40])  # 40: the pass ladder 80 splits its GEMM
-    @pytest.mark.parametrize("state", ["plus-plus", "werner"])
+    # 40 and 80: the pass ladders 80 and 160 run the loss product by two and
+    # five tiles; every first squeezer reads the input's box only
+    @pytest.mark.parametrize("dim", [3, 21, 40, 80])
+    @pytest.mark.parametrize("state", ["plus-plus", "werner", "random", "phase-first"])
     def test_pass_on_a_longer_ladder_is_the_pass_on_the_padded_input(self, dim, state):
         box = fock.make_layout([2, dim])
-        rho = loss.make_plus_plus(box) if state == "plus-plus" else loss.make_werner(box, 0.6)
         stages = loss.lossy_stages(su11.solve_params(0.5, 0.7), box)
+        if state == "random":  # support on the whole box
+            rho = random_density(np.random.default_rng(44), box)
+        else:
+            rho = loss.make_werner(box, 0.6) if state == "werner" else loss.make_plus_plus(box)
+        if state == "phase-first":  # K, its loss on b and a, then P ahead of the first squeezer
+            stages = stages[1:] + stages[:1]
         out, leakage = loss._run_fixed_dim(rho, stages, self.CONFIG, 2 * dim)
         padded = oracles.embed_state(rho, fock.make_layout([2, 2 * dim]))
         want_out, want_leakage = loss._run_fixed_dim(padded, stages, self.CONFIG)
