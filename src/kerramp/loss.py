@@ -57,7 +57,8 @@ holds U, and exact zeros lie below it.
 From 2 _TILE levels up F @ Q runs by output tiles (m by delta), batched
 over the (p, p') blocks, to skip zeros: a tile with m0 + delta0 >= d is
 zero, and the others sum j over [m0, d - delta0) only, as F[m, j] = 0 for
-j < m and Q[j, delta] = 0 for j + delta >= d.
+j < m and Q[j, delta] = 0 for j + delta >= d.  S scales each tile right
+after its GEMM, while the tile is still in cache.
 """
 
 from __future__ import annotations
@@ -235,17 +236,16 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
     matrix is read only before the product and skew only up to it, so
     product may be the buffer whose head is matrix, and out may be matrix
     itself or the head of skew.  The skew and the unskew are reshapes of
-    the padded buffers (module docstring), so the call makes a few numpy
-    calls per tile and allocates no N x N temporary: the S scale goes
-    through one 3-D view per block column, since an in-place product on the
-    strided 4-D view makes numpy copy it whole (1.16 N^2 complex at
-    [2, 160], by tracemalloc).  Returns out.
+    the padded buffers (module docstring), and no N x N temporary is made:
+    numpy copies a strided 4-D view whole for an in-place product (1.16 N^2
+    complex at [2, 160]), so S scales each tile, or a single GEMM's output
+    by one 3-D view per block column.  Returns out.
 
-    The product runs by d // _TILE tiles a side, at most _MAX_TILES, and
-    is one GEMM below two.  The GEMM at [2, d], whole / by halves / by
-    tiles (one OpenBLAS thread, 2-core Xeon): 0.005 ms at d = 20, 0.018 at
-    40, 0.093 / 0.053 / 0.059 at 64, 0.96 / 0.68 / 0.37 at 160, 55 / 34 /
-    24 ms at 640.
+    The product runs by d // _TILE tiles a side, at most _MAX_TILES, or as
+    one GEMM below two.  The GEMM at [2, d], whole / by halves / by tiles
+    (one OpenBLAS thread, 2-core Xeon): 0.005 ms at d = 20, 0.018 at 40,
+    0.093 / 0.053 / 0.059 at 64, 0.96 / 0.68 / 0.37 at 160, 55 / 34 / 24
+    ms at 640.
     """
     F, A, S = tables
     d = dims[mode]
@@ -269,8 +269,10 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
     tiles = min(d // _TILE, _MAX_TILES)
     if tiles < 2:
         np.matmul(F, q.view(float), out=x.view(float))
+        for block in range(p):  # U[m, delta] *= S[m, delta], one 3-D view per p'
+            x[..., block * d : (block + 1) * d] *= S
     else:
-        # by output tiles, batched over (p, p')
+        # by output tiles, batched over (p, p'), each scaled by S after its GEMM
         edges = [-(-d * i // tiles) for i in range(tiles + 1)]
         q, y = (b.reshape(p, d, p, d).transpose(0, 2, 1, 3) for b in (q, x))
         for m0, m1 in zip(edges, edges[1:]):
@@ -280,9 +282,7 @@ def _damp(matrix, dims, mode, tables, skew, product, out) -> np.ndarray:
                     tile[...] = 0.0
                 else:
                     np.matmul(F[m0:m1, k], q[..., k, e0:e1].view(float), out=tile.view(float))
-    # U[m, delta] *= S[m, delta] in each (p, p') block, one 3-D view per p'
-    for block in range(p):
-        x[..., block * d : (block + 1) * d] *= S
+                    tile *= S[m0:m1, e0:e1]
     product[..., n] = 0.0
     # the (P, d, N) reshape shifts row m back by m: U, zero below each block's diagonal
     u = product.reshape(p, -1)[:, : d * n].reshape(pre, post, d, pre, post, d).transpose(last)
@@ -370,17 +370,15 @@ def _squeeze_b(state, blocks, out, box) -> None:
     out = S[:, :box] X†.  Each round is one real GEMM per parity on the
     float view, batched over n_a (and n_a' in a first round below d)."""
     d = state.shape[0] // 2
-    x, xh = out, state
+    x, xh = (m.reshape(-1)[: 4 * d * box] for m in (out, state))
     rows, x_rows = (m.reshape(2, d, 2 * d).view(float) for m in (state, out))
-    if box < d:  # rho is dead once X is formed: X† goes over it
-        x, xh = (m.reshape(-1)[: 4 * d * box] for m in (out, state))
-        x, xh = x.reshape(2 * d, 2 * box), xh.reshape(2 * box, 2 * d)
+    if box < d:
         x_rows = x.reshape(2, d, 2, box).view(float).transpose(0, 2, 1, 3)
         rows = state.reshape(2, d, 2, d)[:, :box, :, :box].view(float).transpose(0, 2, 1, 3)
         blocks = [s_p[:, : (box + 1 - p) // 2] for p, s_p in enumerate(blocks)]
     for p, s_p in enumerate(blocks):
         np.matmul(s_p, rows[..., p::2, :], out=x_rows[..., p::2, :])
-    np.conjugate(x.T, out=xh)
+    np.conjugate(x.reshape(2 * d, 2 * box).T, out=xh.reshape(2 * box, 2 * d))
     rows, out_rows = xh.reshape(2, box, 2 * d).view(float), out.reshape(2, d, 2 * d).view(float)
     for p, s_p in enumerate(blocks):
         np.matmul(s_p, rows[:, p::2], out=out_rows[:, p::2])
@@ -432,13 +430,12 @@ def _run_fixed_dim(
     rho = head(state)
     inside = tuple(slice(k) for k in box)
     rho.reshape(layout.dims * 2)[inside * 2] = rho_in.matrix.reshape(box * 2)
-    support = box[1]
     tables = {}
     leakage = 0.0
     for gate, splitters in stages:
         if gate in squeezers:
-            _squeeze_b(rho, squeezers[gate], head(spare), support)
-            support = d
+            _squeeze_b(rho, squeezers[gate], head(spare), box[1])
+            box = layout.dims  # the state's support from here on
             state, spare = spare, state
             rho = head(state)
         else:
