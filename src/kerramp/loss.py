@@ -363,25 +363,21 @@ def make_werner(layout: ModeLayout, p: float) -> DensityMatrix:
     return DensityMatrix(layout, rho, validate=False)
 
 
-def _squeeze_b(state, blocks, out, box) -> None:
-    """out = S rho S† for a state rho on (a: 2, b: d) held on its first box
-    b levels, and a real squeezer S on b given by its parity blocks S_p: X =
-    S[:, :box] rho_box (N x 2 box) into out's head, X† over rho in state's,
-    out = S[:, :box] X†.  Each round is one real GEMM per parity on the
-    float view, batched over n_a (and n_a' in a first round below d)."""
-    d = state.shape[0] // 2
-    x, xh = (m.reshape(-1)[: 4 * d * box] for m in (out, state))
-    rows, x_rows = (m.reshape(2, d, 2 * d).view(float) for m in (state, out))
-    if box < d:
-        x_rows = x.reshape(2, d, 2, box).view(float).transpose(0, 2, 1, 3)
-        rows = state.reshape(2, d, 2, d)[:, :box, :, :box].view(float).transpose(0, 2, 1, 3)
-        blocks = [s_p[:, : (box + 1 - p) // 2] for p, s_p in enumerate(blocks)]
-    for p, s_p in enumerate(blocks):
-        np.matmul(s_p, rows[..., p::2, :], out=x_rows[..., p::2, :])
-    np.conjugate(x.reshape(2 * d, 2 * box).T, out=xh.reshape(2 * box, 2 * d))
-    rows, out_rows = xh.reshape(2, box, 2 * d).view(float), out.reshape(2, d, 2 * d).view(float)
-    for p, s_p in enumerate(blocks):
-        np.matmul(s_p, rows[:, p::2], out=out_rows[:, p::2])
+def _squeeze_b(buf, blocks, out, box) -> None:
+    """out = S rho S† for a real squeezer S on b of out's layout (a: 2,
+    b: d), given by its parity blocks S_p, and a state rho on (a: 2,
+    b: box <= d), (2 box)^2 at the head of the flat buffer buf: X =
+    S[:, :box] rho into out's head, X† over rho, out = S[:, :box] X†.  Each
+    round is one real GEMM per parity on the float view, batched over n_a."""
+    d = out.shape[0] // 2
+    blocks = [s_p[:, : (box + 1 - p) // 2] for p, s_p in enumerate(blocks)]
+    x, xh = out.reshape(-1)[: 4 * d * box], buf[: 4 * d * box]
+    for step, (rows, x_rows) in enumerate(((buf[: 4 * box * box], x), (xh, out))):
+        if step:  # rho is dead once X is formed
+            np.conjugate(x.reshape(2 * d, 2 * box).T, out=xh.reshape(2 * box, 2 * d))
+        rows, x_rows = rows.reshape(2, box, -1).view(float), x_rows.reshape(2, d, -1).view(float)
+        for p, s_p in enumerate(blocks):
+            np.matmul(s_p, rows[:, p::2], out=x_rows[:, p::2])
 
 
 def _run_fixed_dim(
@@ -393,19 +389,19 @@ def _run_fixed_dim(
 
     The pass runs in two flat buffers of N^2 + N elements, allocated once,
     and allocates no other N x N array: the state and a spare, each matrix
-    being a buffer's N x N head.  rho_in, on its own box of the pass
-    layout, is written into the zeroed state buffer.  Each squeezer
-    conjugates the state by its two parity blocks (_squeeze_b) into the
-    spare, which then becomes the state; the blocks are the parity ladders'
-    exponentials, real orthogonal (fock.parity_blocks), and no N x N gate
-    matrix is built; the first reads only the input's box, where the other
-    stages keep the state until then.  The Kerr and phase gates multiply
-    the state in place by their phase vectors, as fock.evolve does.  Loss
-    on a is block arithmetic on the state (_damp_first_qubit, with the
-    spare as its scratch).  Loss on b (_damp) skews into the whole spare,
-    multiplies into the whole state buffer and writes its output into the
-    spare's head, which then becomes the state, with the tables _loss_tables
-    builds once per reflectance; they are dropped with the pass.
+    being a buffer's head.  The state starts as a copy of rho_in on its own
+    layout, the box, and stays there until the first squeezer maps it onto
+    the pass layout.  Each squeezer conjugates the state by its two parity
+    blocks (_squeeze_b) into the spare, which then becomes the state; the
+    blocks are the parity ladders' exponentials, real orthogonal
+    (fock.parity_blocks), and no N x N gate matrix is built.  The Kerr and
+    phase gates multiply the state in place by their phase vectors, as
+    fock.evolve does.  Loss on a is block arithmetic on the state
+    (_damp_first_qubit, with the spare as its scratch).  Loss on b (_damp)
+    skews into the whole spare, multiplies into the whole state buffer and
+    writes its output into the spare's head, which then becomes the state,
+    with the tables _loss_tables builds once per ladder and reflectance;
+    they are dropped with the pass.
 
     What the ladder alone fixes is not rebuilt per pass: the Fock index
     grid phase_vector reads, the parity eigenbases and the loss tables'
@@ -413,33 +409,34 @@ def _run_fixed_dim(
     read-only, so a pass on a ladder seen before builds only what its
     parameters set.
 
-    Returns (output, leakage).  The leakage is the largest population on
-    the top tenth of the b ladder after any stage, read off the diagonal:
-    S2 pulls the mid-circuit spread back down.
+    Returns (output, leakage), the output on the pass layout once a
+    squeezer has run.  The leakage is the largest population on the top
+    tenth of the b ladder after any stage, read off the diagonal: S2 pulls
+    the mid-circuit spread back down.
     """
-    box = rho_in.layout.dims
-    layout = rho_in.layout if dim is None else fock.make_layout([2, dim])
+    here = rho_in.layout  # the state's layout: the input's own until the first squeezer
+    layout = here if dim is None else fock.make_layout([2, dim])
     n, d = layout.total_dim, layout.dims[1]
     squeezers = fock.parity_blocks(layout, [g for g, _ in stages if isinstance(g, fock.PairSqueeze)])
     tail = fock.tail_index(d)
-    state, spare = np.zeros(n * (n + 1), dtype=complex), np.empty(n * (n + 1), dtype=complex)
+    state, spare = (np.empty(n * (n + 1), dtype=complex) for _ in range(2))
 
     def head(buf):
-        return buf[: n * n].reshape(n, n)
+        m = here.total_dim
+        return buf[: m * m].reshape(m, m)
 
     rho = head(state)
-    inside = tuple(slice(k) for k in box)
-    rho.reshape(layout.dims * 2)[inside * 2] = rho_in.matrix.reshape(box * 2)
+    rho[...] = rho_in.matrix
     tables = {}
     leakage = 0.0
     for gate, splitters in stages:
         if gate in squeezers:
-            _squeeze_b(rho, squeezers[gate], head(spare), box[1])
-            box = layout.dims  # the state's support from here on
+            box, here = here.dims[1], layout
+            _squeeze_b(state, squeezers[gate], head(spare), box)
             state, spare = spare, state
             rho = head(state)
         else:
-            u = fock.phase_vector(layout, [gate])
+            u = fock.phase_vector(here, [gate])
             # u rho, not rho u: fock.evolve's (u rho) u*, rounded alike
             np.multiply(u[:, None], rho, out=rho)
             rho *= u.conj()
@@ -448,14 +445,15 @@ def _run_fixed_dim(
             if r and mode == 0:
                 _damp_first_qubit(rho, r, spare)
             elif r:
-                if r not in tables:
-                    tables[r] = _loss_tables(d, r)
-                _damp(rho, layout.dims, mode, tables[r], spare, state, out=head(spare))
+                key = here.dims[1], r
+                if key not in tables:
+                    tables[key] = _loss_tables(*key)
+                _damp(rho, here.dims, mode, tables[key], spare, state, out=head(spare))
                 state, spare = spare, state
                 rho = head(state)
-        populations = np.real(np.diagonal(rho)).reshape(layout.dims)
+        populations = np.real(np.diagonal(rho)).reshape(here.dims)
         leakage = max(leakage, float(populations[:, tail:].sum()))
-    return DensityMatrix(layout, rho, validate=False), leakage
+    return DensityMatrix(here, rho, validate=False), leakage
 
 
 def run_lossy_amplifier(

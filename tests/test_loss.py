@@ -439,21 +439,22 @@ class TestRealSqueezer:
         s2 = stages[3][0]
         blocks = fock.parity_blocks(layout, [s2])[s2]
         state, out = rho.matrix.copy(), np.empty_like(rho.matrix)
-        loss._squeeze_b(state, blocks, out, dim)
+        loss._squeeze_b(state.reshape(-1), blocks, out, dim)
         want = complex_squeeze_oracle(rho.matrix, blocks)
         assert np.max(np.abs(out - want)) <= 1e-15
 
     @pytest.mark.parametrize("dim, box", [(4, 2), (20, 10), (21, 10), (42, 21), (160, 80)])
     def test_box_squeeze_matches_complex_blocks(self, dim, box):
-        # a state on the first box levels of b: the squeezer reads the box
-        # only, and the NaN it never reads stay out of its output
+        # a state on the box layout [2, box] at the head of a NaN buffer,
+        # squeezed onto [2, dim]: the NaN past the head and in the output
+        # buffer are never read
         rng = np.random.default_rng(43)
-        rho = oracles.embed_state(random_density(rng, fock.make_layout([2, box])), fock.make_layout([2, dim]))
+        small = random_density(rng, fock.make_layout([2, box]))
+        rho = oracles.embed_state(small, fock.make_layout([2, dim]))
         squeezer = fock.PairSqueeze((1,), 0.7)
         blocks = fock.parity_blocks(rho.layout, [squeezer])[squeezer]
-        state, out = rho.matrix.copy(), np.full_like(rho.matrix, np.nan)
-        state.reshape(2, dim, 2, dim)[:, box:] = np.nan
-        state.reshape(2, dim, 2, dim)[..., box:] = np.nan
+        state, out = np.full(rho.matrix.size, np.nan, dtype=complex), np.full_like(rho.matrix, np.nan)
+        state[: small.matrix.size] = small.matrix.reshape(-1)
         loss._squeeze_b(state, blocks, out, box)
         want = complex_squeeze_oracle(rho.matrix, blocks)
         assert np.max(np.abs(out - want)) <= 1e-15
@@ -855,8 +856,12 @@ class TestPassRunsOnlyTheCircuit:
         out, leakage = loss._run_fixed_dim(rho, stages, self.CONFIG, 2 * dim)
         padded = oracles.embed_state(rho, fock.make_layout([2, 2 * dim]))
         want_out, want_leakage = loss._run_fixed_dim(padded, stages, self.CONFIG)
-        assert out.layout == padded.layout and np.array_equal(out.matrix, want_out.matrix)
-        assert leakage == want_leakage
+        assert out.layout == padded.layout
+        if state == "phase-first":  # its loss on b sums over the input's ladder, not the padded one
+            assert np.max(np.abs(out.matrix - want_out.matrix)) <= 1e-15
+            assert leakage == pytest.approx(want_leakage, abs=1e-15)
+        else:
+            assert np.array_equal(out.matrix, want_out.matrix) and leakage == want_leakage
 
     def test_run_builds_the_stages_and_the_ideal_once(self, monkeypatch):
         calls = {"lossy_stages": [], "evolve": [], "fidelity": [], "_run_fixed_dim": []}
